@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -67,6 +68,19 @@ def test_report_determinism():
     cli.render_report(rep1, cfg, buf1)
     cli.render_report(rep2, cfg, buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_report_digest_pinned():
+    # a refactor must leave every check id, anchor, status and its order unchanged
+    cfg = SuiteConfig(n_max=2, oracle_n_max=2, output="json")
+    report, status = cli.run(cfg)
+    buf = io.StringIO()
+    cli.render_report(report, cfg, buf)
+    payload = buf.getvalue().encode()
+    assert status == 0 and len(report.checks) == 312 and len(payload) == 49554
+    assert hashlib.sha256(payload).hexdigest() == (
+        "2b94275c4214c11770cff999de596b5cf6c028baea8fcea79cbb4fe30f9fb1c9"
+    )
 
 
 def test_env_overrides(monkeypatch, capsys):
