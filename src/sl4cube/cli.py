@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import specialfn, suites
+from .cube import DEFAULT_N_CAP
 from .exact import binomial
 from .report import Report
 
@@ -48,6 +49,9 @@ class SuiteConfig:
             raise ValueError("need 0 <= n-min <= n-max")
         if self.oracle_n_max > self.n_max:
             raise ValueError("oracle-n-max must not exceed n-max")
+        capped = sorted({"cube", "tensor", "correspond"} & set(self.selected()))
+        if capped and self.n_max > DEFAULT_N_CAP:
+            raise ValueError(f"n-max {self.n_max} exceeds the cube cap {DEFAULT_N_CAP} of suites {', '.join(capped)}")
         if self.output not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output!r}")
         unknown = set(self.suites) - set(suites.SUITES) - {"all"}
@@ -138,11 +142,6 @@ def render_report(report: Report, cfg: SuiteConfig, stream):
         stream.write(f"# {len(report.checks)} checks, {failed} failed\n")
 
 
-def _frac_str(x):
-    f = Fraction(x)
-    return str(f)
-
-
 def table_rows(kind, N):
     """Rows (as string tuples) for the requested exact reference table."""
     if kind == "dims":
@@ -168,7 +167,7 @@ def table_rows(kind, N):
     elif kind == "wedderburn":
         header = ("l", "eigenvalue", "dim")
         rows = [
-            (str(l), _frac_str(Fraction((N - 2 * l) * (N - 2 * l + 2), 2)), str((N - 2 * l + 1) ** 2))
+            (str(l), str(Fraction((N - 2 * l) * (N - 2 * l + 2), 2)), str((N - 2 * l + 1) ** 2))
             for l in range(N // 2 + 1)
         ]
     else:

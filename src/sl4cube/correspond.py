@@ -31,28 +31,23 @@ class ScaledMap:
     apply: callable
 
 
-def _require_homogeneous(v, tag):
-    if v.basis != tag:
-        raise ValueError(f"expected a {tag}-tagged vector")
-    v.degree()  # raises if mixed
-    return v
+def _ddag(v, basis, tag):
+    if v.basis != basis:
+        raise ValueError(f"expected a {basis}-tagged vector")
+    N = v.degree() or 0  # raises if mixed
+    w = factorial(N) * 2**N
+    return FixVec(N, tag, {p: w * c for p, c in v.items()})
 
 
 def ddag_scaled(v: PolyVec) -> FixVec:
     """Monomial-basis vectors to the fixed subspace: unit profile p to p! times
     the orbit sum over p, written in dual coordinates."""
-    _require_homogeneous(v, MONOMIAL)
-    N = v.degree() or 0
-    w = factorial(N) * 2**N
-    return FixVec(N, TILDE, {p: w * c for p, c in v.items()})
+    return _ddag(v, MONOMIAL, TILDE)
 
 
 def ddag_scaled_starred(v: PolyVec) -> FixVec:
     """Starred-basis vectors to the fixed subspace, landing on the spectral sums."""
-    _require_homogeneous(v, STARRED)
-    N = v.degree() or 0
-    w = factorial(N) * 2**N
-    return FixVec(N, STAR_TILDE, {p: w * c for p, c in v.items()})
+    return _ddag(v, STARRED, STAR_TILDE)
 
 
 def ddag_map(N) -> ScaledMap:
@@ -75,16 +70,16 @@ def eps_scaled_fix(alg: TAlgebra, v: FixVec) -> TElem:
     """The same map on the fixed subspace, through its action on the two dual bases."""
     estar = alg.estar_basis()
     ebas = alg.e_basis()
-    N = v.N
+    N, tag = v.space
     w = Fraction(1, factorial(N) * 2**N)
     out = alg.zero()
     for p, c in v.coeffs.items():
         h, i, j = triple_of_profile(p)
         scale = c * p.norm_sq * w
-        if v.tag == TILDE:
-            out = out + scale * estar[TripleIndex(h, j, i)]
+        if tag == TILDE:
+            out.add_scaled(scale, estar[TripleIndex(h, j, i)])
         else:
-            out = out + scale * ebas[TripleIndex(h, i, j)]
+            out.add_scaled(scale, ebas[TripleIndex(h, i, j)])
     return out
 
 
@@ -97,17 +92,16 @@ def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
     """Monomials to reversed cell indicators, starred monomials to the spectral
     basis, both weighted by the profile factorials."""
     v.degree()
+    out = alg.zero()
     if v.basis == MONOMIAL:
         estar = alg.estar_basis()
-        out = alg.zero()
         for p, c in v.items():
             h, i, j = triple_of_profile(p)
-            out = out + (c * p.norm_sq) * estar[TripleIndex(h, j, i)]
-        return out
-    ebas = alg.e_basis()
-    out = alg.zero()
-    for p, c in v.items():
-        out = out + (c * p.norm_sq) * ebas[triple_of_profile(p)]
+            out.add_scaled(c * p.norm_sq, estar[TripleIndex(h, j, i)])
+    else:
+        ebas = alg.e_basis()
+        for p, c in v.items():
+            out.add_scaled(c * p.norm_sq, ebas[triple_of_profile(p)])
     return out
 
 
@@ -123,106 +117,63 @@ def check_ddag(N, oracle_cap=3) -> Report:
     """Intertwining and form scaling for the polynomial-to-fixed-space map."""
     rep = Report()
     profiles = polyspace.enumerate_profiles(N)
-    scale_sq = factorial(N) * 2**N
+    scale_sq = ddag_map(N).scale_squared
+    unit = PolyVec.unit
 
-    ok, witness = True, None
-    for tag, basis, fwd in ((MONOMIAL, TILDE, ddag_scaled), (STARRED, STAR_TILDE, ddag_scaled_starred)):
-        for gid in _GENS:
-            for p in profiles:
-                e = PolyVec.unit(tag, p)
-                lhs = fwd(polyspace.act_generator(gid, e))
-                rhs = tensorspace.act_abstract(gid.index, gid.kind, fwd(e))
-                if lhs != rhs:
-                    ok, witness = False, f"{gid} on {tag} unit {tuple(p)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("correspond.ddag.intertwine", "image of generator action = operator action of image", N, ok, witness)
+    def intertwine():
+        for tag, fwd in ((MONOMIAL, ddag_scaled), (STARRED, ddag_scaled_starred)):
+            for gid in _GENS:
+                for p in profiles:
+                    e = unit(tag, p)
+                    if fwd(polyspace.act_generator(gid, e)) != tensorspace.act_abstract(gid.index, gid.kind, fwd(e)):
+                        yield f"{gid} on {tag} unit {tuple(p)}"
+    rep.check("correspond.ddag.intertwine", "image of generator action = operator action of image", N, intertwine())
 
-    ok, witness = True, None
-    units = {p: PolyVec.unit(MONOMIAL, p) for p in profiles}
+    units = {p: unit(MONOMIAL, p) for p in profiles}
     images = {p: ddag_scaled(v) for p, v in units.items()}
-    for p in profiles:
-        for q in profiles:
-            lhs = images[p].inner(images[q])
-            rhs = scale_sq * polyspace.hermitian(units[p], units[q])
-            if lhs != rhs:
-                ok, witness = False, f"form pair {tuple(p)},{tuple(q)}"
-                break
-        if not ok:
-            break
-    rep.add("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, ok, witness)
+
+    def form(vectors, name):
+        for p in profiles:
+            for q in profiles:
+                if vectors[p].inner(vectors[q]) != scale_sq * polyspace.hermitian(units[p], units[q]):
+                    yield f"{name} pair {tuple(p)},{tuple(q)}"
+    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, "form"))
 
     if N <= oracle_cap:
-        ok, witness = True, None
-        for gid in _GENS:
+
+        def concrete():
+            for gid in _GENS:
+                for p in profiles:
+                    lhs = tensorspace.act_concrete(gid.index, gid.kind, images[p].lift())
+                    if lhs != ddag_scaled(polyspace.act_generator(gid, units[p])).lift():
+                        yield f"{gid} on unit {tuple(p)}"
+        rep.check("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, concrete())
+        lifted = {p: images[p].lift() for p in profiles}
+        rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, "concrete form"))
+
+        def starred_consistency():
             for p in profiles:
-                e = PolyVec.unit(MONOMIAL, p)
-                lifted = ddag_scaled(e).lift()
-                lhs = tensorspace.act_concrete(gid.index, gid.kind, lifted)
-                rhs = ddag_scaled(polyspace.act_generator(gid, e)).lift()
-                if lhs != rhs:
-                    ok, witness = False, f"{gid} on unit {tuple(p)}"
-                    break
-            if not ok:
-                break
-        rep.add("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, ok, witness)
+                e = unit(STARRED, p)
+                if ddag_scaled_starred(e).lift() != ddag_scaled(polyspace.convert_basis(e, MONOMIAL)).lift():
+                    yield f"starred unit {tuple(p)}"
+        rep.check(
+            "correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, starred_consistency()
+        )
 
-        ok, witness = True, None
-        for p in profiles:
-            for q in profiles:
-                f = PolyVec.unit(MONOMIAL, p)
-                g = PolyVec.unit(MONOMIAL, q)
-                lhs = ddag_scaled(f).lift().inner(ddag_scaled(g).lift())
-                if lhs != scale_sq * polyspace.hermitian(f, g):
-                    ok, witness = False, f"concrete form pair {tuple(p)},{tuple(q)}"
-                    break
-            if not ok:
-                break
-        rep.add("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, ok, witness)
+        def cross_form():
+            starred = {q: ddag_scaled_starred(unit(STARRED, q)).lift() for q in profiles}
+            for p in profiles:
+                for q in profiles:
+                    if lifted[p].inner(starred[q]) != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
+                        yield f"cross pair {tuple(p)},{tuple(q)}"
+        rep.check("correspond.ddag.cross_form", "<image(x^p), image(x*^q)> = (N!)^2 * transition coefficient", N, cross_form())
 
-        ok, witness = True, None
-        for p in profiles:
-            e = PolyVec.unit(STARRED, p)
-            route1 = ddag_scaled_starred(e).lift()
-            route2 = ddag_scaled(polyspace.convert_basis(e, MONOMIAL)).lift()
-            if route1 != route2:
-                ok, witness = False, f"starred unit {tuple(p)}"
-                break
-        rep.add("correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, ok, witness)
-
-        ok, witness = True, None
-        nfact = factorial(N)
-        for p in profiles:
-            for q in profiles:
-                f = PolyVec.unit(MONOMIAL, p)
-                g = PolyVec.unit(STARRED, q)
-                lhs = ddag_scaled(f).lift().inner(ddag_scaled_starred(g).lift())
-                rhs = nfact**2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u))
-                if lhs != rhs:
-                    ok, witness = False, f"cross pair {tuple(p)},{tuple(q)}"
-                    break
-            if not ok:
-                break
-        rep.add("correspond.ddag.cross_form", "<image(x^p), image(x*^q)> = (N!)^2 * transition coefficient", N, ok, witness)
-
-        lifted = [sorted(ddag_scaled(PolyVec.unit(MONOMIAL, p)).lift().coeffs.items()) for p in profiles]
-        keys = sorted({k for vec in lifted for k, _ in vec})
-        index = {k: i for i, k in enumerate(keys)}
-        rows = []
-        for vec in lifted:
-            row = [0] * len(keys)
-            for k, v in vec:
-                row[index[k]] = v
-            rows.append(row)
-        rep.add("correspond.ddag.injective", "the map has full rank on the degree slice", N, rank(rows) == len(profiles))
+        keys = sorted({k for vec in lifted.values() for k in vec.coeffs})
+        rows = [[lifted[p].coeffs.get(k, 0) for k in keys] for p in profiles]
     else:
         rep.skip("correspond.ddag.concrete", "concrete tensor oracle", N, "above oracle cap")
-        images = [ddag_scaled(PolyVec.unit(MONOMIAL, p)) for p in profiles]
-        coords = [[im.coeffs.get(q, 0) for q in profiles] for im in images]
-        rep.add("correspond.ddag.injective", "the map has full rank on the degree slice", N, rank(coords) == len(profiles))
+        rows = [[images[p].coeffs.get(q, 0) for q in profiles] for p in profiles]
+    rep.add("correspond.ddag.injective", "the map has full rank on the degree slice", N, rank(rows) == len(profiles))
     return rep
 
 
@@ -231,63 +182,39 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
     rep = Report()
     alg = t_algebra(N, basepoint)
     profiles = polyspace.enumerate_profiles(N)
-    scale_sq = Fraction(1, 2**N)
+    scale_sq = eps_map(N, basepoint).scale_squared
+    units = {tag: {p: FixVec.unit(N, tag, p) for p in profiles} for tag in (TILDE, STAR_TILDE)}
 
     if N <= oracle_cap:
-        ok, witness = True, None
-        for tag in (TILDE, STAR_TILDE):
-            for p in profiles:
-                unit = FixVec.unit(N, tag, p)
-                concrete = eps_scaled_concrete(alg, unit.lift())
-                viafix = eps_scaled_fix(alg, unit)
-                if alg.from_matrix(concrete) != viafix:
-                    ok, witness = False, f"{tag} unit {tuple(p)}"
-                    break
-            if not ok:
-                break
-        rep.add("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, ok, witness)
+
+        def routes():
+            for tag, vecs in units.items():
+                for p, u in vecs.items():
+                    if alg.from_matrix(eps_scaled_concrete(alg, u.lift())) != eps_scaled_fix(alg, u):
+                        yield f"{tag} unit {tuple(p)}"
+        rep.check("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, routes())
 
     ops = alg.t_module_ops()
-    ok, witness = True, None
-    for tag in (TILDE, STAR_TILDE):
-        for kind, k in ops:
+
+    def intertwine():
+        for tag, vecs in units.items():
+            for kind, k in ops:
+                for p, u in vecs.items():
+                    if eps_scaled_fix(alg, tensorspace.act_abstract(k, kind, u)) != ops[(kind, k)](eps_scaled_fix(alg, u)):
+                        yield f"{kind}^({k}) on {tag} unit {tuple(p)}"
+    rep.check("correspond.eps.intertwine", "flattening carries the operator action to the module operators", N, intertwine())
+
+    def form():
+        for tag, vecs in units.items():
+            images = {p: eps_scaled_fix(alg, u) for p, u in vecs.items()}
             for p in profiles:
-                u = FixVec.unit(N, tag, p)
-                lhs = eps_scaled_fix(alg, tensorspace.act_abstract(k, kind, u))
-                rhs = ops[(kind, k)](eps_scaled_fix(alg, u))
-                if lhs != rhs:
-                    ok, witness = False, f"{kind}^({k}) on {tag} unit {tuple(p)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("correspond.eps.intertwine", "flattening carries the operator action to the module operators", N, ok, witness)
+                for q in profiles:
+                    if images[p].inner(images[q]) != scale_sq * vecs[p].inner(vecs[q]):
+                        yield f"{tag} pair {tuple(p)},{tuple(q)}"
+    rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, form())
 
-    ok, witness = True, None
-    for tag in (TILDE, STAR_TILDE):
-        units = {p: FixVec.unit(N, tag, p) for p in profiles}
-        images = {p: eps_scaled_fix(alg, u) for p, u in units.items()}
-        for p in profiles:
-            for q in profiles:
-                lhs = images[p].inner(images[q])
-                rhs = scale_sq * units[p].inner(units[q])
-                if lhs != rhs:
-                    ok, witness = False, f"{tag} pair {tuple(p)},{tuple(q)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, ok, witness)
-
-    images = [eps_scaled_fix(alg, FixVec.unit(N, STAR_TILDE, p)).coord_vector() for p in profiles]
-    rep.add(
-        "correspond.eps.bijective",
-        "flattening restricted to the fixed subspace has full rank",
-        N,
-        rank(images) == len(profiles),
-    )
+    images = [eps_scaled_fix(alg, u).coord_vector() for u in units[STAR_TILDE].values()]
+    rep.add("correspond.eps.bijective", "flattening restricted to the fixed subspace has full rank", N, rank(images) == len(profiles))
     return rep
 
 
@@ -297,63 +224,45 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
     alg = t_algebra(N, basepoint)
     profiles = polyspace.enumerate_profiles(N)
     theta = lambda v: theta_scaled(alg, v)
-    nfact = factorial(N)
+    scale_sq = theta_map(N, basepoint).scale_squared
+    units = {tag: {p: PolyVec.unit(tag, p) for p in profiles} for tag in (MONOMIAL, STARRED)}
 
     ops = alg.t_module_ops()
-    ok, witness = True, None
-    for tag in (MONOMIAL, STARRED):
-        for gid in _GENS:
-            for p in profiles:
-                e = PolyVec.unit(tag, p)
-                lhs = theta(polyspace.act_generator(gid, e))
-                rhs = ops[(gid.kind, gid.index)](theta(e))
-                if lhs != rhs:
-                    ok, witness = False, f"{gid} on {tag} unit {tuple(p)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("correspond.theta.intertwine", "theta carries generator action to the module operators", N, ok, witness)
 
-    ok, witness = True, None
-    for tag, fwd in ((MONOMIAL, ddag_scaled), (STARRED, ddag_scaled_starred)):
-        for p in profiles:
-            e = PolyVec.unit(tag, p)
-            if eps_scaled_fix(alg, fwd(e)) != theta(e):
-                ok, witness = False, f"{tag} unit {tuple(p)}"
-                break
-        if not ok:
-            break
-    rep.add("correspond.theta.composite", "theta = flattening after the fixed-space map (scales N! 2^N * 2^-N = N!)", N, ok, witness)
+    def intertwine():
+        for tag, vecs in units.items():
+            for gid in _GENS:
+                for p, e in vecs.items():
+                    if theta(polyspace.act_generator(gid, e)) != ops[(gid.kind, gid.index)](theta(e)):
+                        yield f"{gid} on {tag} unit {tuple(p)}"
+    rep.check("correspond.theta.intertwine", "theta carries generator action to the module operators", N, intertwine())
+
+    def composite():
+        for tag, fwd in ((MONOMIAL, ddag_scaled), (STARRED, ddag_scaled_starred)):
+            for p, e in units[tag].items():
+                if eps_scaled_fix(alg, fwd(e)) != theta(e):
+                    yield f"{tag} unit {tuple(p)}"
+    rep.check("correspond.theta.composite", "theta = flattening after the fixed-space map (scales N! 2^N * 2^-N = N!)", N, composite())
 
     if N <= oracle_cap:
-        ok, witness = True, None
-        for p in profiles:
-            e = PolyVec.unit(MONOMIAL, p)
-            concrete = eps_scaled_concrete(alg, ddag_scaled(e).lift())
-            if alg.from_matrix(concrete) != theta(e):
-                ok, witness = False, f"unit {tuple(p)}"
-                break
-        rep.add("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, ok, witness)
+        concrete = (
+            f"unit {tuple(p)}"
+            for p, e in units[MONOMIAL].items()
+            if alg.from_matrix(eps_scaled_concrete(alg, ddag_scaled(e).lift())) != theta(e)
+        )
+        rep.check("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, concrete)
 
-    ok, witness = True, None
-    for tag in (MONOMIAL, STARRED):
-        units = {p: PolyVec.unit(tag, p) for p in profiles}
-        images = {p: theta(v) for p, v in units.items()}
-        converted = {p: polyspace.convert_basis(v, MONOMIAL) for p, v in units.items()}
-        for p in profiles:
-            for q in profiles:
-                if images[p].inner(images[q]) != nfact * polyspace.hermitian(converted[p], converted[q]):
-                    ok, witness = False, f"{tag} pair {tuple(p)},{tuple(q)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, ok, witness)
+    def form():
+        for tag, vecs in units.items():
+            images = {p: theta(v) for p, v in vecs.items()}
+            converted = {p: polyspace.convert_basis(v, MONOMIAL) for p, v in vecs.items()}
+            for p in profiles:
+                for q in profiles:
+                    if images[p].inner(images[q]) != scale_sq * polyspace.hermitian(converted[p], converted[q]):
+                        yield f"{tag} pair {tuple(p)},{tuple(q)}"
+    rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, form())
 
-    images = [theta(PolyVec.unit(MONOMIAL, p)).coord_vector() for p in profiles]
+    images = [theta(e).coord_vector() for e in units[MONOMIAL].values()]
     rep.add("correspond.theta.injective", "theta has full rank", N, rank(images) == len(profiles))
     return rep
 
@@ -362,15 +271,13 @@ def sigma_S_diagram(N, basepoint=0) -> Report:
     """theta after the basis swap equals the antiautomorphism after theta."""
     rep = Report()
     alg = t_algebra(N, basepoint)
-    ok, witness = True, None
-    for p in polyspace.enumerate_profiles(N):
-        e = PolyVec.unit(MONOMIAL, p)
-        lhs = theta_scaled(alg, polyspace.sigma(e))
-        rhs = alg.s_antiautomorphism(theta_scaled(alg, e))
-        if lhs != rhs:
-            ok, witness = False, f"unit {tuple(p)}"
-            break
-    rep.add("correspond.sigma_s", "theta . sigma = S . theta on every monomial", N, ok, witness)
+
+    def failures():
+        for p in polyspace.enumerate_profiles(N):
+            e = PolyVec.unit(MONOMIAL, p)
+            if theta_scaled(alg, polyspace.sigma(e)) != alg.s_antiautomorphism(theta_scaled(alg, e)):
+                yield f"unit {tuple(p)}"
+    rep.check("correspond.sigma_s", "theta . sigma = S . theta on every monomial", N, failures())
     return rep
 
 
@@ -380,15 +287,13 @@ def check_c1_phi(N, basepoint=0) -> Report:
     rep = Report()
     alg = t_algebra(N, basepoint)
     phi = alg.phi_central()
-    ok, witness = True, None
-    for p in polyspace.enumerate_profiles(N):
-        e = PolyVec.unit(MONOMIAL, p)
-        lhs = theta_scaled(alg, polyspace.apply_C(1, e))
-        rhs = phi @ theta_scaled(alg, e)
-        if lhs != rhs:
-            ok, witness = False, f"unit {tuple(p)}"
-            break
-    rep.add("correspond.c1_phi", "theta . C_1 = (phi . ) . theta", N, ok, witness)
+
+    def failures():
+        for p in polyspace.enumerate_profiles(N):
+            e = PolyVec.unit(MONOMIAL, p)
+            if theta_scaled(alg, polyspace.apply_C(1, e)) != phi @ theta_scaled(alg, e):
+                yield f"unit {tuple(p)}"
+    rep.check("correspond.c1_phi", "theta . C_1 = (phi . ) . theta", N, failures())
     return rep
 
 
@@ -397,21 +302,14 @@ def wedderburn_correspondence(N, basepoint=0) -> Report:
     span containment for every level."""
     rep = Report()
     alg = t_algebra(N, basepoint)
-    summands = polyspace.graded_decomposition(1, N)
-    ideals = alg.wedderburn()
-    ok, witness = True, None
-    for (ell, vecs), (ell2, lam, ideal) in zip(summands, ideals):
-        assert ell == ell2
-        image_rows = [theta_scaled(alg, v).coord_vector() for v in vecs.values()]
-        ideal_rows = [b.coord_vector() for b in ideal]
-        if not spans_match(image_rows, ideal_rows):
-            ok, witness = False, f"level {ell}"
-            break
-    rep.add(
-        "correspond.wedderburn",
-        "theta images of the graded summands span the central ideals, level by level",
-        N,
-        ok,
-        witness,
-    )
+
+    def failures():
+        summands = polyspace.graded_decomposition(1, N)
+        for (ell, vecs), (ell2, _, ideal) in zip(summands, alg.wedderburn()):
+            if ell != ell2:
+                yield f"summand level {ell} is paired with ideal level {ell2}"
+            image_rows = [theta_scaled(alg, v).coord_vector() for v in vecs.values()]
+            if not spans_match(image_rows, [b.coord_vector() for b in ideal]):
+                yield f"level {ell}"
+    rep.check("correspond.wedderburn", "theta images of the graded summands span the central ideals, level by level", N, failures())
     return rep

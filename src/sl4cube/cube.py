@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .exact import binomial
 from .linalg import Mat
+from .sparse import SparseVec
 
 
 class TripleIndex(NamedTuple):
@@ -62,9 +63,6 @@ class Cube:
     def dist(self, x, y):
         return self.pc[x ^ y]
 
-    def neighbors(self, x):
-        return [x ^ (1 << k) for k in range(self.N)]
-
     def theta(self, i):
         return self.N - 2 * i
 
@@ -72,18 +70,6 @@ class Cube:
         return Mat(
             [[1 if self.pc[x ^ y] == 1 else 0 for y in range(self.size)] for x in range(self.size)]
         )
-
-    def adjacency_apply(self, vec):
-        """Apply the adjacency map to a sparse vertex -> scalar vector."""
-        out = {}
-        for x, c in vec.items():
-            for y in self.neighbors(x):
-                v = out.get(y, 0) + c
-                if v:
-                    out[y] = v
-                else:
-                    del out[y]
-        return out
 
     def distance_op(self, i):
         return Mat(
@@ -130,42 +116,32 @@ def cube(N) -> Cube:
     return Cube(N)
 
 
-class TElem:
+class TElem(SparseVec):
     """Element of the subconstituent algebra, stored by its value on each cell.
 
     Valid only for matrices constant on the distance-triple cells; that the
     algebra consists exactly of those matrices is certified by the cube suite.
     """
 
-    __slots__ = ("alg", "coords")
+    __slots__ = ()
 
     def __init__(self, alg, coords):
-        self.alg = alg
-        self.coords = {TripleIndex(*k): v for k, v in coords.items() if v}
+        self.space = alg
+        self.coeffs = {TripleIndex(*k): v for k, v in coords.items() if v}
 
-    def __add__(self, other):
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-        return TElem(self.alg, out)
+    @property
+    def alg(self):
+        return self.space
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if not scalar:
-            return TElem(self.alg, {})
-        return TElem(self.alg, {k: scalar * v for k, v in self.coords.items()})
+    @property
+    def coords(self):
+        return self.coeffs
 
     def __matmul__(self, other):
         """Exact product, evaluated entrywise at one representative pair per cell."""
-        alg = self.alg
-        lc = self.coords.get
-        rc = other.coords.get
+        alg = self.space
+        lc = self.coeffs.get
+        rc = other.coeffs.get
         pc = alg.cube.pc
         d = alg.dist_to_base
         out = {}
@@ -180,16 +156,7 @@ class TElem:
                         total += a * b
             if total:
                 out[trip] = total
-        return TElem(alg, out)
-
-    def __eq__(self, other):
-        return isinstance(other, TElem) and self.coords == other.coords
-
-    def __hash__(self):
-        raise TypeError("TElem is unhashable")
-
-    def is_zero(self):
-        return not self.coords
+        return TElem._of(alg, out)
 
     def entry(self, x, y):
         alg = self.alg
@@ -206,17 +173,7 @@ class TElem:
 
     def inner(self, other):
         """Entrywise form; the cell indicator basis is orthogonal with norms the cell sizes."""
-        total = 0
-        sizes = self.alg.cell_sizes
-        small, big = (self.coords, other.coords) if len(self.coords) <= len(other.coords) else (other.coords, self.coords)
-        for k, v in small.items():
-            w = big.get(k)
-            if w:
-                total += v * w * sizes[k]
-        return total
-
-    def norm_sq(self):
-        return self.inner(self)
+        return SparseVec.inner(self, other, self.space.cell_sizes.__getitem__)
 
     def coord_vector(self):
         """Coordinates against the cell indicator basis, in lexicographic triple order."""
@@ -233,9 +190,6 @@ class TElem:
         if den == 1:
             return TElem(self.alg, {k: int(v) for k, v in self.coords.items()}), 1
         return TElem(self.alg, {k: int(v * den) for k, v in self.coords.items()}), den
-
-    def __repr__(self):
-        return f"TElem({dict(self.coords)!r})"
 
 
 class TAlgebra:
@@ -293,12 +247,6 @@ class TAlgebra:
             {(0, i, i): self.cube.theta(i) for i in range(self.N + 1) if (0, i, i) in self.cell_sizes},
         )
 
-    def distance_elem(self, h):
-        return TElem(self, {t: 1 for t in self.triples if t.h == h})
-
-    def dual_idempotent_elem(self, i):
-        return TElem(self, {(0, i, i): 1} if (0, i, i) in self.cell_sizes else {})
-
     def dual_distance_diag(self, h):
         """Diagonal entries of the h-th dual distance operator: column of K_h at the basepoint."""
         K = self.cube.idempotent_numerators()[h]
@@ -323,9 +271,6 @@ class TAlgebra:
                 out[trip] = v
         return TElem(self, out)
 
-    def idempotent_elem(self, i):
-        return Fraction(1, 2**self.N) * self.idempotent_elem_raw(i)
-
     # -- matrix-level counterparts (small N oracles) ---------------------
 
     def dual_adjacency(self):
@@ -333,9 +278,6 @@ class TAlgebra:
 
     def dual_idempotent(self, i):
         return Mat.diag([1 if self.dist_to_base[x] == i else 0 for x in range(self.cube.size)])
-
-    def dual_distance_op(self, h):
-        return Mat.diag(self.dual_distance_diag(h))
 
     # -- the two bases ----------------------------------------------------
 
@@ -381,13 +323,6 @@ class TAlgebra:
         diag = self.dual_distance_diag(h)
         scaled = Mat([[diag[x] * e for e in Ej.rows[x]] for x in range(self.cube.size)])
         return Ei @ scaled
-
-    def t_algebra_basis(self, which):
-        if which == "Estar_A_Estar":
-            return self.estar_basis()
-        if which == "E_Astar_E":
-            return self.e_basis()
-        raise ValueError(f"unknown basis {which!r}")
 
     def from_matrix(self, M):
         """Interpret an exact matrix as an algebra element; raises when the matrix
@@ -448,8 +383,8 @@ class TAlgebra:
         for lam, p in zip(eigs, out):
             if not (p @ p == p):
                 raise ArithmeticError("central idempotent fails to be idempotent")
-            resolved = resolved + p
-            weighted = weighted + lam * p
+            resolved.add_scaled(1, p)
+            weighted.add_scaled(lam, p)
         if resolved != ident or weighted != phi:
             raise ArithmeticError("central idempotents fail to resolve the identity or phi")
         return out
@@ -506,11 +441,9 @@ class TAlgebra:
             eb = self.e_basis()
 
             def op(B):
-                coords = self.e_coords(B)
                 out = self.zero()
-                for t, c in coords.items():
-                    if c:
-                        out = out + (c * (N - 2 * t[slot])) * eb[t]
+                for t, c in self.e_coords(B).items():
+                    out.add_scaled(c * (N - 2 * t[slot]), eb[t])
                 return out
 
             return op
@@ -525,38 +458,13 @@ class TAlgebra:
         the E-basis element (h, j, i)."""
         eb = self.e_basis()
         out = self.zero()
-        for (h, i, j), v in B.coords.items():
-            out = out + v * eb[TripleIndex(h, j, i)]
+        for (h, i, j), v in B.coeffs.items():
+            out.add_scaled(v, eb[TripleIndex(h, j, i)])
         return out
-
-    def transpose_dagger(self, B):
-        return B.transpose()
-
 
 @lru_cache(maxsize=None)
 def t_algebra(N, basepoint=0) -> TAlgebra:
     return TAlgebra(N, basepoint)
-
-
-def _frac_str(v):
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def telem_csv_rows(elem):
-    """Triple-ordered CSV rows (h, i, j, value) with values as num/den strings."""
-    rows = [("h", "i", "j", "value")]
-    for t in elem.alg.triples:
-        rows.append((str(t.h), str(t.i), str(t.j), _frac_str(elem.coords.get(t, 0))))
-    return rows
-
-
-def matrix_csv_rows(M):
-    """Row-major CSV rows for an exact matrix, with num/den entries."""
-    rows = [tuple(["row"] + [str(j) for j in range(M.ncols)])]
-    for i, row in enumerate(M.rows):
-        rows.append(tuple([str(i)] + [_frac_str(v) for v in row]))
-    return rows
 
 
 def intersection_number(N, h, i, j):

@@ -6,10 +6,7 @@ reduced with positive denominator, which is exactly the Rational contract the
 rest of the package relies on.
 """
 
-from fractions import Fraction
 from math import comb, factorial as _factorial
-
-Rational = Fraction
 
 
 def factorial(n):

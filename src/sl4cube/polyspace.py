@@ -9,11 +9,13 @@ C(N+3, 3).
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from .exact import binomial, factorial
 from .linalg import Mat, kernel_dim, rank
 from .sl4core import GeneratorId
+from .sparse import SparseVec, require_rational
 
 MONOMIAL = "monomial"
 STARRED = "starred"
@@ -58,23 +60,25 @@ def enumerate_profiles(N):
     return out
 
 
-class PolyVec:
+class PolyVec(SparseVec):
     """Sparse polynomial vector tagged with its basis; zero coefficients dropped."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ()
 
     def __init__(self, basis, coeffs=None):
         if basis not in (MONOMIAL, STARRED):
             raise ValueError(f"unknown basis tag {basis!r}")
-        self.basis = basis
+        self.space = basis
         self.coeffs = {}
         if coeffs:
             for p, c in coeffs.items():
-                if not isinstance(c, (int, Fraction)):
-                    # the form is implemented bilinearly, valid for rationals only
-                    raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
+                require_rational(c)
                 if c:
                     self.coeffs[Profile(*p)] = c
+
+    @property
+    def basis(self):
+        return self.space
 
     @classmethod
     def unit(cls, basis, profile):
@@ -83,9 +87,6 @@ class PolyVec:
     @classmethod
     def zero(cls, basis=MONOMIAL):
         return cls(basis)
-
-    def is_zero(self):
-        return not self.coeffs
 
     def degree(self):
         """Common degree of a homogeneous vector; None for 0, error if mixed."""
@@ -96,44 +97,8 @@ class PolyVec:
             raise ValueError("vector is not homogeneous")
         return degs.pop()
 
-    def items(self):
-        return self.coeffs.items()
-
-    def __add__(self, other):
-        self._require_same_basis(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            v = out.get(p, 0) + c
-            if v:
-                out[p] = v
-            else:
-                out.pop(p, None)
-        return PolyVec(self.basis, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if not scalar:
-            return PolyVec(self.basis)
-        return PolyVec(self.basis, {p: scalar * c for p, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyVec):
-            return NotImplemented
-        if not self.coeffs and not other.coeffs:
-            return True  # the zero vector is basis-independent
-        return self.basis == other.basis and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("PolyVec is unhashable")
-
-    def _require_same_basis(self, other):
-        if self.basis != other.basis:
-            raise ValueError("mixing basis tags; convert first")
-
-    def __repr__(self):
-        return f"PolyVec({self.basis!r}, {dict(self.coeffs)!r})"
+    def inner(self, other):
+        return hermitian(self, other)
 
 
 def _shift(p, dr, ds, dt, du):
@@ -160,14 +125,13 @@ def weight(index, p):
     return r - s - t + u
 
 
-def act_generator(gid: GeneratorId, v: PolyVec) -> PolyVec:
-    """Apply one of the six generators in the vector's own basis."""
-    kind, index = gid
-    four_term = (kind == "A") == (v.basis == MONOMIAL)
+def _act_profiles(four_term, index, coeffs):
+    """One generator on profile-keyed coordinates: the four-term shift table
+    when ``four_term``, else the diagonal weight.  Returns the new dict."""
     out = {}
     if four_term:
         table = _FOUR_TERM[index]
-        for p, c in v.coeffs.items():
+        for p, c in coeffs.items():
             for pos, shift in table:
                 k = p[pos]
                 if k:
@@ -178,24 +142,28 @@ def act_generator(gid: GeneratorId, v: PolyVec) -> PolyVec:
                     else:
                         del out[q]
     else:
-        for p, c in v.coeffs.items():
+        for p, c in coeffs.items():
             w = weight(index, p)
             if w:
                 out[p] = c * w
-    return PolyVec(v.basis, out)
+    return out
+
+
+def act_generator(gid: GeneratorId, v: PolyVec) -> PolyVec:
+    """Apply one of the six generators in the vector's own basis."""
+    kind, index = gid
+    four_term = (kind == "A") == (v.basis == MONOMIAL)
+    return PolyVec._of(v.basis, _act_profiles(four_term, index, v.coeffs))
 
 
 @lru_cache(maxsize=None)
-def _expand_profile(profile):
-    """Coefficients of a degree-1-substituted monomial in the opposite basis.
-
-    Expands the product of the four linear half-sum forms raised to the profile
-    powers; the overall 1/2^N is included.
-    """
+def _product_expansion(R, S, T, U):
+    """Integer coefficients, keyed by profile in the other basis, of the
+    product of the four signed linear forms (the rows of the sign table)
+    raised to the powers R, S, T, U."""
     poly = {Profile(0, 0, 0, 0): 1}
     unit_shifts = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    for var, power in enumerate(profile):
-        signs = _SIGNS[var]
+    for signs, power in zip(_SIGNS, (R, S, T, U)):
         for _ in range(power):
             nxt = {}
             for p, c in poly.items():
@@ -207,25 +175,31 @@ def _expand_profile(profile):
                     else:
                         del nxt[q]
             poly = nxt
-    N = sum(profile)
-    half = Fraction(1, 2**N)
-    return {p: c * half for p, c in poly.items()}
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _expand_profile(profile):
+    """Coefficients of a degree-1-substituted monomial in the opposite basis:
+    the product expansion times the overall 1/2^N."""
+    half = Fraction(1, 2 ** sum(profile))
+    return {p: c * half for p, c in _product_expansion(*profile).items()}
 
 
 def convert_basis(v: PolyVec, target) -> PolyVec:
     """Exact change of basis; converting twice returns the original."""
     if v.basis == target:
-        return PolyVec(v.basis, dict(v.coeffs))
-    out = PolyVec(target)
+        return PolyVec._of(target, dict(v.coeffs))
+    out = PolyVec._of(target, {})
     for p, c in v.coeffs.items():
-        out = out + c * PolyVec(target, _expand_profile(p))
+        out.add_scaled(c, PolyVec._of(target, _expand_profile(p)))
     return out
 
 
 def sigma(v: PolyVec) -> PolyVec:
     """The involution swapping the two bases coordinate-wise."""
     other = STARRED if v.basis == MONOMIAL else MONOMIAL
-    return PolyVec(other, dict(v.coeffs))
+    return PolyVec._of(other, dict(v.coeffs))
 
 
 def _var_slot(var):
@@ -252,12 +226,12 @@ def apply_D(var, v: PolyVec) -> PolyVec:
             if k:
                 q = _shift(p, *down)
                 out[q] = out.get(q, 0) + c * k
-        return PolyVec(v.basis, {p: c for p, c in out.items() if c})
+        return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
     names = _VARS if v.basis == MONOMIAL else _STARRED_VARS
-    out_vec = PolyVec(v.basis)
+    out = PolyVec._of(v.basis, {})
     for j in range(4):
-        out_vec = out_vec + _SIGNS[slot][j] * apply_D(names[j], v)
-    return Fraction(1, 2) * out_vec
+        out.add_scaled(Fraction(_SIGNS[slot][j], 2), apply_D(names[j], v))
+    return out
 
 
 def apply_M(var, v: PolyVec) -> PolyVec:
@@ -266,12 +240,12 @@ def apply_M(var, v: PolyVec) -> PolyVec:
     natural = (v.basis == STARRED) == starred
     if natural:
         up = [(1 if i == slot else 0) for i in range(4)]
-        return PolyVec(v.basis, {_shift(p, *up): c for p, c in v.coeffs.items()})
+        return PolyVec._of(v.basis, {_shift(p, *up): c for p, c in v.coeffs.items()})
     names = _VARS if v.basis == MONOMIAL else _STARRED_VARS
-    out_vec = PolyVec(v.basis)
+    out = PolyVec._of(v.basis, {})
     for j in range(4):
-        out_vec = out_vec + _SIGNS[slot][j] * apply_M(names[j], v)
-    return Fraction(1, 2) * out_vec
+        out.add_scaled(Fraction(_SIGNS[slot][j], 2), apply_M(names[j], v))
+    return out
 
 
 _L_TABLE = {
@@ -300,7 +274,7 @@ def apply_L(i, v: PolyVec) -> PolyVec:
         if k2:
             q = _shift(p, *sh2)
             out[q] = out.get(q, 0) - c * k2
-    return PolyVec(v.basis, {p: c for p, c in out.items() if c})
+    return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
 
 
 def apply_R(i, v: PolyVec) -> PolyVec:
@@ -312,12 +286,12 @@ def apply_R(i, v: PolyVec) -> PolyVec:
         out[q] = out.get(q, 0) + c
         q = _shift(p, *dn)
         out[q] = out.get(q, 0) - c
-    return PolyVec(v.basis, {p: c for p, c in out.items() if c})
+    return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
 
 
 def apply_Omega(v: PolyVec) -> PolyVec:
     """Degree-grading operator: multiplies each homogeneous term by its degree."""
-    return PolyVec(v.basis, {p: c * p.degree for p, c in v.coeffs.items() if p.degree})
+    return PolyVec._of(v.basis, {p: c * p.degree for p, c in v.coeffs.items() if p.degree})
 
 
 _C_TABLE = {
@@ -344,7 +318,7 @@ def apply_C(i, v: PolyVec) -> PolyVec:
         diag = Fraction(N * (N + 2), 2) - 2 * ka - 2 * kb
         if diag:
             out[p] = out.get(p, 0) + diag * c
-    return PolyVec(v.basis, {p: c for p, c in out.items() if c})
+    return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
 
 
 def apply_C_via_ladder(i, v: PolyVec) -> PolyVec:
@@ -373,21 +347,16 @@ def apply_C_via_generators(i, v: PolyVec, swapped=False) -> PolyVec:
     return Fraction(1, 8) * out
 
 
+_norm_sq = attrgetter("norm_sq")
+
+
 def hermitian(v: PolyVec, w: PolyVec):
     """The form making each basis orthogonal with square norms r!s!t!u!.
 
     Both arguments are converted to the monomial basis; coefficients here are
     always rational, so the form reduces to a bilinear sum.
     """
-    vm = convert_basis(v, MONOMIAL)
-    wm = convert_basis(w, MONOMIAL)
-    small, big = (vm.coeffs, wm.coeffs) if len(vm.coeffs) <= len(wm.coeffs) else (wm.coeffs, vm.coeffs)
-    total = 0
-    for p, c in small.items():
-        d = big.get(p)
-        if d:
-            total += c * d * p.norm_sq
-    return total
+    return SparseVec.inner(convert_basis(v, MONOMIAL), convert_basis(w, MONOMIAL), _norm_sq)
 
 
 def norm_sq(v: PolyVec):
@@ -635,5 +604,5 @@ def pvee_word(N, stu, starred=False):
                             vec = falling_op(1, c + e, seed)
                             vec = falling_op(2, a + f, vec)
                             vec = falling_op(3, b + d, vec)
-                            total = total + scal * vec
+                            total.add_scaled(scal, vec)
     return total

@@ -7,6 +7,8 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
+_PASSED = object()
+
 
 @dataclass
 class Check:
@@ -38,6 +40,22 @@ class Report:
             self.checks.append(Check(id, anchor, n, PASS))
         else:
             self.checks.append(Check(id, anchor, n, FAIL, witness or "no witness recorded"))
+
+    def check(self, id, anchor, n, failures):
+        """Record one check from a lazy iterable of witness strings.
+
+        The check passes when the iterable yields nothing; otherwise the first
+        value yielded is the witness.  An exception raised while drawing from
+        the iterable fails the check with witness "<Type>: <message>".
+        Returns whether the check passed.
+        """
+        try:
+            witness = next(iter(failures), _PASSED)
+        except Exception as e:
+            witness = f"{type(e).__name__}: {e}"
+        ok = witness is _PASSED
+        self.add(id, anchor, n, ok, witness)
+        return ok
 
     def skip(self, id, anchor, n, reason):
         self.checks.append(Check(id, f"{anchor} [skipped: {reason}]", n, SKIPPED))

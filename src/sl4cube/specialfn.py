@@ -7,25 +7,12 @@ checks; the recurrences and the orthogonality relation are checked separately.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import factorial, pochhammer
 from . import polyspace
 from .polyspace import MONOMIAL, STARRED, PolyVec, Profile
 from .report import Report
-
-
-class TransitionKey(NamedTuple):
-    N: int
-    lam: tuple  # (s, t, u) with s+t+u <= N
-    mu: tuple  # (S, T, U) with S+T+U <= N
-
-    def validate(self):
-        if sum(self.lam) > self.N or sum(self.mu) > self.N:
-            raise ValueError("tail exceeds degree")
-        if any(c < 0 for c in self.lam + self.mu):
-            raise ValueError("negative tail component")
 
 
 def tails(N):
@@ -79,33 +66,6 @@ def calP_sum(N, lam, mu):
     return total
 
 
-@lru_cache(maxsize=None)
-def _product_expansion(R, S, T, U):
-    """Exponent -> coefficient for the product of signed linear forms raised to
-    the given powers, in the plain variables."""
-    poly = {Profile(0, 0, 0, 0): 1}
-    forms = (
-        (1, 1, 1, 1),
-        (1, 1, -1, -1),
-        (1, -1, 1, -1),
-        (1, -1, -1, 1),
-    )
-    unit = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    for signs, power in zip(forms, (R, S, T, U)):
-        for _ in range(power):
-            nxt = {}
-            for p, c in poly.items():
-                for j in range(4):
-                    q = Profile(p[0] + unit[j][0], p[1] + unit[j][1], p[2] + unit[j][2], p[3] + unit[j][3])
-                    nv = nxt.get(q, 0) + c * signs[j]
-                    if nv:
-                        nxt[q] = nv
-                    else:
-                        del nxt[q]
-            poly = nxt
-    return poly
-
-
 def calP_genfunc(N, lam, mu):
     """Generating-function evaluator: the brute-force oracle for calP_sum.
 
@@ -118,7 +78,7 @@ def calP_genfunc(N, lam, mu):
     R = N - S - T - U
     if r < 0 or R < 0:
         raise ValueError("tails exceed degree")
-    coeff = _product_expansion(R, S, T, U).get(Profile(r, s, t, u), 0)
+    coeff = polyspace._product_expansion(R, S, T, U).get(Profile(r, s, t, u), 0)
     return Fraction(
         factorial(r) * factorial(s) * factorial(t) * factorial(u) * coeff, factorial(N)
     )
@@ -151,37 +111,18 @@ def check_orthogonality(N, table=None) -> Report:
     ts = tails(N)
     table = table or transition_table(N)
     nfact_sq = factorial(N) ** 2
-    ok = True
-    witness = None
-    for lam in ts:
-        for lam2 in ts:
-            total = Fraction(0)
-            for mu in ts:
-                S, T, U = mu
-                R = N - S - T - U
-                den = factorial(R) * factorial(S) * factorial(T) * factorial(U)
-                total += Fraction(table[(lam, mu)] * table[(lam2, mu)], den)
-            if lam == lam2:
-                s, t, u = lam
-                r = N - s - t - u
-                expected = Fraction(
-                    4**N * factorial(r) * factorial(s) * factorial(t) * factorial(u),
-                    nfact_sq,
-                )
-            else:
-                expected = Fraction(0)
-            if total != expected:
-                ok = False
-                witness = f"N={N} lam={lam} lam'={lam2}: got {total}, want {expected}"
-                break
-        if not ok:
-            break
-    rep.add(
-        "special.orthogonality",
-        "sum_mu P(lam;mu) P(lam';mu) / (R!S!T!U!) = delta * 4^N r!s!t!u!/(N!)^2",
-        N,
-        ok,
-        witness,
+
+    def failures():
+        for lam in ts:
+            for lam2 in ts:
+                total = Fraction(0)
+                for mu in ts:
+                    total += Fraction(table[(lam, mu)] * table[(lam2, mu)], Profile(N - sum(mu), *mu).norm_sq)
+                expected = Fraction(4**N * Profile(N - sum(lam), *lam).norm_sq, nfact_sq) if lam == lam2 else 0
+                if total != expected:
+                    yield f"N={N} lam={lam} lam'={lam2}: got {total}, want {expected}"
+    rep.check(
+        "special.orthogonality", "sum_mu P(lam;mu) P(lam';mu) / (R!S!T!U!) = delta * 4^N r!s!t!u!/(N!)^2", N, failures()
     )
     return rep
 
@@ -196,53 +137,34 @@ def _recurrence_terms(which, s, t, u):
     return r_shift[which]
 
 
-def check_recurrences(N, table=None) -> Report:
-    """The three contiguous recurrences, exhaustively over degree-N tail pairs.
+def _recurrence_rhs(N, which, lam, value):
+    """Right-hand side of recurrence ``which`` at the tail lam, reading each
+    shifted coefficient through value(shifted tail).
 
     Terms whose combinatorial coefficient vanishes are skipped before the
-    shifted coefficient is evaluated, which is exactly when a shifted tail
-    would leave the valid range.
+    shifted coefficient is read, which is exactly when a shifted tail would
+    leave the valid range.
     """
+    s, t, u = lam
+    coeff_of = {"r": N - s - t - u, "s": s, "t": t, "u": u}
+    return sum(coeff_of[name] * value(shifted) for shifted, name in _recurrence_terms(which, s, t, u) if coeff_of[name])
+
+
+def check_recurrences(N, table=None) -> Report:
+    """The three contiguous recurrences, exhaustively over degree-N tail pairs."""
     rep = Report()
     ts = tails(N)
     table = table or transition_table(N)
+    value = lambda lam, mu: table[(lam, mu)] if (lam, mu) in table else calP_sum(N, lam, mu)
 
-    def value(lam, mu):
-        if lam in table_keys:
-            return table[(lam, mu)]
-        return calP_sum(N, lam, mu)
-
-    table_keys = set(ts)
-    for which in (1, 2, 3):
-        ok = True
-        witness = None
+    def failures(which):
         for lam in ts:
-            s, t, u = lam
-            r = N - s - t - u
-            coeff_of = {"r": r, "s": s, "t": t, "u": u}
             for mu in ts:
-                S, T, U = mu
-                R = N - S - T - U
-                lhs_weight = {1: R + S - T - U, 2: R - S + T - U, 3: R - S - T + U}[which]
-                lhs = lhs_weight * table[(lam, mu)]
-                rhs = Fraction(0)
-                for shifted, name in _recurrence_terms(which, s, t, u):
-                    cf = coeff_of[name]
-                    if cf:
-                        rhs += cf * value(shifted, mu)
-                if lhs != rhs:
-                    ok = False
-                    witness = f"recurrence {which} at N={N} lam={lam} mu={mu}"
-                    break
-            if not ok:
-                break
-        rep.add(
-            f"special.recurrence.{which}",
-            f"weighted transition recurrence #{which} in the plain variables",
-            N,
-            ok,
-            witness,
-        )
+                lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
+                if lhs != _recurrence_rhs(N, which, lam, lambda shifted: value(shifted, mu)):
+                    yield f"recurrence {which} at N={N} lam={lam} mu={mu}"
+    for which in (1, 2, 3):
+        rep.check(f"special.recurrence.{which}", f"weighted transition recurrence #{which} in the plain variables", N, failures(which))
     return rep
 
 
@@ -250,28 +172,16 @@ def check_recurrences_sampled(N, table, rng, count) -> Report:
     """Random instances of the three recurrences, for degrees past the exhaustive range."""
     rep = Report()
     ts = tails(N)
-    ok, witness = True, None
-    for _ in range(count):
-        lam = ts[rng.randrange(len(ts))]
-        mu = ts[rng.randrange(len(ts))]
-        s, t, u = lam
-        r = N - s - t - u
-        S, T, U = mu
-        R = N - S - T - U
-        coeff_of = {"r": r, "s": s, "t": t, "u": u}
-        for which in (1, 2, 3):
-            lhs_weight = {1: R + S - T - U, 2: R - S + T - U, 3: R - S - T + U}[which]
-            rhs = Fraction(0)
-            for shifted, name in _recurrence_terms(which, s, t, u):
-                cf = coeff_of[name]
-                if cf:
-                    rhs += cf * table[(shifted, mu)]
-            if lhs_weight * table[(lam, mu)] != rhs:
-                ok, witness = False, f"recurrence {which} at lam={lam} mu={mu}"
-                break
-        if not ok:
-            break
-    rep.add("special.recurrence.sampled", "weighted transition recurrences on sampled keys", N, ok, witness)
+
+    def failures():
+        for _ in range(count):
+            lam = ts[rng.randrange(len(ts))]
+            mu = ts[rng.randrange(len(ts))]
+            for which in (1, 2, 3):
+                lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
+                if lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)]):
+                    yield f"recurrence {which} at lam={lam} mu={mu}"
+    rep.check("special.recurrence.sampled", "weighted transition recurrences on sampled keys", N, failures())
     return rep
 
 
@@ -288,33 +198,13 @@ def check_weight_recurrences(N) -> Report:
             cache[key] = calP_vee(N, lam, trip)
         return cache[key]
 
-    for which in (1, 2, 3):
-        ok = True
-        witness = None
+    def failures(which):
         for lam in ts:
-            s, t, u = lam
-            r = N - s - t - u
-            coeff_of = {"r": r, "s": s, "t": t, "u": u}
             for trip in triples:
-                lhs = trip[which - 1] * pv(lam, trip)
-                rhs = Fraction(0)
-                for shifted, name in _recurrence_terms(which, s, t, u):
-                    cf = coeff_of[name]
-                    if cf:
-                        rhs += cf * pv(shifted, trip)
-                if lhs != rhs:
-                    ok = False
-                    witness = f"weight recurrence {which} at N={N} lam={lam} weights={trip}"
-                    break
-            if not ok:
-                break
-        rep.add(
-            f"special.weight_recurrence.{which}",
-            f"weighted transition recurrence #{which} in weight coordinates",
-            N,
-            ok,
-            witness,
-        )
+                if trip[which - 1] * pv(lam, trip) != _recurrence_rhs(N, which, lam, lambda shifted: pv(shifted, trip)):
+                    yield f"weight recurrence {which} at N={N} lam={lam} weights={trip}"
+    for which in (1, 2, 3):
+        rep.check(f"special.weight_recurrence.{which}", f"weighted transition recurrence #{which} in weight coordinates", N, failures(which))
     return rep
 
 

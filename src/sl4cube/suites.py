@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import correspond, cube, polyspace, specialfn, tensorspace
 from . import sl4core
 from .exact import binomial, factorial
-from .linalg import Mat
+from .linalg import Mat, rank
 from .polyspace import MONOMIAL, STARRED, PolyVec
 from .report import Report
 from .sl4core import GeneratorId
@@ -31,9 +31,7 @@ def random_polyvec(rng, N, basis):
 def random_telem(alg, rng):
     out = alg.zero()
     for b in alg.estar_basis().values():
-        c = rng.randint(-4, 4)
-        if c:
-            out = out + c * b
+        out.add_scaled(rng.randint(-4, 4), b)
     return out
 
 
@@ -45,70 +43,47 @@ def random_telem(alg, rng):
 def suite_sl4(rng) -> Report:
     rep = Report()
     rep.extend(sl4core.check_presentation())
+    tau, bracket, U = sl4core.tau, sl4core.bracket, sl4core.UPSILON
 
-    eye = Mat.identity(4)
-    rep.add("sl4.upsilon_involution", "Upsilon^2 = I", None, sl4core.UPSILON @ sl4core.UPSILON == eye)
+    rep.add("sl4.upsilon_involution", "Upsilon^2 = I", None, U @ U == Mat.identity(4))
+    pairs = [(k, sl4core.generator(GeneratorId("A", k)), sl4core.generator(GeneratorId("Astar", k))) for k in (1, 2, 3)]
+    rep.check(
+        "sl4.intertwine_upsilon",
+        "A_i Upsilon = Upsilon A*_i and A*_i Upsilon = Upsilon A_i",
+        None,
+        (f"index {k}" for k, a, b in pairs if a @ U != U @ b or b @ U != U @ a),
+    )
 
-    ok, witness = True, None
-    for k in (1, 2, 3):
-        a = sl4core.generator(GeneratorId("A", k))
-        b = sl4core.generator(GeneratorId("Astar", k))
-        if a @ sl4core.UPSILON != sl4core.UPSILON @ b or b @ sl4core.UPSILON != sl4core.UPSILON @ a:
-            ok, witness = False, f"index {k}"
-            break
-    rep.add("sl4.intertwine_upsilon", "A_i Upsilon = Upsilon A*_i and A*_i Upsilon = Upsilon A_i", None, ok, witness)
+    basis = None
 
-    try:
+    def basis_rank():
+        nonlocal basis
         basis = sl4core.basis15()
-        rep.add("sl4.basis15.rank", "the 15 bracket words are linearly independent", None, True)
-    except ArithmeticError as e:
-        rep.add("sl4.basis15.rank", "the 15 bracket words are linearly independent", None, False, str(e))
+        yield from ()
+    if not rep.check("sl4.basis15.rank", "the 15 bracket words are linearly independent", None, basis_rank()):
         return rep
 
     rep.add("sl4.basis15.trace", "every basis matrix is traceless", None, all(m.trace() == 0 for m in basis))
+    rep.check("sl4.tau_swaps", "tau swaps A_i with A*_i", None, (f"index {k}" for k, a, b in pairs if tau(a) != b or tau(b) != a))
 
-    ok, witness = True, None
-    for k in (1, 2, 3):
-        a = sl4core.generator(GeneratorId("A", k))
-        b = sl4core.generator(GeneratorId("Astar", k))
-        if sl4core.tau(a) != b or sl4core.tau(b) != a:
-            ok, witness = False, f"index {k}"
-            break
-    rep.add("sl4.tau_swaps", "tau swaps A_i with A*_i", None, ok, witness)
+    def tau_lie_map():
+        for x in basis:
+            if tau(tau(x)) != x:
+                yield "involution fails"
+            for y in basis:
+                if tau(bracket(x, y)) != bracket(tau(x), tau(y)):
+                    yield "bracket compatibility fails"
+    rep.check("sl4.tau_lie_map", "tau^2 = id and tau[X, Y] = [tau X, tau Y] on the basis", None, tau_lie_map())
 
-    ok, witness = True, None
-    for x in basis:
-        if sl4core.tau(sl4core.tau(x)) != x:
-            ok, witness = False, "involution fails"
-            break
-        for y in basis:
-            if sl4core.tau(sl4core.bracket(x, y)) != sl4core.bracket(sl4core.tau(x), sl4core.tau(y)):
-                ok, witness = False, "bracket compatibility fails"
-                break
-        if not ok:
-            break
-    rep.add("sl4.tau_lie_map", "tau^2 = id and tau[X, Y] = [tau X, tau Y] on the basis", None, ok, witness)
+    elementary = (f"formula for ({i}, {j})" for (i, j), got, want in sl4core.elementary_targets() if got != want)
+    rep.check("sl4.elementary", "every inverse-map formula reproduces its elementary matrix", None, elementary)
 
-    ok, witness = True, None
-    for (i, j), got, want in sl4core.elementary_targets():
-        if got != want:
-            ok, witness = False, f"formula for ({i}, {j})"
-            break
-    rep.add("sl4.elementary", "every inverse-map formula reproduces its elementary matrix", None, ok, witness)
-
-    from .linalg import rank
-
-    ok, witness = True, None
-    for j, k in ((1, 2), (2, 3), (1, 3)):
-        aj = sl4core.generator(GeneratorId("A", j))
-        ak = sl4core.generator(GeneratorId("A", k))
-        bj = sl4core.generator(GeneratorId("Astar", j))
-        bk = sl4core.generator(GeneratorId("Astar", k))
-        six = [aj, ak, bj, bk, sl4core.bracket(aj, bk), sl4core.bracket(bj, ak)]
-        if rank([m.flatten() for m in six]) != 6:
-            ok, witness = False, f"pair ({j}, {k})"
-            break
-    rep.add("sl4.six_independent", "A_j, A_k, A*_j, A*_k and two brackets are independent", None, ok, witness)
+    def six_independent():
+        for j, k in ((1, 2), (2, 3), (1, 3)):
+            (_, aj, bj), (_, ak, bk) = pairs[j - 1], pairs[k - 1]
+            if rank([m.flatten() for m in (aj, ak, bj, bk, bracket(aj, bk), bracket(bj, ak))]) != 6:
+                yield f"pair ({j}, {k})"
+    rep.check("sl4.six_independent", "A_j, A_k, A*_j, A*_k and two brackets are independent", None, six_independent())
     return rep
 
 
@@ -129,202 +104,143 @@ _DIAG_SIGNS = {1: (1, 1, -1, -1), 2: (1, -1, 1, -1), 3: (1, -1, -1, 1)}
 def _apply_dm_factorization(gid, v):
     """The derivative/multiplication form of a generator, in either basis."""
     star = "" if v.basis == MONOMIAL else "*"
-    names = ("x", "y", "z", "w")
     out = PolyVec.zero(v.basis)
-    four_term = (gid.kind == "A") == (v.basis == MONOMIAL)
-    if four_term:
-        for mv, dv in _DM_FACTORIZATION[gid.index]:
-            out = out + polyspace.apply_M(mv + star, polyspace.apply_D(dv + star, v))
+    if (gid.kind == "A") == (v.basis == MONOMIAL):
+        terms = [(1, mv, dv) for mv, dv in _DM_FACTORIZATION[gid.index]]
     else:
-        for name, sign in zip(names, _DIAG_SIGNS[gid.index]):
-            out = out + sign * polyspace.apply_M(name + star, polyspace.apply_D(name + star, v))
+        terms = [(sign, name, name) for name, sign in zip(("x", "y", "z", "w"), _DIAG_SIGNS[gid.index])]
+    for sign, mv, dv in terms:
+        out.add_scaled(sign, polyspace.apply_M(mv + star, polyspace.apply_D(dv + star, v)))
     return out
 
 
 def suite_poly(N, rng) -> Report:
     rep = Report()
     profiles = polyspace.enumerate_profiles(N)
+    D, M, L, R, C = polyspace.apply_D, polyspace.apply_M, polyspace.apply_L, polyspace.apply_R, polyspace.apply_C
+    act, herm, unit, Omega = polyspace.act_generator, polyspace.hermitian, PolyVec.unit, polyspace.apply_Omega
     rep.add("poly.profile_count", "number of degree-N profiles = C(N+3, 3)", N, len(profiles) == binomial(N + 3, 3))
 
-    ok, witness = True, None
-    for basis in (MONOMIAL, STARRED):
-        for gid in ALL_GENS:
-            for p in profiles:
-                e = PolyVec.unit(basis, p)
-                if polyspace.act_generator(gid, e) != _apply_dm_factorization(gid, e):
-                    ok, witness = False, f"{gid} on {basis} unit {tuple(p)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("poly.tables_vs_dm", "generator tables match their derivative/multiplication factorizations", N, ok, witness)
+    def tables_vs_dm():
+        for basis in (MONOMIAL, STARRED):
+            for gid in ALL_GENS:
+                for p in profiles:
+                    if act(gid, unit(basis, p)) != _apply_dm_factorization(gid, unit(basis, p)):
+                        yield f"{gid} on {basis} unit {tuple(p)}"
+    rep.check("poly.tables_vs_dm", "generator tables match their derivative/multiplication factorizations", N, tables_vs_dm())
 
     v = random_polyvec(rng, N, MONOMIAL)
-    ok, witness = True, None
-    for a in ("x", "y", "z", "w"):
-        for b in ("x", "y", "z", "w"):
-            comm = polyspace.apply_D(a, polyspace.apply_M(b, v)) - polyspace.apply_M(b, polyspace.apply_D(a, v))
-            want = v if a == b else PolyVec.zero(MONOMIAL)
-            if comm != want:
-                ok, witness = False, f"[D_{a}, M_{b}]"
-                break
-        if not ok:
-            break
     sv = random_polyvec(rng, N, STARRED)
-    for a in ("x*", "y*", "z*", "w*"):
-        for b in ("x*", "y*", "z*", "w*"):
-            comm = polyspace.apply_D(a, polyspace.apply_M(b, sv)) - polyspace.apply_M(b, polyspace.apply_D(a, sv))
-            want = sv if a == b else PolyVec.zero(STARRED)
-            if comm != want:
-                ok, witness = False, f"[D_{a}, M_{b}]"
-                break
-        if not ok:
-            break
-    rep.add("poly.weyl", "[D_a, M_b] = delta_ab I in both variable systems", N, ok, witness)
 
-    ok, witness = True, None
-    for gid in ALL_GENS:
-        images = {p: polyspace.act_generator(gid, PolyVec.unit(MONOMIAL, p)) for p in profiles}
-        for p in profiles:
-            for q in profiles:
-                lhs = polyspace.hermitian(images[p], PolyVec.unit(MONOMIAL, q))
-                rhs = polyspace.hermitian(PolyVec.unit(MONOMIAL, p), images[q])
-                if lhs != rhs:
-                    ok, witness = False, f"{gid} at pair {tuple(p)},{tuple(q)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("poly.adjoint_generators", "<G f, g> = <f, G g> for all six generators", N, ok, witness)
+    def weyl():
+        for vec, names in ((v, ("x", "y", "z", "w")), (sv, ("x*", "y*", "z*", "w*"))):
+            for a in names:
+                for b in names:
+                    if D(a, M(b, vec)) - M(b, D(a, vec)) != (vec if a == b else PolyVec.zero(vec.basis)):
+                        yield f"[D_{a}, M_{b}]"
+    rep.check("poly.weyl", "[D_a, M_b] = delta_ab I in both variable systems", N, weyl())
+
+    def adjoint_generators():
+        for gid in ALL_GENS:
+            images = {p: act(gid, unit(MONOMIAL, p)) for p in profiles}
+            for p in profiles:
+                for q in profiles:
+                    if herm(images[p], unit(MONOMIAL, q)) != herm(unit(MONOMIAL, p), images[q]):
+                        yield f"{gid} at pair {tuple(p)},{tuple(q)}"
+    rep.check("poly.adjoint_generators", "<G f, g> = <f, G g> for all six generators", N, adjoint_generators())
 
     if N >= 2:
-        lower = polyspace.enumerate_profiles(N - 2)
-        ok, witness = True, None
-        for i in (1, 2, 3):
-            for p in lower:
-                f = PolyVec.unit(MONOMIAL, p)
-                for q in profiles:
-                    g = PolyVec.unit(MONOMIAL, q)
-                    if polyspace.hermitian(polyspace.apply_R(i, f), g) != polyspace.hermitian(f, polyspace.apply_L(i, g)):
-                        ok, witness = False, f"R_{i}/L_{i} at {tuple(p)},{tuple(q)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add("poly.adjoint_ladder", "<R_i f, g> = <f, L_i g>", N, ok, witness)
 
-    ok, witness = True, None
-    for i in (1, 2, 3):
-        for p in profiles:
-            e = PolyVec.unit(MONOMIAL, p)
-            lhs = polyspace.apply_L(i, polyspace.apply_R(i, e)) - polyspace.apply_R(i, polyspace.apply_L(i, e))
-            if lhs != polyspace.apply_Omega(e) + 2 * e:
-                ok, witness = False, f"[L_{i}, R_{i}] at {tuple(p)}"
-                break
-        if not ok:
-            break
+        def adjoint_ladder():
+            for i in (1, 2, 3):
+                for p in polyspace.enumerate_profiles(N - 2):
+                    for q in profiles:
+                        f, g = unit(MONOMIAL, p), unit(MONOMIAL, q)
+                        if herm(R(i, f), g) != herm(f, L(i, g)):
+                            yield f"R_{i}/L_{i} at {tuple(p)},{tuple(q)}"
+        rep.check("poly.adjoint_ladder", "<R_i f, g> = <f, L_i g>", N, adjoint_ladder())
+
     v = random_polyvec(rng, N, MONOMIAL)
-    for i in (1, 2, 3):
-        if polyspace.apply_Omega(polyspace.apply_R(i, v)) - polyspace.apply_R(i, polyspace.apply_Omega(v)) != 2 * polyspace.apply_R(i, v):
-            ok, witness = False, f"[Omega, R_{i}]"
-        if polyspace.apply_Omega(polyspace.apply_L(i, v)) - polyspace.apply_L(i, polyspace.apply_Omega(v)) != (-2) * polyspace.apply_L(i, v):
-            ok, witness = False, f"[Omega, L_{i}]"
-    rep.add("poly.ladder_relations", "[L_i, R_i] = Omega + 2I, [Omega, R_i] = 2R_i, [Omega, L_i] = -2L_i", N, ok, witness)
 
-    ok, witness = True, None
-    for i in (1, 2, 3):
-        others = [g for g in ALL_GENS if g.index != i]
-        for gid in others:
+    def ladder_relations():
+        for i in (1, 2, 3):
             for p in profiles:
-                e = PolyVec.unit(MONOMIAL, p)
-                ge = polyspace.act_generator(gid, e)
-                if polyspace.apply_L(i, ge) != polyspace.act_generator(gid, polyspace.apply_L(i, e)):
-                    ok, witness = False, f"[L_{i}, {gid}]"
-                    break
-                if polyspace.apply_R(i, ge) != polyspace.act_generator(gid, polyspace.apply_R(i, e)):
-                    ok, witness = False, f"[R_{i}, {gid}]"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("poly.ladder_commutes", "L_i and R_i commute with the complementary-index generators", N, ok, witness)
+                e = unit(MONOMIAL, p)
+                if L(i, R(i, e)) - R(i, L(i, e)) != Omega(e) + 2 * e:
+                    yield f"[L_{i}, R_{i}] at {tuple(p)}"
+        for i in (1, 2, 3):
+            if Omega(R(i, v)) - R(i, Omega(v)) != 2 * R(i, v):
+                yield f"[Omega, R_{i}]"
+            if Omega(L(i, v)) - L(i, Omega(v)) != (-2) * L(i, v):
+                yield f"[Omega, L_{i}]"
+    rep.check("poly.ladder_relations", "[L_i, R_i] = Omega + 2I, [Omega, R_i] = 2R_i, [Omega, L_i] = -2L_i", N, ladder_relations())
 
-    ok, witness = True, None
-    for i in (1, 2, 3):
-        for p in profiles:
-            e = PolyVec.unit(MONOMIAL, p)
-            via_table = polyspace.apply_C(i, e)
-            if via_table != polyspace.apply_C_via_ladder(i, e):
-                ok, witness = False, f"C_{i} ladder form at {tuple(p)}"
-                break
-            if via_table != polyspace.apply_C_via_generators(i, e):
-                ok, witness = False, f"C_{i} first generator form at {tuple(p)}"
-                break
-            if via_table != polyspace.apply_C_via_generators(i, e, swapped=True):
-                ok, witness = False, f"C_{i} second generator form at {tuple(p)}"
-                break
-        if not ok:
-            break
-    rep.add("poly.casimir_three_way", "the ladder and both generator expressions for C_i agree", N, ok, witness)
+    def ladder_commutes():
+        for i in (1, 2, 3):
+            for gid in (g for g in ALL_GENS if g.index != i):
+                for p in profiles:
+                    e = unit(MONOMIAL, p)
+                    ge = act(gid, e)
+                    if L(i, ge) != act(gid, L(i, e)):
+                        yield f"[L_{i}, {gid}]"
+                    if R(i, ge) != act(gid, R(i, e)):
+                        yield f"[R_{i}, {gid}]"
+    rep.check("poly.ladder_commutes", "L_i and R_i commute with the complementary-index generators", N, ladder_commutes())
+
+    def casimir_three_way():
+        for i in (1, 2, 3):
+            for p in profiles:
+                e = unit(MONOMIAL, p)
+                via_table = C(i, e)
+                if via_table != polyspace.apply_C_via_ladder(i, e):
+                    yield f"C_{i} ladder form at {tuple(p)}"
+                if via_table != polyspace.apply_C_via_generators(i, e):
+                    yield f"C_{i} first generator form at {tuple(p)}"
+                if via_table != polyspace.apply_C_via_generators(i, e, swapped=True):
+                    yield f"C_{i} second generator form at {tuple(p)}"
+    rep.check("poly.casimir_three_way", "the ladder and both generator expressions for C_i agree", N, casimir_three_way())
 
     f = random_polyvec(rng, N, MONOMIAL)
     g = random_polyvec(rng, N, MONOMIAL)
-    ok = all(
-        polyspace.hermitian(polyspace.apply_C(i, f), g) == polyspace.hermitian(f, polyspace.apply_C(i, g))
-        for i in (1, 2, 3)
-    )
-    rep.add("poly.casimir_selfadjoint", "<C_i f, g> = <f, C_i g>", N, ok)
+    selfadjoint = (f"C_{i}" for i in (1, 2, 3) if herm(C(i, f), g) != herm(f, C(i, g)))
+    rep.check("poly.casimir_selfadjoint", "<C_i f, g> = <f, C_i g>", N, selfadjoint)
 
-    sf = polyspace.sigma(f)
-    sg = polyspace.sigma(g)
-    rep.add("poly.sigma_involution", "sigma^2 = id", N, polyspace.sigma(sf) == f)
-    rep.add("poly.sigma_isometry", "<sigma f, sigma g> = <f, g>", N, polyspace.hermitian(sf, sg) == polyspace.hermitian(f, g))
+    sigma = polyspace.sigma
+    sf = sigma(f)
+    sg = sigma(g)
+    rep.add("poly.sigma_involution", "sigma^2 = id", N, sigma(sf) == f)
+    rep.add("poly.sigma_isometry", "<sigma f, sigma g> = <f, g>", N, herm(sf, sg) == herm(f, g))
 
-    ok, witness = True, None
-    for i in (1, 2, 3):
-        if polyspace.sigma(polyspace.apply_L(i, f)) != polyspace.apply_L(i, sf):
-            ok, witness = False, f"sigma and L_{i}"
-        if polyspace.sigma(polyspace.apply_R(i, f)) != polyspace.apply_R(i, sf):
-            ok, witness = False, f"sigma and R_{i}"
-    rep.add("poly.sigma_ladder", "sigma commutes with L_i and R_i", N, ok, witness)
+    def sigma_ladder():
+        for i in (1, 2, 3):
+            if sigma(L(i, f)) != L(i, sf):
+                yield f"sigma and L_{i}"
+            if sigma(R(i, f)) != R(i, sf):
+                yield f"sigma and R_{i}"
+    rep.check("poly.sigma_ladder", "sigma commutes with L_i and R_i", N, sigma_ladder())
 
-    ok, witness = True, None
-    for k in (1, 2, 3):
-        a = GeneratorId("A", k)
-        b = GeneratorId("Astar", k)
-        lhs = polyspace.act_generator(b, f)
-        rhs = polyspace.sigma(polyspace.act_generator(a, sf))
-        if lhs != rhs:
-            ok, witness = False, f"index {k}"
-            break
-        lhs = polyspace.act_generator(a, f)
-        rhs = polyspace.sigma(polyspace.act_generator(b, sf))
-        if lhs != rhs:
-            ok, witness = False, f"index {k} reversed"
-            break
-    rep.add("poly.tau_conjugation", "swapped generator action = sigma . action . sigma", N, ok, witness)
+    def tau_conjugation():
+        for k in (1, 2, 3):
+            a, b = GeneratorId("A", k), GeneratorId("Astar", k)
+            if act(b, f) != sigma(act(a, sf)):
+                yield f"index {k}"
+            if act(a, f) != sigma(act(b, sf)):
+                yield f"index {k} reversed"
+    rep.check("poly.tau_conjugation", "swapped generator action = sigma . action . sigma", N, tau_conjugation())
 
-    ok, witness = True, None
-    for p in profiles:
-        for q in profiles:
-            want = p.norm_sq if p == q else 0
-            if polyspace.hermitian(PolyVec.unit(STARRED, p), PolyVec.unit(STARRED, q)) != want:
-                ok, witness = False, f"pair {tuple(p)},{tuple(q)}"
-                break
-        if not ok:
-            break
-    rep.add("poly.starred_norms", "starred monomials are orthogonal with square norms r!s!t!u!", N, ok, witness)
+    def starred_norms():
+        for p in profiles:
+            for q in profiles:
+                if herm(unit(STARRED, p), unit(STARRED, q)) != (p.norm_sq if p == q else 0):
+                    yield f"pair {tuple(p)},{tuple(q)}"
+    rep.check("poly.starred_norms", "starred monomials are orthogonal with square norms r!s!t!u!", N, starred_norms())
 
-    xsN = PolyVec.unit(STARRED, (N, 0, 0, 0))
+    xsN = unit(STARRED, (N, 0, 0, 0))
     want = Fraction(factorial(N), 2**N)
-    ok = all(polyspace.hermitian(PolyVec.unit(MONOMIAL, p), xsN) == want for p in profiles)
-    rep.add("poly.pairing_constant", "<x^r y^s z^t w^u, x*^N> = N!/2^N for every profile", N, ok)
+    pairing = (f"profile {tuple(p)}" for p in profiles if herm(unit(MONOMIAL, p), xsN) != want)
+    rep.check("poly.pairing_constant", "<x^r y^s z^t w^u, x*^N> = N!/2^N for every profile", N, pairing)
 
-    xN = PolyVec.unit(MONOMIAL, (N, 0, 0, 0))
+    xN = unit(MONOMIAL, (N, 0, 0, 0))
     expansion = polyspace.convert_basis(xN, STARRED)
     want_exp = PolyVec(
         STARRED, {p: Fraction(factorial(N), 2**N * p.norm_sq) for p in profiles}
@@ -339,122 +255,85 @@ def suite_poly(N, rng) -> Report:
         polyspace.convert_basis(polyspace.convert_basis(rt, STARRED), MONOMIAL) == rt,
     )
 
-    try:
+    def weights():  # the decomposition certifies itself by raising
         polyspace.weight_decomposition(N, "Hstar")
         polyspace.weight_decomposition(N, "H")
-        rep.add("poly.weights", "profiles biject with the degree-N weight triples, both Cartans", N, True)
-    except (ArithmeticError, ValueError) as e:
-        rep.add("poly.weights", "profiles biject with the degree-N weight triples, both Cartans", N, False, str(e))
+        yield from ()
+    rep.check("poly.weights", "profiles biject with the degree-N weight triples, both Cartans", N, weights())
 
     if N <= 5:
-        ok, witness = True, None
-        for i in (1, 2, 3):
-            for which in ("A", "Astar"):
-                dims = polyspace.eigenspace_dims(i, which, N)
-                want_dims = {N - 2 * n: (n + 1) * (N - n + 1) for n in range(N + 1)}
-                if dims != want_dims:
-                    ok, witness = False, f"{which}_{i}: {dims}"
-                    break
-            if not ok:
-                break
-        rep.add("poly.eigenspace_dims", "generator eigenspace of N-2n has dimension (n+1)(N-n+1)", N, ok, witness)
+
+        def eigenspace_dims():
+            want_dims = {N - 2 * n: (n + 1) * (N - n + 1) for n in range(N + 1)}
+            for i in (1, 2, 3):
+                for which in ("A", "Astar"):
+                    dims = polyspace.eigenspace_dims(i, which, N)
+                    if dims != want_dims:
+                        yield f"{which}_{i}: {dims}"
+        rep.check("poly.eigenspace_dims", "generator eigenspace of N-2n has dimension (n+1)(N-n+1)", N, eigenspace_dims())
 
     # decomposition machinery
     fam = specialfn.krawtchouk(N)
-    ok, witness = True, None
-    for i in (1, 2, 3):
-        try:
-            kb = polyspace.kernel_L_basis(i, N)
-        except ArithmeticError as e:
-            ok, witness = False, str(e)
-            break
-        for (j, k), v in kb.items():
-            if not polyspace.apply_L(i, v).is_zero():
-                ok, witness = False, f"L_{i} fails to kill word ({j}, {k})"
-                break
-            want_norm = Fraction(factorial(N), binomial(N, j) * binomial(N, k))
-            if polyspace.norm_sq(v) != want_norm:
-                ok, witness = False, f"norm of word ({j}, {k}) for i={i}"
-                break
-        if not ok:
-            break
-    rep.add("poly.kernel_basis", "Krawtchouk words span Ker L_i with norms N!/(C(N,j) C(N,k))", N, ok, witness)
 
-    ok, witness = True, None
-    for i in (1, 2, 3):
-        try:
-            summands = polyspace.graded_decomposition(i, N)
-        except ArithmeticError as e:
-            ok, witness = False, str(e)
-            break
-        for ell, vecs in summands:
-            base = N - 2 * ell
-            if len(vecs) != (base + 1) ** 2:
-                ok, witness = False, f"dimension at level {ell}"
-                break
-            for key, w in vecs.items():
-                lr = polyspace.apply_L(i, polyspace.apply_R(i, w))
-                if lr != ((ell + 1) * (base + ell + 2)) * w:
-                    ok, witness = False, f"LR eigenvalue at level {ell}, word {key}"
-                    break
-                rl = polyspace.apply_R(i, polyspace.apply_L(i, w))
-                if rl != (ell * (base + ell + 1)) * w:
-                    ok, witness = False, f"RL eigenvalue at level {ell}, word {key}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(
+    def kernel_basis():
+        for i in (1, 2, 3):
+            for (j, k), v in polyspace.kernel_L_basis(i, N).items():
+                if not L(i, v).is_zero():
+                    yield f"L_{i} fails to kill word ({j}, {k})"
+                if polyspace.norm_sq(v) != Fraction(factorial(N), binomial(N, j) * binomial(N, k)):
+                    yield f"norm of word ({j}, {k}) for i={i}"
+    rep.check("poly.kernel_basis", "Krawtchouk words span Ker L_i with norms N!/(C(N,j) C(N,k))", N, kernel_basis())
+
+    def graded_decomposition():
+        for i in (1, 2, 3):
+            for ell, vecs in polyspace.graded_decomposition(i, N):
+                base = N - 2 * ell
+                if len(vecs) != (base + 1) ** 2:
+                    yield f"dimension at level {ell}"
+                for key, w in vecs.items():
+                    if L(i, R(i, w)) != ((ell + 1) * (base + ell + 2)) * w:
+                        yield f"LR eigenvalue at level {ell}, word {key}"
+                    if R(i, L(i, w)) != (ell * (base + ell + 1)) * w:
+                        yield f"RL eigenvalue at level {ell}, word {key}"
+    rep.check(
         "poly.graded_decomposition",
         "raised kernels give an orthogonal decomposition with the stated dimensions, Casimir and ladder eigenvalues",
         N,
-        ok,
-        witness,
+        graded_decomposition(),
     )
 
-    ok, witness = True, None
-    for i in (1, 2, 3):
-        for p in profiles:
-            img = polyspace.apply_op_poly(
-                fam.coeffs[N + 1],
-                lambda w, gid=GeneratorId("A", i): polyspace.act_generator(gid, w),
-                PolyVec.unit(MONOMIAL, p),
-            )
-            if not img.is_zero():
-                ok, witness = False, f"f_{N+1}(A_{i}) on {tuple(p)}"
-                break
-        if not ok:
-            break
-    rep.add("poly.krawtchouk_annihilation", "the top Krawtchouk polynomial annihilates the degree-N slice", N, ok, witness)
+    def krawtchouk_annihilation():
+        for i in (1, 2, 3):
+            gid = GeneratorId("A", i)
+            for p in profiles:
+                if not polyspace.apply_op_poly(fam.coeffs[N + 1], lambda w: act(gid, w), unit(MONOMIAL, p)).is_zero():
+                    yield f"f_{N+1}(A_{i}) on {tuple(p)}"
+    rep.check("poly.krawtchouk_annihilation", "the top Krawtchouk polynomial annihilates the degree-N slice", N, krawtchouk_annihilation())
 
     if N >= 2:
-        ok, witness = True, None
-        kb = polyspace.kernel_L_basis(1, N)
-        for p in polyspace.enumerate_profiles(N - 2):
-            rf = polyspace.apply_R(1, PolyVec.unit(MONOMIAL, p))
-            for key, v in kb.items():
-                if polyspace.hermitian(rf, v) != 0:
-                    ok, witness = False, f"raised {tuple(p)} against word {key}"
-                    break
-            if not ok:
-                break
-        rep.add("poly.raised_perp_kernel", "the raised image of the lower slice is orthogonal to Ker L_i", N, ok, witness)
 
-    try:
+        def raised_perp_kernel():
+            kb = polyspace.kernel_L_basis(1, N)
+            for p in polyspace.enumerate_profiles(N - 2):
+                rf = R(1, unit(MONOMIAL, p))
+                for key, v in kb.items():
+                    if herm(rf, v) != 0:
+                        yield f"raised {tuple(p)} against word {key}"
+        rep.check("poly.raised_perp_kernel", "the raised image of the lower slice is orthogonal to Ker L_i", N, raised_perp_kernel())
+
+    def word_basis():  # the word bases certify their rank by raising
         polyspace.a_word_basis(N)
         polyspace.a_word_basis(N, starred=True)
-        rep.add("poly.word_basis", "generator power words on x^N span the slice, both kinds", N, True)
-    except ArithmeticError as e:
-        rep.add("poly.word_basis", "generator power words on x^N span the slice, both kinds", N, False, str(e))
+        yield from ()
+    rep.check("poly.word_basis", "generator power words on x^N span the slice, both kinds", N, word_basis())
 
-    op_mat = polyspace.operator_matrix(lambda w: polyspace.apply_C(1, w), N)
+    op_mat = polyspace.operator_matrix(lambda w: C(1, w), N)
     coords = polyspace.vector_coords(f, N)
     rep.add(
         "poly.matrix_vs_rule",
         "the dense matrix of an operator agrees with its sparse rule",
         N,
-        op_mat.apply(coords) == polyspace.vector_coords(polyspace.apply_C(1, f), N),
+        op_mat.apply(coords) == polyspace.vector_coords(C(1, f), N),
     )
     return rep
 
@@ -473,19 +352,10 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
         keys = [(lam, mu) for lam in ts for mu in ts]
     else:
         keys = [(ts[rng.randrange(len(ts))], ts[rng.randrange(len(ts))]) for _ in range(60)]
-    ok, witness = True, None
-    for lam, mu in keys:
-        if table[(lam, mu)] != specialfn.calP_genfunc(N, lam, mu):
-            ok, witness = False, f"key {lam};{mu}"
-            break
-    rep.add("special.dual_evaluators", "sum form and generating-function form agree", N, ok, witness)
-
-    ok, witness = True, None
-    for lam, mu in keys[: min(len(keys), 200)]:
-        if table[(lam, mu)] != table[(mu, lam)]:
-            ok, witness = False, f"key {lam};{mu}"
-            break
-    rep.add("special.symmetry", "the transition coefficient is symmetric in its two slots", N, ok, witness)
+    dual = (f"key {lam};{mu}" for lam, mu in keys if table[(lam, mu)] != specialfn.calP_genfunc(N, lam, mu))
+    rep.check("special.dual_evaluators", "sum form and generating-function form agree", N, dual)
+    symmetry = (f"key {lam};{mu}" for lam, mu in keys[:200] if table[(lam, mu)] != table[(mu, lam)])
+    rep.check("special.symmetry", "the transition coefficient is symmetric in its two slots", N, symmetry)
 
     rep.extend(specialfn.check_orthogonality(N, table))
 
@@ -495,92 +365,73 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
     else:
         rep.extend(specialfn.check_recurrences_sampled(N, table, rng, 40))
 
-    ok, witness = True, None
     sample = keys if N <= 4 else keys[:40]
-    for lam, mu in sample:
-        S, T, U = mu
-        R = N - S - T - U
-        weights = (R + S - T - U, R - S + T - U, R - S - T + U)
-        if table[(lam, mu)] != specialfn.calP_vee(N, lam, weights):
-            ok, witness = False, f"key {lam};{mu}"
-            break
-    rep.add("special.weight_form", "the weight-coordinate form matches the plain form", N, ok, witness)
 
-    ok, witness = True, None
+    def weight_form():
+        for lam, mu in sample:
+            R = N - sum(mu)
+            if table[(lam, mu)] != specialfn.calP_vee(N, lam, polyspace.weight_triple((R, *mu))):
+                yield f"key {lam};{mu}"
+    rep.check("special.weight_form", "the weight-coordinate form matches the plain form", N, weight_form())
+
     nfact = Fraction(factorial(N), 2**N)
-    for lam, mu in sample:
-        s, t, u = lam
-        S, T, U = mu
-        p = (N - s - t - u, s, t, u)
-        q = (N - S - T - U, S, T, U)
-        pairing = polyspace.hermitian(PolyVec.unit(MONOMIAL, p), PolyVec.unit(STARRED, q))
-        if pairing != nfact * table[(lam, mu)]:
-            ok, witness = False, f"key {lam};{mu}"
-            break
-    rep.add("special.pairing", "<x^p, x*^q> = N!/2^N times the transition coefficient", N, ok, witness)
+
+    def pairing():
+        for lam, mu in sample:
+            pairing = polyspace.hermitian(PolyVec.unit(MONOMIAL, (N - sum(lam), *lam)), PolyVec.unit(STARRED, (N - sum(mu), *mu)))
+            if pairing != nfact * table[(lam, mu)]:
+                yield f"key {lam};{mu}"
+    rep.check("special.pairing", "<x^p, x*^q> = N!/2^N times the transition coefficient", N, pairing())
 
     if N <= 4:
-        ok, witness = True, None
-        for p in polyspace.enumerate_profiles(N):
-            conv = polyspace.convert_basis(PolyVec.unit(MONOMIAL, p), STARRED)
-            for q, c in conv.items():
-                want = nfact * table[((p.s, p.t, p.u), (q.s, q.t, q.u))] / q.norm_sq
-                if c != want:
-                    ok, witness = False, f"{tuple(p)} -> {tuple(q)}"
-                    break
-            if not ok:
-                break
-        rep.add("special.transition_expansion", "basis conversion reproduces the transition coefficients", N, ok, witness)
 
-    try:
+        def transition_expansion():
+            for p in polyspace.enumerate_profiles(N):
+                for q, c in polyspace.convert_basis(PolyVec.unit(MONOMIAL, p), STARRED).items():
+                    if c != nfact * table[((p.s, p.t, p.u), (q.s, q.t, q.u))] / q.norm_sq:
+                        yield f"{tuple(p)} -> {tuple(q)}"
+        rep.check("special.transition_expansion", "basis conversion reproduces the transition coefficients", N, transition_expansion())
+
+    fam = None
+
+    def krawtchouk_family():  # the family certifies its closed form by raising
+        nonlocal fam
         fam = specialfn.krawtchouk(N)
-        rep.add("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, True)
-    except ArithmeticError as e:
-        rep.add("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, False, str(e))
+        yield from ()
+    if not rep.check("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, krawtchouk_family()):
         return rep
 
-    ok, witness = True, None
-    for k in (1, 2, 3):  # generator k moves weight into profile slot k
-        for n in range(N + 1):
-            v = specialfn.krawtchouk_vector(N, n, GeneratorId("A", k))
-            prof = [0, 0, 0, 0]
-            prof[0] = N - n
-            prof[k] = n
-            if v != PolyVec.unit(MONOMIAL, tuple(prof)):
-                ok, witness = False, f"f_{n}(A_{k})"
-                break
-            v = specialfn.krawtchouk_vector(N, n, GeneratorId("Astar", k))
-            if v != PolyVec.unit(STARRED, tuple(prof)):
-                ok, witness = False, f"f_{n}(A*_{k})"
-                break
-        if not ok:
-            break
-    rep.add("special.krawtchouk_vectors", "f_n applied to the seed produces the two-variable monomials", N, ok, witness)
+    def krawtchouk_vectors():
+        for k in (1, 2, 3):  # generator k moves weight into profile slot k
+            for n in range(N + 1):
+                prof = [N - n, 0, 0, 0]
+                prof[k] = n
+                if specialfn.krawtchouk_vector(N, n, GeneratorId("A", k)) != PolyVec.unit(MONOMIAL, tuple(prof)):
+                    yield f"f_{n}(A_{k})"
+                if specialfn.krawtchouk_vector(N, n, GeneratorId("Astar", k)) != PolyVec.unit(STARRED, tuple(prof)):
+                    yield f"f_{n}(A*_{k})"
+    rep.check("special.krawtchouk_vectors", "f_n applied to the seed produces the two-variable monomials", N, krawtchouk_vectors())
 
-    ok, witness = True, None
-    seed = PolyVec.unit(MONOMIAL, (N, 0, 0, 0))
-    act = lambda w: polyspace.act_generator(GeneratorId("A", 1), w)
-    vecs = [polyspace.apply_op_poly(fam.coeffs[n], act, seed) for n in range(N + 2)]
-    for n in range(N + 1):
-        lhs = act(vecs[n])
-        rhs = (n * vecs[n - 1] if n else PolyVec.zero(MONOMIAL)) + (N - n) * vecs[n + 1]
-        if n == N:
-            rhs = N * vecs[N - 1] + vecs[N + 1] if N else vecs[1]
-        if lhs != rhs:
-            ok, witness = False, f"recurrence at n={n}"
-            break
-    rep.add("special.operator_recurrence", "the generator satisfies the Krawtchouk recurrence on seed words", N, ok, witness)
+    def operator_recurrence():
+        act = lambda w: polyspace.act_generator(GeneratorId("A", 1), w)
+        vecs = [polyspace.apply_op_poly(fam.coeffs[n], act, PolyVec.unit(MONOMIAL, (N, 0, 0, 0))) for n in range(N + 2)]
+        for n in range(N + 1):
+            rhs = (n * vecs[n - 1] if n else PolyVec.zero(MONOMIAL)) + (N - n) * vecs[n + 1]
+            if n == N:
+                rhs = N * vecs[N - 1] + vecs[N + 1] if N else vecs[1]
+            if act(vecs[n]) != rhs:
+                yield f"recurrence at n={n}"
+    rep.check("special.operator_recurrence", "the generator satisfies the Krawtchouk recurrence on seed words", N, operator_recurrence())
 
     if N <= oracle_n_max:
-        ok, witness = True, None
-        for p in polyspace.enumerate_profiles(N):
-            if polyspace.pvee_word(N, (p.s, p.t, p.u)) != PolyVec.unit(MONOMIAL, p):
-                ok, witness = False, f"plain word {tuple(p)}"
-                break
-            if polyspace.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
-                ok, witness = False, f"starred word {tuple(p)}"
-                break
-        rep.add("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, ok, witness)
+
+        def pvee_words():
+            for p in polyspace.enumerate_profiles(N):
+                if polyspace.pvee_word(N, (p.s, p.t, p.u)) != PolyVec.unit(MONOMIAL, p):
+                    yield f"plain word {tuple(p)}"
+                if polyspace.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
+                    yield f"starred word {tuple(p)}"
+        rep.check("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, pvee_words())
     else:
         rep.skip("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, "above oracle cap")
     return rep
@@ -610,63 +461,45 @@ def suite_cube(N, basepoint, rng) -> Report:
     )
 
     Ks = c.idempotent_numerators()
-    ok, witness = True, None
-    total = Mat.zeros(size, size)
-    recon = Mat.zeros(size, size)
-    for i, K in enumerate(Ks):
-        total = total + K
-        recon = recon + K.scale(c.theta(i))
-        if A @ K != K.scale(c.theta(i)):
-            ok, witness = False, f"eigenvector property of E_{i}"
-            break
-        if K.transpose() != K:
-            ok, witness = False, f"symmetry of E_{i}"
-            break
-    if ok and total != eye.scale(twoN):
-        ok, witness = False, "sum of idempotents"
-    if ok and recon != A.scale(twoN):
-        ok, witness = False, "spectral reconstruction of A"
-    if ok:
+
+    def idempotents():
+        total = Mat.zeros(size, size)
+        recon = Mat.zeros(size, size)
+        for i, K in enumerate(Ks):
+            total = total + K
+            recon = recon + K.scale(c.theta(i))
+            if A @ K != K.scale(c.theta(i)):
+                yield f"eigenvector property of E_{i}"
+            if K.transpose() != K:
+                yield f"symmetry of E_{i}"
+        if total != eye.scale(twoN):
+            yield "sum of idempotents"
+        if recon != A.scale(twoN):
+            yield "spectral reconstruction of A"
         # pairwise products: dense matrices up to N=4, cell coordinates past that
         # (their agreement is itself certified at small N by cube.product_oracle)
         if N <= 4:
-            pairs = [(i, j, Ks[i] @ Ks[j]) for i in range(N + 1) for j in range(N + 1)]
-            for i, j, prod in pairs:
-                want = Ks[i].scale(twoN) if i == j else Mat.zeros(size, size)
-                if prod != want:
-                    ok, witness = False, f"E_{i} E_{j}"
-                    break
+            Es, scaled, zero = Ks, [K.scale(twoN) for K in Ks], Mat.zeros(size, size)
         else:
-            raws = [alg.idempotent_elem_raw(i) for i in range(N + 1)]
-            for i, Ri in enumerate(raws):
-                for j, Rj in enumerate(raws):
-                    want = twoN * Ri if i == j else alg.zero()
-                    if Ri @ Rj != want:
-                        ok, witness = False, f"E_{i} E_{j}"
-                        break
-                if not ok:
-                    break
-    rep.add("cube.idempotents", "the E_i are symmetric orthogonal idempotents resolving I and A", N, ok, witness)
-
-    ok, witness = True, None
-    for i, K in enumerate(Ks):
-        if K.rank() != binomial(N, i):
-            ok, witness = False, f"rank E_{i}"
-            break
-    rep.add("cube.idempotent_ranks", "rank E_i = C(N, i)", N, ok, witness)
+            Es = [alg.idempotent_elem_raw(i) for i in range(N + 1)]
+            scaled, zero = [twoN * E for E in Es], alg.zero()
+        for i, Ei in enumerate(Es):
+            for j, Ej in enumerate(Es):
+                if Ei @ Ej != (scaled[i] if i == j else zero):
+                    yield f"E_{i} E_{j}"
+    rep.check("cube.idempotents", "the E_i are symmetric orthogonal idempotents resolving I and A", N, idempotents())
+    rep.check("cube.idempotent_ranks", "rank E_i = C(N, i)", N, (f"rank E_{i}" for i, K in enumerate(Ks) if K.rank() != binomial(N, i)))
 
     fam = specialfn.krawtchouk(N)
-    ok, witness = True, None
-    for i in range(N + 1):
-        Ai = c.distance_op(i)
-        poly = fam.coeffs[i]
-        acc = eye.scale(poly[-1])
-        for coef in reversed(poly[:-1]):
-            acc = A @ acc + eye.scale(coef)
-        if acc.scale(binomial(N, i)) != Ai:
-            ok, witness = False, f"distance operator {i}"
-            break
-    rep.add("cube.distance_vs_krawtchouk", "A_i = C(N, i) f_i(A)", N, ok, witness)
+
+    def distance_vs_krawtchouk():
+        for i in range(N + 1):
+            acc = eye.scale(fam.coeffs[i][-1])
+            for coef in reversed(fam.coeffs[i][:-1]):
+                acc = A @ acc + eye.scale(coef)
+            if acc.scale(binomial(N, i)) != c.distance_op(i):
+                yield f"distance operator {i}"
+    rep.check("cube.distance_vs_krawtchouk", "A_i = C(N, i) f_i(A)", N, distance_vs_krawtchouk())
 
     ones = Mat([[1] * size for _ in range(size)])
     total = Mat.zeros(size, size)
@@ -674,218 +507,160 @@ def suite_cube(N, basepoint, rng) -> Report:
         total = total + c.distance_op(i)
     rep.add("cube.distance_partition", "the distance operators sum to the all-ones matrix", N, total == ones and c.distance_op(0) == eye)
 
-    ok, witness = True, None
-    for i in range(N + 1):
-        diag = alg.dual_distance_diag(i)
-        scale = binomial(N, i)
-        for x in range(size):
-            if diag[x] != scale * fam.evaluate(i, c.theta(alg.dist_to_base[x])):
-                ok, witness = False, f"dual distance operator {i} at vertex {x}"
-                break
-        if not ok:
-            break
-    rep.add("cube.dual_distance_vs_krawtchouk", "A*_i = C(N, i) f_i(A*)", N, ok, witness)
+    # the Krawtchouk value of the h-th dual distance operator at vertex x
+    dual_value = lambda h, x: binomial(N, h) * fam.evaluate(h, c.theta(alg.dist_to_base[x]))
+
+    def dual_distance_vs_krawtchouk():
+        for i in range(N + 1):
+            diag = alg.dual_distance_diag(i)
+            for x in range(size):
+                if diag[x] != dual_value(i, x):
+                    yield f"dual distance operator {i} at vertex {x}"
+    rep.check("cube.dual_distance_vs_krawtchouk", "A*_i = C(N, i) f_i(A*)", N, dual_distance_vs_krawtchouk())
 
     vec = [Fraction(rng.randint(-5, 5)) for _ in range(size)]
-    ok, witness = True, None
-    for h in range(N + 1):
-        K = Ks[h]
-        scale = binomial(N, h)
-        for x in range(size):
-            # Krawtchouk route against the entrywise product with the 2^N E_h base column
-            via_poly = scale * fam.evaluate(h, c.theta(alg.dist_to_base[x])) * vec[x]
-            if via_poly != K[x, basepoint] * vec[x]:
-                ok, witness = False, f"grade {h} at vertex {x}"
-                break
-        if not ok:
-            break
-    rep.add("cube.dual_distance_pointwise", "A*_h v equals the entrywise product of v with 2^N E_h(base)", N, ok, witness)
+
+    def dual_distance_pointwise():
+        for h in range(N + 1):
+            for x in range(size):
+                # Krawtchouk route against the entrywise product with the 2^N E_h base column
+                if dual_value(h, x) * vec[x] != Ks[h][x, basepoint] * vec[x]:
+                    yield f"grade {h} at vertex {x}"
+    rep.check("cube.dual_distance_pointwise", "A*_h v equals the entrywise product of v with 2^N E_h(base)", N, dual_distance_pointwise())
 
     estar = alg.estar_basis()
-    ok, witness = True, None
-    for trip in alg.triples:
-        h, i, j = trip
-        direct = alg.dual_idempotent(i) @ c.distance_op(h) @ alg.dual_idempotent(j)
-        if direct != estar[trip].matrix():
-            ok, witness = False, f"triple {tuple(trip)}"
-            break
-        if estar[trip].norm_sq() != Fraction(factorial(N), cube.profile_of_triple(N, trip).norm_sq):
-            ok, witness = False, f"norm at {tuple(trip)}"
-            break
-    rep.add("cube.estar_basis", "E*_i A_h E*_j are the cell indicators with norms N!/(r!s!t!u!)", N, ok, witness)
 
-    valid = set(alg.triples)
-    ok, witness = True, None
-    for h in range(N + 1):
-        for i in range(N + 1):
-            for j in range(N + 1):
-                if (h, i, j) in valid:
-                    continue
-                direct = alg.dual_idempotent(i) @ c.distance_op(h) @ alg.dual_idempotent(j)
-                if not direct.is_zero():
-                    ok, witness = False, f"plain triple {(h, i, j)}"
-                    break
-                prod = alg.idempotent_elem_raw(i) @ alg.dual_distance_elem(h) @ alg.idempotent_elem_raw(j)
-                if not prod.is_zero():
-                    ok, witness = False, f"spectral triple {(h, i, j)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("cube.invalid_triples_vanish", "both triple products vanish off the valid index set", N, ok, witness)
+    def estar_basis():
+        for trip in alg.triples:
+            h, i, j = trip
+            if alg.dual_idempotent(i) @ c.distance_op(h) @ alg.dual_idempotent(j) != estar[trip].matrix():
+                yield f"triple {tuple(trip)}"
+            if estar[trip].norm_sq() != Fraction(factorial(N), cube.profile_of_triple(N, trip).norm_sq):
+                yield f"norm at {tuple(trip)}"
+    rep.check("cube.estar_basis", "E*_i A_h E*_j are the cell indicators with norms N!/(r!s!t!u!)", N, estar_basis())
 
-    ok, witness = True, None
-    for i, K in enumerate(Ks):
-        by_h = {}
-        for x in range(size):
-            for y in range(size):
-                h = c.pc[x ^ y]
-                if by_h.setdefault(h, K[x, y]) != K[x, y]:
-                    ok, witness = False, f"E_{i} not constant at distance {h}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("cube.idempotents_in_algebra", "each E_i depends only on the distance, hence lies in the algebra", N, ok, witness)
+    def invalid_triples_vanish():
+        valid = set(alg.triples)
+        for h in range(N + 1):
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    if (h, i, j) in valid:
+                        continue
+                    if not (alg.dual_idempotent(i) @ c.distance_op(h) @ alg.dual_idempotent(j)).is_zero():
+                        yield f"plain triple {(h, i, j)}"
+                    if not (alg.idempotent_elem_raw(i) @ alg.dual_distance_elem(h) @ alg.idempotent_elem_raw(j)).is_zero():
+                        yield f"spectral triple {(h, i, j)}"
+    rep.check("cube.invalid_triples_vanish", "both triple products vanish off the valid index set", N, invalid_triples_vanish())
 
-    ok, witness = True, None
-    for trip in alg.triples:
-        prod = A @ estar[trip].matrix()
-        try:
-            alg.from_matrix(prod)
-        except ArithmeticError:
-            ok, witness = False, f"A times indicator {tuple(trip)}"
-            break
-    rep.add(
-        "cube.closure",
-        "adjacency times any cell indicator is again constant on cells (algebra closure)",
-        N,
-        ok,
-        witness,
-    )
+    def idempotents_in_algebra():
+        for i, K in enumerate(Ks):
+            by_h = {}
+            for x in range(size):
+                for y in range(size):
+                    if by_h.setdefault(c.pc[x ^ y], K[x, y]) != K[x, y]:
+                        yield f"E_{i} not constant at distance {c.pc[x ^ y]}"
+    rep.check("cube.idempotents_in_algebra", "each E_i depends only on the distance, hence lies in the algebra", N, idempotents_in_algebra())
+
+    def closure():  # from_matrix raises on a matrix outside the algebra
+        for trip in alg.triples:
+            alg.from_matrix(A @ estar[trip].matrix())
+        yield from ()
+    rep.check("cube.closure", "adjacency times any cell indicator is again constant on cells (algebra closure)", N, closure())
     rep.add("cube.dimension", "the algebra has dimension C(N+3, 3)", N, len(alg.triples) == binomial(N + 3, 3))
 
     ebas = alg.e_basis()
-    ok, witness = True, None
-    elems = [(t,) + e.int_scaled() for t, e in ebas.items()]  # Gram on integer copies
-    for a in range(len(elems)):
-        ta, ea, da = elems[a]
-        if ea.is_zero():
-            ok, witness = False, f"zero element at {tuple(ta)}"
-            break
-        if ea.norm_sq() != da * da * Fraction(factorial(N), cube.profile_of_triple(N, ta).norm_sq):
-            ok, witness = False, f"norm at {tuple(ta)}"
-            break
-        for b in range(a + 1, len(elems)):
-            tb, eb2, _ = elems[b]
-            if ea.inner(eb2) != 0:
-                ok, witness = False, f"pair {tuple(ta)},{tuple(tb)}"
-                break
-        if not ok:
-            break
-    rep.add("cube.e_basis", "E_i A*_h E_j are orthogonal, nonzero, with norms N!/(r!s!t!u!)", N, ok, witness)
+
+    def e_basis():
+        elems = [(t,) + e.int_scaled() for t, e in ebas.items()]  # Gram on integer copies
+        for a, (ta, ea, da) in enumerate(elems):
+            if ea.is_zero():
+                yield f"zero element at {tuple(ta)}"
+            if ea.norm_sq() != da * da * Fraction(factorial(N), cube.profile_of_triple(N, ta).norm_sq):
+                yield f"norm at {tuple(ta)}"
+            for tb, eb2, _ in elems[a + 1 :]:
+                if ea.inner(eb2) != 0:
+                    yield f"pair {tuple(ta)},{tuple(tb)}"
+    rep.check("cube.e_basis", "E_i A*_h E_j are orthogonal, nonzero, with norms N!/(r!s!t!u!)", N, e_basis())
 
     if N <= 3:
-        ok, witness = True, None
-        for trip, elem in ebas.items():
-            if elem.matrix() != alg.e_basis_product_matrix(trip):
-                ok, witness = False, f"triple {tuple(trip)}"
-                break
-        rep.add("cube.e_basis_dense_oracle", "cell-coordinate products match dense matrix products", N, ok, witness)
+        dense = (f"triple {tuple(t)}" for t, e in ebas.items() if e.matrix() != alg.e_basis_product_matrix(t))
+        rep.check("cube.e_basis_dense_oracle", "cell-coordinate products match dense matrix products", N, dense)
 
         X = random_telem(alg, rng)
         Y = random_telem(alg, rng)
-        rep.add(
-            "cube.product_oracle",
-            "coordinate products match dense matrix products on random elements",
-            N,
-            (X @ Y).matrix() == X.matrix() @ Y.matrix()
-            and X.inner(Y) == sum(a * b for ra, rb in zip(X.matrix().rows, Y.matrix().rows) for a, b in zip(ra, rb)),
-        )
 
-    try:
+        def product_oracle():
+            XM, YM = X.matrix(), Y.matrix()
+            if (X @ Y).matrix() != XM @ YM:
+                yield "product of two random elements"
+            if X.inner(Y) != sum(a * b for ra, rb in zip(XM.rows, YM.rows) for a, b in zip(ra, rb)):
+                yield "inner product of two random elements"
+        rep.check("cube.product_oracle", "coordinate products match dense matrix products on random elements", N, product_oracle())
+
+    def wedderburn():
         ideals = alg.wedderburn()
-        ok, witness = True, None
         for la, (_, _, basis_a) in enumerate(ideals):
-            for lb, (_, _, basis_b) in enumerate(ideals):
-                if la >= lb:
-                    continue
+            for lb, (_, _, basis_b) in enumerate(ideals[la + 1 :], la + 1):
                 if any(u.inner(v) != 0 for u in basis_a for v in basis_b):
-                    ok, witness = False, f"ideals {la} and {lb} are not orthogonal"
-                    break
-            if not ok:
-                break
-        rep.add("cube.wedderburn", "central idempotents cut out orthogonal ideals of dimension (N-2l+1)^2", N, ok, witness)
-    except ArithmeticError as e:
-        rep.add("cube.wedderburn", "central idempotents cut out orthogonal ideals of dimension (N-2l+1)^2", N, False, str(e))
+                    yield f"ideals {la} and {lb} are not orthogonal"
+    rep.check("cube.wedderburn", "central idempotents cut out orthogonal ideals of dimension (N-2l+1)^2", N, wedderburn())
 
     phi = alg.phi_central()
     Ae = alg.adjacency_elem()
     Ase = alg.dual_adjacency_elem()
     rep.add("cube.phi_central", "the central element commutes with both generators", N, phi @ Ae == Ae @ phi and phi @ Ase == Ase @ phi)
 
-    ok, witness = True, None
     ops = alg.t_module_ops()
     B = random_telem(alg, rng)
-    checks = [
-        (ops[("A", 2)](B), Ae @ B, "left multiplication form"),
-        (ops[("A", 3)](B), B @ Ae, "right multiplication form"),
-        (ops[("Astar", 2)](B), B @ Ase, "right dual multiplication form"),
-        (ops[("Astar", 3)](B), Ase @ B, "left dual multiplication form"),
-    ]
-    for got, want, name in checks:
-        if got != want:
-            ok, witness = False, name
-            break
-    if ok:
-        for trip, elem in ebas.items():
-            if ops[("A", 1)](elem) != c.theta(trip.h) * elem:
-                ok, witness = False, f"diagonal form at {tuple(trip)}"
-                break
-    if ok:
-        for trip, elem in estar.items():
-            if ops[("Astar", 1)](elem) != c.theta(trip.h) * elem:
-                ok, witness = False, f"dual diagonal form at {tuple(trip)}"
-                break
-    rep.add("cube.module_ops", "the six module operators match their multiplication interpretations", N, ok, witness)
 
-    ok, witness = True, None
+    def module_ops():
+        forms = [
+            (("A", 2), Ae @ B, "left multiplication form"),
+            (("A", 3), B @ Ae, "right multiplication form"),
+            (("Astar", 2), B @ Ase, "right dual multiplication form"),
+            (("Astar", 3), Ase @ B, "left dual multiplication form"),
+        ]
+        for key, want, name in forms:
+            if ops[key](B) != want:
+                yield name
+        for kind, basis, name in (("A", ebas, "diagonal form"), ("Astar", estar, "dual diagonal form")):
+            for trip, elem in basis.items():
+                if ops[(kind, 1)](elem) != c.theta(trip.h) * elem:
+                    yield f"{name} at {tuple(trip)}"
+    rep.check("cube.module_ops", "the six module operators match their multiplication interpretations", N, module_ops())
+
     fixed = [Ae.matrix(), Ase.matrix()] + [c.distance_op(i) for i in range(N + 1)]
-    for M in fixed:
-        if M.transpose() != M:
-            ok, witness = False, "a distinguished element is not symmetric"
-            break
-    rep.add("cube.dagger_fixes", "transpose fixes the adjacency, dual adjacency, and distance operators", N, ok, witness)
+    asymmetric = ("a distinguished element is not symmetric" for M in fixed if M.transpose() != M)
+    rep.check("cube.dagger_fixes", "transpose fixes the adjacency, dual adjacency, and distance operators", N, asymmetric)
 
     X = random_telem(alg, rng)
     Y = random_telem(alg, rng)
     S = alg.s_antiautomorphism
-    ok = S(S(X)) == X and S(X @ Y) == S(Y) @ S(X)
-    for trip in alg.triples:
-        if S(estar[trip]) != ebas[cube.TripleIndex(trip.h, trip.j, trip.i)]:
-            ok = False
-            break
-    rep.add("cube.s_antiautomorphism", "S is an involutive antiautomorphism swapping the two bases", N, ok)
 
-    ok, witness = True, None
-    for trip in alg.triples:
-        h, i, j = trip
-        p = cube.profile_of_triple(N, trip)
-        if binomial(N, h) * cube.intersection_number(N, h, i, j) != factorial(N) // p.norm_sq:
-            ok, witness = False, f"triple {tuple(trip)}"
-            break
-    rep.add("cube.intersection_identity", "k_h p^h_ij = N!/(r!s!t!u!)", N, ok, witness)
+    def s_antiautomorphism():
+        if S(S(X)) != X:
+            yield "S^2 != id on a random element"
+        if S(X @ Y) != S(Y) @ S(X):
+            yield "S(XY) != S(Y) S(X) on random elements"
+        for trip in alg.triples:
+            if S(estar[trip]) != ebas[cube.TripleIndex(trip.h, trip.j, trip.i)]:
+                yield f"S of the cell indicator {tuple(trip)}"
+    rep.check("cube.s_antiautomorphism", "S is an involutive antiautomorphism swapping the two bases", N, s_antiautomorphism())
+
+    def intersection_identity():
+        for trip in alg.triples:
+            if binomial(N, trip.h) * cube.intersection_number(N, *trip) != factorial(N) // cube.profile_of_triple(N, trip).norm_sq:
+                yield f"triple {tuple(trip)}"
+    rep.check("cube.intersection_identity", "k_h p^h_ij = N!/(r!s!t!u!)", N, intersection_identity())
 
     if N <= 4 and basepoint == 0 and size > 1:
-        other = cube.t_algebra(N, 1)
-        try:
-            dims_other = [len(b) for _, _, b in other.wedderburn()]
+
+        def basepoint_independence():
+            dims_other = [len(b) for _, _, b in cube.t_algebra(N, 1).wedderburn()]
             dims_here = [len(b) for _, _, b in alg.wedderburn()]
-            rep.add("cube.basepoint_independence", "dimension profile is basepoint independent", N, dims_other == dims_here)
-        except ArithmeticError as e:
-            rep.add("cube.basepoint_independence", "dimension profile is basepoint independent", N, False, str(e))
+            if dims_other != dims_here:
+                yield f"ideal dimensions {dims_here} at basepoint {basepoint}, {dims_other} at basepoint 1"
+        rep.check("cube.basepoint_independence", "dimension profile is basepoint independent", N, basepoint_independence())
     return rep
 
 
@@ -898,148 +673,105 @@ def suite_tensor(N, basepoint, oracle_n_max, rng) -> Report:
     rep = Report()
     size = 1 << N
 
-    ok, witness = True, None
-    for _ in range(20):
-        x, y, z = rng.randrange(size), rng.randrange(size), rng.randrange(size)
-        p = tensorspace.profile_of(N, x, y, z)
+    def profile_distances():
         c = cube.cube(N)
-        if (c.dist(x, y), c.dist(y, z), c.dist(z, x)) != (p.s + p.t, p.t + p.u, p.u + p.s):
-            ok, witness = False, f"triple {(x, y, z)}"
-            break
-    rep.add("tensor.profile_distances", "pair distances are the two-index sums of the profile", N, ok, witness)
+        for _ in range(20):
+            x, y, z = rng.randrange(size), rng.randrange(size), rng.randrange(size)
+            p = tensorspace.profile_of(N, x, y, z)
+            if (c.dist(x, y), c.dist(y, z), c.dist(z, x)) != (p.s + p.t, p.t + p.u, p.u + p.s):
+                yield f"triple {(x, y, z)}"
+    rep.check("tensor.profile_distances", "pair distances are the two-index sums of the profile", N, profile_distances())
 
     if N <= 4:
         profiles = polyspace.enumerate_profiles(N)
-        ok, witness = True, None
-        for p in profiles:
-            b = tensorspace.b_vector(N, p)
-            want = tensorspace.b_support_size(N, p)
-            if len(b.coeffs) != want or b.norm_sq() != want:
-                ok, witness = False, f"profile {tuple(p)}"
-                break
-            if not tensorspace.fix_membership(b):
-                ok, witness = False, f"orbit sum at {tuple(p)} not fixed"
-                break
-        rep.add("tensor.orbit_sums", "orbit sums have support and square norm N! 2^N / (r!s!t!u!)", N, ok, witness)
 
-        ok, witness = True, None
-        for p in profiles:
-            bt = FixVec.unit(N, TILDE, p).lift()
-            for q in profiles:
-                if tensorspace.b_vector(N, q).inner(bt) != (1 if p == q else 0):
-                    ok, witness = False, f"pair {tuple(p)},{tuple(q)}"
-                    break
-            if not ok:
-                break
-        rep.add("tensor.duality", "orbit sums and their duals pair to the identity", N, ok, witness)
+        def orbit_sums():
+            for p in profiles:
+                b = tensorspace.b_vector(N, p)
+                want = tensorspace.b_support_size(N, p)
+                if len(b.coeffs) != want or b.norm_sq() != want:
+                    yield f"profile {tuple(p)}"
+                if not tensorspace.fix_membership(b):
+                    yield f"orbit sum at {tuple(p)} not fixed"
+        rep.check("tensor.orbit_sums", "orbit sums have support and square norm N! 2^N / (r!s!t!u!)", N, orbit_sums())
 
-        valid = set(cube.valid_triples(N))
-        ok, witness = True, None
-        for h in range(N + 1):
-            for i in range(N + 1):
-                for j in range(N + 1):
-                    q = tensorspace.q_vector(N, (h, i, j))
-                    if (h, i, j) in valid:
-                        p = cube.profile_of_triple(N, (h, i, j))
-                        if q.norm_sq() != tensorspace.b_support_size(N, p):
-                            ok, witness = False, f"spectral norm at {(h, i, j)}"
-                            break
+        def duality():
+            for p in profiles:
+                bt = FixVec.unit(N, TILDE, p).lift()
+                for q in profiles:
+                    if tensorspace.b_vector(N, q).inner(bt) != (1 if p == q else 0):
+                        yield f"pair {tuple(p)},{tuple(q)}"
+        rep.check("tensor.duality", "orbit sums and their duals pair to the identity", N, duality())
+
+        def spectral_sums():
+            valid = set(cube.valid_triples(N))
+            for h in range(N + 1):
+                for i in range(N + 1):
+                    for j in range(N + 1):
+                        q = tensorspace.q_vector(N, (h, i, j))
+                        if (h, i, j) not in valid:
+                            if not q.is_zero():
+                                yield f"nonzero spectral sum at invalid {(h, i, j)}"
+                            continue
+                        if q.norm_sq() != tensorspace.b_support_size(N, cube.profile_of_triple(N, (h, i, j))):
+                            yield f"spectral norm at {(h, i, j)}"
                         if not tensorspace.fix_membership(q):
-                            ok, witness = False, f"spectral sum at {(h, i, j)} not fixed"
-                            break
-                    elif not q.is_zero():
-                        ok, witness = False, f"nonzero spectral sum at invalid {(h, i, j)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add("tensor.spectral_sums", "spectral sums vanish exactly off the valid triples, with matching norms", N, ok, witness)
+                            yield f"spectral sum at {(h, i, j)} not fixed"
+        rep.check("tensor.spectral_sums", "spectral sums vanish exactly off the valid triples, with matching norms", N, spectral_sums())
 
-        total = tensorspace.TripleTensor(N)
-        for p in profiles:
-            total = total + tensorspace.bstar_vector(N, p)
-        rep.add(
-            "tensor.diagonal_sum",
-            "the diagonal orbit sum is 2^-N times the sum of all spectral sums",
-            N,
-            Fraction(1, 2**N) * total == tensorspace.b_vector(N, (N, 0, 0, 0)),
-        )
-
-        total = tensorspace.TripleTensor(N)
-        for p in profiles:
-            total = total + tensorspace.b_vector(N, p)
-        rep.add(
-            "tensor.diagonal_sum_dual",
-            "the diagonal spectral sum is 2^-N times the sum of all orbit sums",
-            N,
-            Fraction(1, 2**N) * total == tensorspace.bstar_vector(N, (N, 0, 0, 0)),
-        )
+        for check_id, anchor, summand, diagonal in (
+            ("tensor.diagonal_sum", "the diagonal orbit sum is 2^-N times the sum of all spectral sums",
+             tensorspace.bstar_vector, tensorspace.b_vector),
+            ("tensor.diagonal_sum_dual", "the diagonal spectral sum is 2^-N times the sum of all orbit sums",
+             tensorspace.b_vector, tensorspace.bstar_vector),
+        ):
+            total = tensorspace.TripleTensor(N)
+            for p in profiles:
+                total.add_scaled(1, summand(N, p))
+            rep.add(check_id, anchor, N, Fraction(1, 2**N) * total == diagonal(N, (N, 0, 0, 0)))
     else:
         rep.skip("tensor.orbit_sums", "orbit and spectral sum certification", N, "above concrete-tensor budget")
 
     if N <= oracle_n_max:
         profiles = polyspace.enumerate_profiles(N)
-        ok, witness = True, None
-        for tag in (TILDE, STAR_TILDE):
-            for p in profiles:
-                u = FixVec.unit(N, tag, p)
-                lifted = u.lift()
-                for kind in ("A", "Astar"):
-                    for k in (1, 2, 3):
-                        lhs = tensorspace.act_abstract(k, kind, u).lift()
-                        rhs = tensorspace.act_concrete(k, kind, lifted)
-                        if lhs != rhs:
-                            ok, witness = False, f"{kind}^({k}) on {tag} {tuple(p)}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add("tensor.oracle", "abstract coordinate action equals the concrete slot-wise action", N, ok, witness)
 
-        ok, witness = True, None
+        def oracle():
+            for tag in (TILDE, STAR_TILDE):
+                for p in profiles:
+                    u = FixVec.unit(N, tag, p)
+                    lifted = u.lift()
+                    for kind in ("A", "Astar"):
+                        for k in (1, 2, 3):
+                            if tensorspace.act_abstract(k, kind, u).lift() != tensorspace.act_concrete(k, kind, lifted):
+                                yield f"{kind}^({k}) on {tag} {tuple(p)}"
+        rep.check("tensor.oracle", "abstract coordinate action equals the concrete slot-wise action", N, oracle())
+
         t = tensorspace.TripleTensor(
             N, {rng.randrange(size**3): Fraction(rng.randint(1, 5)) for _ in range(5)}
         )
-        for k in (1, 2, 3):
-            for perm, flip in tensorspace.symmetry_generators(N):
-                lhs = tensorspace.apply_symmetry(N, tensorspace.act_concrete(k, "Astar", t), perm, flip)
-                rhs = tensorspace.act_concrete(k, "Astar", tensorspace.apply_symmetry(N, t, perm, flip))
-                if lhs != rhs:
-                    ok, witness = False, f"operator {k}"
-                    break
-            if not ok:
-                break
-        rep.add("tensor.symmetry_commutes", "the diagonal symmetries commute with the starred operators", N, ok, witness)
 
-        ok, witness = True, None
-        group = tensorspace.full_group(N)
-        orbit_of = {}
-        for x in range(size):
-            for y in range(size):
-                for z in range(size):
-                    key = tensorspace.pack(N, x, y, z)
-                    rep_key = min(
-                        tensorspace.pack(
-                            N,
-                            tensorspace.permute_bits(x, pm) ^ fl,
-                            tensorspace.permute_bits(y, pm) ^ fl,
-                            tensorspace.permute_bits(z, pm) ^ fl,
+        def symmetry_commutes():
+            act, sym = tensorspace.act_concrete, tensorspace.apply_symmetry
+            for k in (1, 2, 3):
+                for perm, flip in tensorspace.symmetry_generators(N):
+                    if sym(N, act(k, "Astar", t), perm, flip) != act(k, "Astar", sym(N, t, perm, flip)):
+                        yield f"operator {k}"
+        rep.check("tensor.symmetry_commutes", "the diagonal symmetries commute with the starred operators", N, symmetry_commutes())
+
+        def orbits_are_profiles():
+            group = tensorspace.full_group(N)
+            permute = tensorspace.permute_bits
+            orbit_of = {}
+            for x in range(size):
+                for y in range(size):
+                    for z in range(size):
+                        rep_key = min(
+                            tensorspace.pack(N, permute(x, pm) ^ fl, permute(y, pm) ^ fl, permute(z, pm) ^ fl)
+                            for pm, fl in group
                         )
-                        for pm, fl in group
-                    )
-                    prof = tensorspace.profile_of(N, x, y, z)
-                    if orbit_of.setdefault(prof, rep_key) != rep_key:
-                        ok, witness = False, f"triple {(x, y, z)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add("tensor.orbits_are_profiles", "two triples lie in one orbit exactly when their profiles agree", N, ok, witness)
+                        if orbit_of.setdefault(tensorspace.profile_of(N, x, y, z), rep_key) != rep_key:
+                            yield f"triple {(x, y, z)}"
+        rep.check("tensor.orbits_are_profiles", "two triples lie in one orbit exactly when their profiles agree", N, orbits_are_profiles())
 
         if N >= 2:
             lone = tensorspace.TripleTensor.basis(N, 0, 1, 2 if size > 2 else 1)

@@ -13,7 +13,8 @@ from itertools import permutations
 
 from .cube import cube, triple_of_profile
 from .exact import factorial
-from .polyspace import Profile, enumerate_profiles
+from .polyspace import Profile, _act_profiles, _norm_sq, enumerate_profiles
+from .sparse import SparseVec
 
 TILDE = "tilde"  # coordinates against the duals of the orbit sums
 STAR_TILDE = "star_tilde"  # coordinates against the duals of the spectral sums
@@ -28,59 +29,22 @@ def unpack(N, key):
     return (key >> (2 * N)) & mask, (key >> N) & mask, key & mask
 
 
-class TripleTensor:
+class TripleTensor(SparseVec):
     """Sparse exact vector in the triple tensor space."""
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ()
 
     def __init__(self, N, coeffs=None):
-        self.N = N
+        self.space = N
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+
+    @property
+    def N(self):
+        return self.space
 
     @classmethod
     def basis(cls, N, x, y, z):
         return cls(N, {pack(N, x, y, z): 1})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-        return TripleTensor(self.N, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if not scalar:
-            return TripleTensor(self.N)
-        return TripleTensor(self.N, {k: scalar * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TripleTensor):
-            return NotImplemented
-        if not self.coeffs and not other.coeffs:
-            return True
-        return self.N == other.N and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("TripleTensor is unhashable")
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def inner(self, other):
-        small, big = (self.coeffs, other.coeffs) if len(self.coeffs) <= len(other.coeffs) else (other.coeffs, self.coeffs)
-        return sum(v * big[k] for k, v in small.items() if k in big)
-
-    def norm_sq(self):
-        return sum(v * v for v in self.coeffs.values())
-
-    def __repr__(self):
-        return f"TripleTensor(N={self.N}, terms={len(self.coeffs)})"
 
 
 def profile_of(N, x, y, z):
@@ -145,7 +109,7 @@ def bstar_vector(N, p) -> TripleTensor:
     return q_vector(N, triple_of_profile(Profile(*p)))
 
 
-class FixVec:
+class FixVec(SparseVec):
     """Fixed-subspace vector in dual-basis coordinates.
 
     Tag ``tilde`` means coordinates against the duals of the orbit sums (where
@@ -153,117 +117,46 @@ class FixVec:
     duals of the spectral sums (where the starred operators shift).
     """
 
-    __slots__ = ("N", "tag", "coeffs")
+    __slots__ = ()
 
     def __init__(self, N, tag, coeffs=None):
         if tag not in (TILDE, STAR_TILDE):
             raise ValueError(f"unknown tag {tag!r}")
-        self.N = N
-        self.tag = tag
-        self.coeffs = {}
-        for p, c in (coeffs or {}).items():
-            if c:
-                self.coeffs[Profile(*p)] = c
+        self.space = (N, tag)
+        self.coeffs = {Profile(*p): c for p, c in (coeffs or {}).items() if c}
+
+    @property
+    def N(self):
+        return self.space[0]
+
+    @property
+    def tag(self):
+        return self.space[1]
 
     @classmethod
     def unit(cls, N, tag, profile):
         return cls(N, tag, {Profile(*profile): 1})
 
-    def __add__(self, other):
-        if self.tag != other.tag:
-            raise ValueError("mixing coordinate tags")
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            nv = out.get(p, 0) + c
-            if nv:
-                out[p] = nv
-            else:
-                del out[p]
-        return FixVec(self.N, self.tag, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        if not scalar:
-            return FixVec(self.N, self.tag)
-        return FixVec(self.N, self.tag, {p: scalar * c for p, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, FixVec):
-            return NotImplemented
-        if not self.coeffs and not other.coeffs:
-            return True
-        return self.N == other.N and self.tag == other.tag and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        raise TypeError("FixVec is unhashable")
-
-    def is_zero(self):
-        return not self.coeffs
-
     def lift(self) -> TripleTensor:
         """Concrete tensor represented by these coordinates."""
-        out = TripleTensor(self.N)
-        base = b_vector if self.tag == TILDE else bstar_vector
+        N, tag = self.space
+        out = TripleTensor(N)
+        base = b_vector if tag == TILDE else bstar_vector
         for p, c in self.coeffs.items():
-            w = Fraction(p.norm_sq, factorial(self.N) * 2**self.N)
-            out = out + (c * w) * base(self.N, p)
+            out.add_scaled(c * Fraction(p.norm_sq, factorial(N) * 2**N), base(N, p))
         return out
 
     def inner(self, other):
-        """Form value via the certified norms of the underlying orthogonal sums."""
-        if self.tag != other.tag:
-            raise ValueError("mixed-tag inner products need the concrete lift")
-        total = 0
-        for p, c in self.coeffs.items():
-            d = other.coeffs.get(p)
-            if d:
-                # ||dual basis vector||^2 = (r!s!t!u!)^2/(N! 2^N)^2 * N! 2^N / r!s!t!u!
-                total += c * d * Fraction(p.norm_sq, factorial(self.N) * 2**self.N)
-        return total
-
-    def __repr__(self):
-        return f"FixVec({self.tag!r}, {dict(self.coeffs)!r})"
-
-
-_SHIFT_TABLE = {
-    1: ((0, (-1, 1, 0, 0)), (1, (1, -1, 0, 0)), (2, (0, 0, -1, 1)), (3, (0, 0, 1, -1))),
-    2: ((0, (-1, 0, 1, 0)), (1, (0, -1, 0, 1)), (2, (1, 0, -1, 0)), (3, (0, 1, 0, -1))),
-    3: ((0, (-1, 0, 0, 1)), (1, (0, -1, 1, 0)), (2, (0, 1, -1, 0)), (3, (1, 0, 0, -1))),
-}
-
-
-def _diag_weight(k, p):
-    r, s, t, u = p
-    if k == 1:
-        return r + s - t - u
-    if k == 2:
-        return r - s + t - u
-    return r - s - t + u
+        """Form value via the certified norms of the underlying orthogonal sums:
+        ||dual basis vector||^2 = (r!s!t!u!)^2/(N! 2^N)^2 * N! 2^N / r!s!t!u!."""
+        N = self.space[0]
+        return Fraction(SparseVec.inner(self, other, _norm_sq), factorial(N) * 2**N)
 
 
 def act_abstract(k, kind, v: FixVec) -> FixVec:
     """Stated coordinate action of the six operators on the fixed subspace."""
-    shifts = (kind == "A") == (v.tag == TILDE)
-    out = {}
-    if shifts:
-        for p, c in v.coeffs.items():
-            for pos, sh in _SHIFT_TABLE[k]:
-                w = p[pos]
-                if w:
-                    q = Profile(p[0] + sh[0], p[1] + sh[1], p[2] + sh[2], p[3] + sh[3])
-                    nv = out.get(q, 0) + c * w
-                    if nv:
-                        out[q] = nv
-                    else:
-                        del out[q]
-    else:
-        for p, c in v.coeffs.items():
-            w = _diag_weight(k, p)
-            if w:
-                out[p] = c * w
-    return FixVec(v.N, v.tag, out)
+    four_term = (kind == "A") == (v.tag == TILDE)
+    return FixVec._of(v.space, _act_profiles(four_term, k, v.coeffs))
 
 
 def act_concrete(k, kind, t: TripleTensor) -> TripleTensor:

@@ -33,6 +33,17 @@ def test_config_validation():
         cli.run(SuiteConfig(output="yaml"))
 
 
+def test_n_max_above_cube_cap_is_a_usage_error(monkeypatch, capsys):
+    def no_job(job):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_run_job", no_job)
+    argv = ["verify", "--suite", "cube", "--n-min", "9", "--n-max", "9", "--oracle-n-max", "0"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert "cube cap 8" in capsys.readouterr().err
+    SuiteConfig(n_min=9, n_max=9, suites=("poly", "special"), oracle_n_max=0).validate()  # no cap there
+
+
 def test_main_exit_codes(capsys):
     assert cli.main(["verify", "--n-max", "1", "--suite", "sl4", "--output", "text"]) == 0
     out = capsys.readouterr().out

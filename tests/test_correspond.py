@@ -125,3 +125,18 @@ def test_cross_pairing():
                 co.ddag_scaled_starred(PolyVec.unit(STARRED, q)).lift()
             )
             assert lhs == factorial(N) ** 2 * sf.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u))
+
+
+def test_crash_in_wedderburn_is_a_failing_check(monkeypatch):
+    # reversed eigenvalues make TAlgebra.wedderburn raise ArithmeticError; the
+    # suite must still return a report, with the crash as a failing check
+    import random
+
+    from sl4cube import suites
+    from sl4cube.cube import TAlgebra
+
+    real = TAlgebra.phi_eigenvalues
+    monkeypatch.setattr(TAlgebra, "phi_eigenvalues", lambda self: real(self)[::-1])
+    rep = suites.suite_correspond(2, 0, 2, random.Random(0))
+    failed = {c.id: c.witness for c in rep.failures}
+    assert failed["correspond.wedderburn"].startswith("ArithmeticError: ")

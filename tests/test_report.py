@@ -1,0 +1,37 @@
+from sl4cube.report import FAIL, PASS, Report
+
+
+def test_report_check_first_witness_wins():
+    rep = Report()
+    assert not rep.check("a", "anchor", 1, iter(["first", "second"]))
+    assert rep.checks[-1].status == FAIL and rep.checks[-1].witness == "first"
+
+
+def test_report_check_empty_iterable_passes():
+    rep = Report()
+    assert rep.check("a", "anchor", None, [])
+    assert rep.checks[-1].status == PASS and rep.checks[-1].witness is None
+
+
+def test_report_check_exception_is_a_failure():
+    def failures():
+        raise ArithmeticError("ideal 0 has dimension 1, expected 9")
+        yield
+
+    rep = Report()
+    assert not rep.check("a", "anchor", 2, failures())
+    assert rep.checks[-1].status == FAIL
+    assert rep.checks[-1].witness == "ArithmeticError: ideal 0 has dimension 1, expected 9"
+
+
+def test_report_check_stops_at_first_witness():
+    drawn = []
+
+    def failures():
+        for k in range(5):
+            drawn.append(k)
+            if k == 1:
+                yield f"k={k}"
+
+    Report().check("a", "anchor", 0, failures())
+    assert drawn == [0, 1]

@@ -120,10 +120,3 @@ def test_transition_expansion():
 def test_tails_count():
     for N in range(6):
         assert len(sf.tails(N)) == comb(N + 3, 3)
-
-
-def test_key_validation():
-    key = sf.TransitionKey(2, (1, 1, 0), (0, 0, 0))
-    key.validate()
-    with pytest.raises(ValueError):
-        sf.TransitionKey(2, (2, 1, 0), (0, 0, 0)).validate()
