@@ -92,16 +92,13 @@ def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
     """Monomials to reversed cell indicators, starred monomials to the spectral
     basis, both weighted by the profile factorials."""
     v.degree()
+    if v.basis != MONOMIAL:
+        return alg._e_combination({triple_of_profile(p): c * p.norm_sq for p, c in v.items()})
     out = alg.zero()
-    if v.basis == MONOMIAL:
-        estar = alg.estar_basis()
-        for p, c in v.items():
-            h, i, j = triple_of_profile(p)
-            out.add_scaled(c * p.norm_sq, estar[TripleIndex(h, j, i)])
-    else:
-        ebas = alg.e_basis()
-        for p, c in v.items():
-            out.add_scaled(c * p.norm_sq, ebas[triple_of_profile(p)])
+    estar = alg.estar_basis()
+    for p, c in v.items():
+        h, i, j = triple_of_profile(p)
+        out.add_scaled(c * p.norm_sq, estar[TripleIndex(h, j, i)])
     return out
 
 

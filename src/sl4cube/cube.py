@@ -10,6 +10,8 @@ inner products cheap to compute exactly once that fact has been certified.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add, mul
 from typing import NamedTuple
 
 from .exact import binomial
@@ -116,6 +118,11 @@ def cube(N) -> Cube:
     return Cube(N)
 
 
+def _common_denominator(values):
+    """The lcm of the denominators of exact rationals (ints count as 1)."""
+    return lcm(*(v.denominator for v in values))
+
+
 class TElem(SparseVec):
     """Element of the subconstituent algebra, stored by its value on each cell.
 
@@ -181,12 +188,7 @@ class TElem(SparseVec):
 
     def int_scaled(self):
         """(integer-coordinate multiple, denominator): self = multiple / denominator."""
-        from math import lcm
-
-        den = 1
-        for v in self.coords.values():
-            if isinstance(v, Fraction):
-                den = lcm(den, v.denominator)
+        den = _common_denominator(self.coords.values())
         if den == 1:
             return TElem(self.alg, {k: int(v) for k, v in self.coords.items()}), 1
         return TElem(self.alg, {k: int(v * den) for k, v in self.coords.items()}), den
@@ -204,8 +206,17 @@ class TAlgebra:
         self.dist_to_base = [self.cube.dist(x, basepoint) for x in range(self.cube.size)]
         self.triples = valid_triples(N)
         self.cell_reps = {t: self._make_rep(t) for t in self.triples}
+        self._cell_slot = {t: n for n, t in enumerate(self.triples)}
         self.cell_sizes = self._count_cells()
+        # E_i = K_i / 2^N with K_i integral, so every E_i A*_h E_j coordinate
+        # is an integer over this one denominator
+        self.e_den = 4**N
+        self._estar_basis = None
         self._e_basis = None
+        # the integer kernel behind the E-basis, filled by e_basis from the
+        # same integers: per triple, the tuple of numerators over e_den in
+        # self.triples order, and the cell-size weighted sum of their squares
+        self._e_rows = None
         self._e_norms = None
 
     # -- cell geometry -------------------------------------------------
@@ -283,21 +294,30 @@ class TAlgebra:
 
     def estar_basis(self):
         """E*_i A_h E*_j for valid (h, i, j): the cell indicator matrices."""
-        return {t: TElem(self, {t: 1}) for t in self.triples}
+        if self._estar_basis is None:
+            self._estar_basis = {t: TElem._of(self, {t: 1}) for t in self.triples}
+        return self._estar_basis
 
     def e_basis(self):
-        """E_i A*_h E_j for valid (h, i, j), through the integer idempotent numerators."""
+        """E_i A*_h E_j for valid (h, i, j), through the integer idempotent numerators.
+
+        Also fills the integer kernel (numerator rows and weighted norms) that
+        e_coords, the A-kind module operators and _e_combination work in.
+        """
         if self._e_basis is not None:
             return self._e_basis
         Ks = self.cube.idempotent_numerators()
         size = self.cube.size
-        scale = Fraction(1, 4**self.N)
+        den = self.e_den
+        sizes = [self.cell_sizes[t] for t in self.triples]
         diags = {h: self.dual_distance_diag(h) for h in range(self.N + 1)}
-        out = {}
+        shared = {}  # numerator -> (one int, one Fraction) reused across the basis
+        out, rows, norms = {}, {}, {}
         for trip in self.triples:
             h, i, j = trip
             Ki, Kj, dh = Ks[i], Ks[j], diags[h]
             coords = {}
+            row = []
             for target, (x, y) in self.cell_reps.items():
                 kirow = Ki.rows[x]
                 total = 0
@@ -310,9 +330,15 @@ class TAlgebra:
                             if c:
                                 total += a * b * c
                 if total:
-                    coords[target] = total * scale
-            out[trip] = TElem(self, coords)
-        self._e_basis = out
+                    pair = shared.get(total)
+                    if pair is None:
+                        pair = shared[total] = (total, Fraction(total, den))
+                    total, coords[target] = pair
+                row.append(total)
+            out[trip] = TElem._of(self, coords)
+            rows[trip] = tuple(row)
+            norms[trip] = sum(map(mul, sizes, map(mul, row, row)))
+        self._e_basis, self._e_rows, self._e_norms = out, rows, norms
         return out
 
     def e_basis_product_matrix(self, trip):
@@ -341,11 +367,48 @@ class TAlgebra:
         return TElem(self, coords)
 
     def e_coords(self, B):
-        """Coordinates of B against the orthogonal E_i A*_h E_j basis."""
-        eb = self.e_basis()
-        if self._e_norms is None:
-            self._e_norms = {t: eb[t].norm_sq() for t in self.triples}
-        return {t: B.inner(eb[t]) / self._e_norms[t] for t in self.triples}
+        """Coordinates of B against the orthogonal E_i A*_h E_j basis.
+
+        The coordinate at t is <B, e_t> / <e_t, e_t>; with B cleared to
+        integers over D and e_t the row r_t over e_den, that is
+        (sum over cells s of D B_s |s| r_t[s]) * e_den / (D * norm(r_t)),
+        one integer dot product per triple.
+        """
+        if B.space is not self:
+            raise ValueError("mixing TElem tags; convert first")
+        if self._e_rows is None:
+            self.e_basis()
+        rows, norms = self._e_rows, self._e_norms
+        den = _common_denominator(B.coeffs.values())
+        slot = self._cell_slot
+        slots, weights = [], []
+        for s, v in B.coeffs.items():
+            slots.append(slot[s])
+            weights.append(v.numerator * (den // v.denominator) * self.cell_sizes[s])
+        scale = self.e_den
+        return {
+            t: Fraction(sum(map(mul, weights, map(rows[t].__getitem__, slots))) * scale, den * norms[t])
+            for t in self.triples
+        }
+
+    def _e_combination(self, coeffs, weights=None):
+        """sum over t of coeffs[t] * weights[t] * e_t, for rational coefficients
+        and integer weights keyed by triple (weights None means 1): the
+        numerator rows are combined in integers over one common denominator,
+        and each output coordinate becomes one Fraction."""
+        if self._e_rows is None:
+            self.e_basis()
+        rows = self._e_rows
+        den = _common_denominator(coeffs.values())
+        acc = [0] * len(self.triples)
+        for t, c in coeffs.items():
+            m = c.numerator * (den // c.denominator)
+            if weights is not None:
+                m *= weights[t]
+            if m:
+                acc = list(map(add, acc, map(m.__mul__, rows[t])))
+        den *= self.e_den
+        return TElem._of(self, {t: Fraction(a, den) for t, a in zip(self.triples, acc) if a})
 
     # -- center and Wedderburn decomposition ------------------------------
 
@@ -438,13 +501,10 @@ class TAlgebra:
             return op
         if kind == "A":
             slot = {1: 0, 2: 1, 3: 2}[k]  # theta_h, theta_i, theta_j
-            eb = self.e_basis()
+            theta = {t: N - 2 * t[slot] for t in self.triples}
 
             def op(B):
-                out = self.zero()
-                for t, c in self.e_coords(B).items():
-                    out.add_scaled(c * (N - 2 * t[slot]), eb[t])
-                return out
+                return self._e_combination(self.e_coords(B), theta)
 
             return op
         raise ValueError(f"unknown kind {kind!r}")
@@ -456,11 +516,7 @@ class TAlgebra:
     def s_antiautomorphism(self, B):
         """The basis-swapping antiautomorphism: cell indicator (h, i, j) goes to
         the E-basis element (h, j, i)."""
-        eb = self.e_basis()
-        out = self.zero()
-        for (h, i, j), v in B.coeffs.items():
-            out.add_scaled(v, eb[TripleIndex(h, j, i)])
-        return out
+        return self._e_combination({TripleIndex(h, j, i): v for (h, i, j), v in B.coeffs.items()})
 
 @lru_cache(maxsize=None)
 def t_algebra(N, basepoint=0) -> TAlgebra:

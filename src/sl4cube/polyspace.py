@@ -187,9 +187,13 @@ def _expand_profile(profile):
 
 
 def convert_basis(v: PolyVec, target) -> PolyVec:
-    """Exact change of basis; converting twice returns the original."""
+    """Exact change of basis; converting twice returns the original.
+
+    A vector already in the target basis is returned as it is, not copied:
+    vectors are immutable by convention.
+    """
     if v.basis == target:
-        return PolyVec._of(target, dict(v.coeffs))
+        return v
     out = PolyVec._of(target, {})
     for p, c in v.coeffs.items():
         out.add_scaled(c, PolyVec._of(target, _expand_profile(p)))

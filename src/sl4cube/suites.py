@@ -273,8 +273,6 @@ def suite_poly(N, rng) -> Report:
         rep.check("poly.eigenspace_dims", "generator eigenspace of N-2n has dimension (n+1)(N-n+1)", N, eigenspace_dims())
 
     # decomposition machinery
-    fam = specialfn.krawtchouk(N)
-
     def kernel_basis():
         for i in (1, 2, 3):
             for (j, k), v in polyspace.kernel_L_basis(i, N).items():
@@ -303,6 +301,7 @@ def suite_poly(N, rng) -> Report:
     )
 
     def krawtchouk_annihilation():
+        fam = specialfn.krawtchouk(N)
         for i in (1, 2, 3):
             gid = GeneratorId("A", i)
             for p in profiles:
@@ -460,9 +459,11 @@ def suite_cube(N, basepoint, rng) -> Report:
         br(A, br(A, Astar)) == Astar.scale(4) and br(Astar, br(Astar, A)) == A.scale(4),
     )
 
-    Ks = c.idempotent_numerators()
-
+    # the Krawtchouk family, the idempotent numerators and the E-basis are
+    # built inside the checks that use them, so a raise while building fails
+    # those checks
     def idempotents():
+        Ks = c.idempotent_numerators()
         total = Mat.zeros(size, size)
         recon = Mat.zeros(size, size)
         for i, K in enumerate(Ks):
@@ -488,11 +489,15 @@ def suite_cube(N, basepoint, rng) -> Report:
                 if Ei @ Ej != (scaled[i] if i == j else zero):
                     yield f"E_{i} E_{j}"
     rep.check("cube.idempotents", "the E_i are symmetric orthogonal idempotents resolving I and A", N, idempotents())
-    rep.check("cube.idempotent_ranks", "rank E_i = C(N, i)", N, (f"rank E_{i}" for i, K in enumerate(Ks) if K.rank() != binomial(N, i)))
 
-    fam = specialfn.krawtchouk(N)
+    def idempotent_ranks():
+        for i, K in enumerate(c.idempotent_numerators()):
+            if K.rank() != binomial(N, i):
+                yield f"rank E_{i}"
+    rep.check("cube.idempotent_ranks", "rank E_i = C(N, i)", N, idempotent_ranks())
 
     def distance_vs_krawtchouk():
+        fam = specialfn.krawtchouk(N)
         for i in range(N + 1):
             acc = eye.scale(fam.coeffs[i][-1])
             for coef in reversed(fam.coeffs[i][:-1]):
@@ -508,23 +513,26 @@ def suite_cube(N, basepoint, rng) -> Report:
     rep.add("cube.distance_partition", "the distance operators sum to the all-ones matrix", N, total == ones and c.distance_op(0) == eye)
 
     # the Krawtchouk value of the h-th dual distance operator at vertex x
-    dual_value = lambda h, x: binomial(N, h) * fam.evaluate(h, c.theta(alg.dist_to_base[x]))
+    dual_value = lambda fam, h, x: binomial(N, h) * fam.evaluate(h, c.theta(alg.dist_to_base[x]))
 
     def dual_distance_vs_krawtchouk():
+        fam = specialfn.krawtchouk(N)
         for i in range(N + 1):
             diag = alg.dual_distance_diag(i)
             for x in range(size):
-                if diag[x] != dual_value(i, x):
+                if diag[x] != dual_value(fam, i, x):
                     yield f"dual distance operator {i} at vertex {x}"
     rep.check("cube.dual_distance_vs_krawtchouk", "A*_i = C(N, i) f_i(A*)", N, dual_distance_vs_krawtchouk())
 
     vec = [Fraction(rng.randint(-5, 5)) for _ in range(size)]
 
     def dual_distance_pointwise():
+        fam = specialfn.krawtchouk(N)
+        Ks = c.idempotent_numerators()
         for h in range(N + 1):
             for x in range(size):
                 # Krawtchouk route against the entrywise product with the 2^N E_h base column
-                if dual_value(h, x) * vec[x] != Ks[h][x, basepoint] * vec[x]:
+                if dual_value(fam, h, x) * vec[x] != Ks[h][x, basepoint] * vec[x]:
                     yield f"grade {h} at vertex {x}"
     rep.check("cube.dual_distance_pointwise", "A*_h v equals the entrywise product of v with 2^N E_h(base)", N, dual_distance_pointwise())
 
@@ -553,7 +561,7 @@ def suite_cube(N, basepoint, rng) -> Report:
     rep.check("cube.invalid_triples_vanish", "both triple products vanish off the valid index set", N, invalid_triples_vanish())
 
     def idempotents_in_algebra():
-        for i, K in enumerate(Ks):
+        for i, K in enumerate(c.idempotent_numerators()):
             by_h = {}
             for x in range(size):
                 for y in range(size):
@@ -568,10 +576,8 @@ def suite_cube(N, basepoint, rng) -> Report:
     rep.check("cube.closure", "adjacency times any cell indicator is again constant on cells (algebra closure)", N, closure())
     rep.add("cube.dimension", "the algebra has dimension C(N+3, 3)", N, len(alg.triples) == binomial(N + 3, 3))
 
-    ebas = alg.e_basis()
-
     def e_basis():
-        elems = [(t,) + e.int_scaled() for t, e in ebas.items()]  # Gram on integer copies
+        elems = [(t,) + e.int_scaled() for t, e in alg.e_basis().items()]  # Gram on integer copies
         for a, (ta, ea, da) in enumerate(elems):
             if ea.is_zero():
                 yield f"zero element at {tuple(ta)}"
@@ -583,8 +589,12 @@ def suite_cube(N, basepoint, rng) -> Report:
     rep.check("cube.e_basis", "E_i A*_h E_j are orthogonal, nonzero, with norms N!/(r!s!t!u!)", N, e_basis())
 
     if N <= 3:
-        dense = (f"triple {tuple(t)}" for t, e in ebas.items() if e.matrix() != alg.e_basis_product_matrix(t))
-        rep.check("cube.e_basis_dense_oracle", "cell-coordinate products match dense matrix products", N, dense)
+
+        def dense():
+            for t, e in alg.e_basis().items():
+                if e.matrix() != alg.e_basis_product_matrix(t):
+                    yield f"triple {tuple(t)}"
+        rep.check("cube.e_basis_dense_oracle", "cell-coordinate products match dense matrix products", N, dense())
 
         X = random_telem(alg, rng)
         Y = random_telem(alg, rng)
@@ -623,7 +633,7 @@ def suite_cube(N, basepoint, rng) -> Report:
         for key, want, name in forms:
             if ops[key](B) != want:
                 yield name
-        for kind, basis, name in (("A", ebas, "diagonal form"), ("Astar", estar, "dual diagonal form")):
+        for kind, basis, name in (("A", alg.e_basis(), "diagonal form"), ("Astar", estar, "dual diagonal form")):
             for trip, elem in basis.items():
                 if ops[(kind, 1)](elem) != c.theta(trip.h) * elem:
                     yield f"{name} at {tuple(trip)}"
@@ -642,6 +652,7 @@ def suite_cube(N, basepoint, rng) -> Report:
             yield "S^2 != id on a random element"
         if S(X @ Y) != S(Y) @ S(X):
             yield "S(XY) != S(Y) S(X) on random elements"
+        ebas = alg.e_basis()
         for trip in alg.triples:
             if S(estar[trip]) != ebas[cube.TripleIndex(trip.h, trip.j, trip.i)]:
                 yield f"S of the cell indicator {tuple(trip)}"
