@@ -80,24 +80,39 @@ def _job_rng(seed, suite, n):
     return random.Random(f"{seed}:{suite}:{n}")
 
 
+def _suite_report(suite, n, rng, oracle_n_max, base):
+    if suite == "sl4":
+        return suites.suite_sl4(rng)
+    if suite == "poly":
+        return suites.suite_poly(n, rng)
+    if suite == "special":
+        return suites.suite_special(n, rng, oracle_n_max)
+    if suite == "cube":
+        return suites.suite_cube(n, base, rng)
+    if suite == "tensor":
+        return suites.suite_tensor(n, base, oracle_n_max, rng)
+    if suite == "correspond":
+        return suites.suite_correspond(n, base, oracle_n_max, rng)
+    raise ValueError(f"unknown suite {suite!r}")
+
+
 def _run_job(job):
+    """The checks of one (suite, N) job.
+
+    An exception that escapes the suite, from code outside any one check,
+    replaces the job's checks by one failing check "<suite>.completed" with
+    witness "<Type>: <message>", so the run still ends in a report.
+    """
     suite, n, cfg_tuple = job
     seed, oracle_n_max, basepoint = cfg_tuple
     rng = _job_rng(seed, suite, n)
     base = basepoint % (1 << n) if n else 0
-    if suite == "sl4":
-        return suites.suite_sl4(rng).checks
-    if suite == "poly":
-        return suites.suite_poly(n, rng).checks
-    if suite == "special":
-        return suites.suite_special(n, rng, oracle_n_max).checks
-    if suite == "cube":
-        return suites.suite_cube(n, base, rng).checks
-    if suite == "tensor":
-        return suites.suite_tensor(n, base, oracle_n_max, rng).checks
-    if suite == "correspond":
-        return suites.suite_correspond(n, base, oracle_n_max, rng).checks
-    raise ValueError(f"unknown suite {suite!r}")
+    try:
+        return _suite_report(suite, n, rng, oracle_n_max, base).checks
+    except Exception as e:
+        rep = Report()
+        rep.add(f"{suite}.completed", "the suite runs to its end", n, False, f"{type(e).__name__}: {e}")
+        return rep.checks
 
 
 def run(cfg: SuiteConfig):

@@ -10,12 +10,11 @@ inner products cheap to compute exactly once that fact has been certified.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .exact import binomial
-from .linalg import Mat
+from .exact import binomial, clear_denominators
+from .linalg import Mat, independent_rows
 from .sparse import SparseVec
 
 
@@ -118,11 +117,6 @@ def cube(N) -> Cube:
     return Cube(N)
 
 
-def _common_denominator(values):
-    """The lcm of the denominators of exact rationals (ints count as 1)."""
-    return lcm(*(v.denominator for v in values))
-
-
 class TElem(SparseVec):
     """Element of the subconstituent algebra, stored by its value on each cell.
 
@@ -188,10 +182,8 @@ class TElem(SparseVec):
 
     def int_scaled(self):
         """(integer-coordinate multiple, denominator): self = multiple / denominator."""
-        den = _common_denominator(self.coords.values())
-        if den == 1:
-            return TElem(self.alg, {k: int(v) for k, v in self.coords.items()}), 1
-        return TElem(self.alg, {k: int(v * den) for k, v in self.coords.items()}), den
+        ints, den = clear_denominators(self.coeffs.values())
+        return TElem._of(self.space, dict(zip(self.coeffs, ints))), den
 
 
 class TAlgebra:
@@ -379,12 +371,9 @@ class TAlgebra:
         if self._e_rows is None:
             self.e_basis()
         rows, norms = self._e_rows, self._e_norms
-        den = _common_denominator(B.coeffs.values())
-        slot = self._cell_slot
-        slots, weights = [], []
-        for s, v in B.coeffs.items():
-            slots.append(slot[s])
-            weights.append(v.numerator * (den // v.denominator) * self.cell_sizes[s])
+        ints, den = clear_denominators(B.coeffs.values())
+        slots = [self._cell_slot[s] for s in B.coeffs]
+        weights = [a * self.cell_sizes[s] for s, a in zip(B.coeffs, ints)]
         scale = self.e_den
         return {
             t: Fraction(sum(map(mul, weights, map(rows[t].__getitem__, slots))) * scale, den * norms[t])
@@ -399,10 +388,9 @@ class TAlgebra:
         if self._e_rows is None:
             self.e_basis()
         rows = self._e_rows
-        den = _common_denominator(coeffs.values())
+        ints, den = clear_denominators(coeffs.values())
         acc = [0] * len(self.triples)
-        for t, c in coeffs.items():
-            m = c.numerator * (den // c.denominator)
+        for t, m in zip(coeffs, ints):
             if weights is not None:
                 m *= weights[t]
             if m:
@@ -457,8 +445,6 @@ class TAlgebra:
 
         Returns [(l, eigenvalue, [TElem basis])]; dimensions (N - 2l + 1)^2.
         """
-        from .linalg import independent_rows
-
         idems = self.phi_idempotents()
         eigs = self.phi_eigenvalues()
         basis = self.estar_basis()

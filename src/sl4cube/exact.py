@@ -3,17 +3,11 @@
 All scalars in this package are Python ints or ``fractions.Fraction``; there is
 no floating point anywhere.  ``Fraction`` is arbitrary precision and always
 reduced with positive denominator, which is exactly the Rational contract the
-rest of the package relies on.
+rest of the package relies on.  ``factorial`` is ``math.factorial``, which
+raises ``ValueError`` on a negative argument.
 """
 
-from math import comb, factorial as _factorial
-
-
-def factorial(n):
-    """n! as an exact integer.  Requires n >= 0."""
-    if n < 0:
-        raise ValueError("factorial of negative argument")
-    return _factorial(n)
+from math import comb, factorial, lcm  # factorial is part of this module's API
 
 
 def binomial(n, k):
@@ -34,3 +28,14 @@ def pochhammer(a, n):
     for i in range(n):
         out *= a + i
     return out
+
+
+def clear_denominators(values):
+    """(ints, den) with values[k] == ints[k] / den for exact rationals.
+
+    ``den`` is the lcm of the denominators (an int counts as 1), so the ints
+    are the smallest integer multiple of the values.
+    """
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

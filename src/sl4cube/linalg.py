@@ -1,13 +1,16 @@
 """Small exact dense linear algebra over the rationals.
 
 Matrices hold int or Fraction entries; nothing is ever rounded.  The sizes in
-this package are modest (at most a few hundred rows), so plain Gaussian
-elimination with exact arithmetic is all that is needed.  Multiplication skips
+this package are modest (at most a few hundred rows), so one fraction-free
+elimination on rows cleared to integers (``independent_rows``) serves rank,
+kernel dimension and span comparison alike.  Multiplication skips
 zero entries of the left factor, which makes products with sparse operators
 (adjacency maps, idempotent numerators) cheap.
 """
 
-from fractions import Fraction
+from math import gcd
+
+from .exact import clear_denominators
 
 
 class Mat:
@@ -96,94 +99,40 @@ class Mat:
         return f"Mat({self.rows!r})"
 
 
-def _rank_bareiss(rows):
-    """Fraction-free elimination for integer matrices; divisions are exact."""
-    work = [list(r) for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if work[i][c]:
-                piv = i
-                break
+def independent_rows(rows):
+    """Indices of a maximal linearly independent subset, greedily from the front.
+
+    The one elimination in this module, fraction-free after Bareiss (Math.
+    Comp. 22, 1968): each row is cleared to integers and reduced against the
+    kept rows by cross-multiplication, p * row - f * kept with p the kept
+    row's pivot, so nothing is ever divided inexactly.  A kept row is divided
+    by the gcd of its entries, which keeps the integers small.
+    """
+    echelon = []  # (pivot column, pivot, primitive integer row)
+    keep = []
+    for idx, raw in enumerate(rows):
+        row, _ = clear_denominators(raw)
+        for col, p, erow in echelon:
+            f = row[col]
+            if f:
+                row = [p * a - f * b for a, b in zip(row, erow)]
+        piv = next((c for c, a in enumerate(row) if a), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i in range(r + 1, m):
-            row = work[i]
-            f = row[c]
-            work[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+        g = gcd(*row)
+        echelon.append((piv, row[piv] // g, [a // g for a in row]))
+        keep.append(idx)
+    return keep
 
 
 def rank(rows):
-    """Rank of a list-of-lists matrix by exact elimination.
-
-    Integer input uses fraction-free elimination; anything else falls back to
-    plain Gaussian elimination over Fraction.
-    """
-    if rows and all(isinstance(a, int) for r in rows for a in r):
-        return _rank_bareiss(rows)
-    work = [[Fraction(a) for a in r] for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        inv = 1 / prow[c]
-        work[r] = prow = [a * inv for a in prow]
-        for i in range(r + 1, m):
-            f = work[i][c]
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank of a list-of-lists matrix with int or Fraction entries."""
+    return len(independent_rows(rows))
 
 
 def kernel_dim(rows):
     ncols = len(rows[0]) if rows else 0
     return ncols - rank(rows)
-
-
-def independent_rows(rows):
-    """Indices of a maximal linearly independent subset, greedily from the front."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    echelon = []  # (pivot column, normalized row)
-    keep = []
-    for idx, raw in enumerate(rows):
-        row = [Fraction(a) for a in raw]
-        for col, erow in echelon:
-            f = row[col]
-            if f:
-                row = [a - f * b for a, b in zip(row, erow)]
-        piv = next((c for c in range(n) if row[c]), None)
-        if piv is None:
-            continue
-        inv = 1 / row[piv]
-        echelon.append((piv, [a * inv for a in row]))
-        keep.append(idx)
-    return keep
 
 
 def spans_match(rows_a, rows_b):

@@ -470,14 +470,13 @@ def enumerate_weight_triples(N):
     return [(a, b, c) for a in rng for b in rng for c in rng if in_weight_set(N, (a, b, c))]
 
 
-def weight_decomposition(N, which):
-    """Bijection from weight triples to profiles for one Cartan choice.
+def weight_decomposition(N):
+    """Bijection from weight triples to profiles.
 
-    ``which`` is "H" (starred basis diagonal) or "Hstar" (monomial basis
-    diagonal); the coordinate formulas agree, only the interpretation differs.
+    It serves both Cartan choices, H (starred basis diagonal) and H* (monomial
+    basis diagonal): the coordinate formulas agree, only the interpretation
+    differs.
     """
-    if which not in ("H", "Hstar"):
-        raise ValueError("which must be 'H' or 'Hstar'")
     out = {}
     for p in enumerate_profiles(N):
         trip = weight_triple(p)

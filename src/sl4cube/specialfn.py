@@ -97,12 +97,10 @@ def calP_vee(N, lam, weights):
     return calP_sum(N, lam, mu)
 
 
-def transition_table(N, evaluator=None):
-    """Full table (lam, mu) -> value for all degree-N tail pairs."""
-    if evaluator is None:
-        evaluator = calP_sum
+def transition_table(N):
+    """Full table (lam, mu) -> calP_sum value for all degree-N tail pairs."""
     ts = tails(N)
-    return {(lam, mu): evaluator(N, lam, mu) for lam in ts for mu in ts}
+    return {(lam, mu): calP_sum(N, lam, mu) for lam in ts for mu in ts}
 
 
 def check_orthogonality(N, table=None) -> Report:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sl4cube import cli
+from sl4cube import cli, cube
 from sl4cube.cli import SuiteConfig
 
 
@@ -92,6 +92,21 @@ def test_report_digest_pinned():
     assert hashlib.sha256(payload).hexdigest() == (
         "2b94275c4214c11770cff999de596b5cf6c028baea8fcea79cbb4fe30f9fb1c9"
     )
+
+
+def test_crash_outside_checks_is_one_failing_check(monkeypatch):
+    def broken(self):
+        raise ArithmeticError("corrupted center")
+
+    monkeypatch.setattr(cube.TAlgebra, "phi_central", broken)
+    report, status = cli.run(SuiteConfig(n_min=1, n_max=1, suites=("sl4", "cube"), oracle_n_max=1))
+    assert status == cli.VERIFY_FAILURE
+    [failure] = report.failures
+    assert (failure.id, failure.n) == ("cube.completed", 1)
+    assert failure.witness == "ArithmeticError: corrupted center"
+    # the other suite keeps its checks and no completed row is added on passing jobs
+    assert any(c.id.startswith("presentation.") for c in report.checks)
+    assert not any(c.id.endswith(".completed") and c.status == "pass" for c in report.checks)
 
 
 def test_env_overrides(monkeypatch, capsys):

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, strategies as st
 
-from sl4cube.exact import binomial, factorial, pochhammer
+from sl4cube.exact import binomial, clear_denominators, factorial, pochhammer
 
 
 def test_factorial_values():
@@ -43,3 +44,17 @@ def test_factorial_is_pochhammer_of_one(n):
 @given(st.integers(min_value=0, max_value=20), st.integers(min_value=-3, max_value=23))
 def test_binomial_symmetry(n, k):
     assert binomial(n, k) == binomial(n, n - k)
+
+
+def test_clear_denominators_values():
+    assert clear_denominators([]) == ([], 1)
+    assert clear_denominators([3, -2]) == ([3, -2], 1)
+    assert clear_denominators([Fraction(1, 2), 1, Fraction(-2, 3)]) == ([3, 6, -4], 6)
+
+
+@given(st.lists(st.fractions(max_denominator=50), max_size=8))
+def test_clear_denominators_is_the_smallest_integer_multiple(values):
+    ints, den = clear_denominators(iter(values))
+    assert all(isinstance(a, int) for a in ints)
+    assert [Fraction(a, den) for a in ints] == values
+    assert gcd(den, *ints) == 1

@@ -24,16 +24,66 @@ def test_rank_simple():
     assert kernel_dim([[1, 1, 0], [0, 1, 1]]) == 1
 
 
+def _gauss_independent_rows(rows):
+    """Reference: greedy Gaussian elimination over Fraction, kept independent of src/."""
+    echelon = []  # (pivot column, normalized row)
+    keep = []
+    for idx, raw in enumerate(rows):
+        row = [Fraction(a) for a in raw]
+        for col, erow in echelon:
+            f = row[col]
+            if f:
+                row = [a - f * b for a, b in zip(row, erow)]
+        piv = next((c for c, a in enumerate(row) if a), None)
+        if piv is None:
+            continue
+        inv = 1 / row[piv]
+        echelon.append((piv, [a * inv for a in row]))
+        keep.append(idx)
+    return keep
+
+
+def _gauss_spans_match(rows_a, rows_b):
+    r = lambda rows: len(_gauss_independent_rows(rows))
+    return r(rows_a) == r(rows_b) == r(rows_a + rows_b)
+
+
+def _random_rows(rng, m, n, fractions):
+    if fractions:
+        entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    else:
+        entry = lambda: rng.randint(-5, 5)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    # force dependencies: some rows become rational combinations of earlier ones
+    for k in range(1, m):
+        if rng.random() < 0.4:
+            a, b = rng.randrange(k), rng.randrange(k)
+            ca, cb = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-3, 3)
+            rows[k] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+            if not fractions:
+                rows[k] = [int(6 * x) for x in rows[k]]  # 6 clears every denominator of ca
+    return rows
+
+
 def test_rank_int_and_fraction_paths_agree():
     rng = random.Random(11)
-    for _ in range(100):
-        m = rng.randint(1, 7)
-        n = rng.randint(1, 7)
-        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        if m >= 2 and rng.random() < 0.5:
-            rows[-1] = [3 * a for a in rows[0]]
-        frac_rows = [[Fraction(a) for a in r] for r in rows]
-        assert rank(rows) == rank(frac_rows)
+    for trial in range(400):
+        fractions = trial % 2 == 1
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 8)
+        rows = _random_rows(rng, m, n, fractions)
+        keep = _gauss_independent_rows(rows)
+        assert independent_rows(rows) == keep
+        assert rank(rows) == len(keep)
+        assert kernel_dim(rows) == n - len(keep)
+        # the same rows as Fractions keep the same indices
+        assert independent_rows([[Fraction(a) for a in r] for r in rows]) == keep
+        # spans against the reference: the kept rows, and the kept rows with
+        # the last one replaced by a random row
+        kept = [rows[k] for k in keep]
+        other = kept[:-1] + [[rng.randint(-3, 3) for _ in range(n)]]
+        for rows_b in (kept, other):
+            assert spans_match(rows, rows_b) == _gauss_spans_match(rows, rows_b)
 
 
 def test_independent_rows():

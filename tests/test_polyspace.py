@@ -152,15 +152,13 @@ def test_graded_decomposition_dimensions():
 
 
 def test_weight_maps():
-    wd = ps.weight_decomposition(1, "Hstar")
+    wd = ps.weight_decomposition(1)
     assert wd[(1, 1, 1)] == Profile(1, 0, 0, 0)
-    wd = ps.weight_decomposition(2, "H")
+    wd = ps.weight_decomposition(2)
     assert wd[(2, 0, 0)] == Profile(1, 1, 0, 0)
     assert ps.profile_from_weights(3, (3, 3, 3)) == Profile(3, 0, 0, 0)
     with pytest.raises(ValueError):
         ps.profile_from_weights(2, (1, 0, 0))
-    with pytest.raises(ValueError):
-        ps.weight_decomposition(2, "bogus")
 
 
 def test_eigenspace_dims():

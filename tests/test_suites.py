@@ -26,3 +26,16 @@ def test_idempotent_numerators_raise_is_a_failing_check(monkeypatch):
     rep = suites.suite_cube(1, 0, random.Random(0))
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["cube.idempotents"].startswith("ArithmeticError:")
+
+
+@pytest.mark.parametrize("basepoint", [0, 3])
+def test_dual_distance_elem_corruption_fails_pointwise(monkeypatch, basepoint):
+    real = cube.TAlgebra.dual_distance_elem
+
+    def corrupted(self, h):
+        return real(self, h) + cube.TElem(self, {(0, 1, 1): 1})
+
+    monkeypatch.setattr(cube.TAlgebra, "dual_distance_elem", corrupted)
+    rep = suites.suite_cube(2, basepoint, random.Random(0))
+    failed = {c.id: c.witness for c in rep.failures}
+    assert failed["cube.dual_distance_pointwise"].startswith("grade 0 at vertex ")
