@@ -13,7 +13,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import specialfn, suites
@@ -63,16 +63,7 @@ class SuiteConfig:
             raise ValueError("jobs must be >= 1")
 
     def as_dict(self):
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "suites": list(self.suites),
-            "oracle_n_max": self.oracle_n_max,
-            "basepoint": self.basepoint,
-            "output": self.output,
-            "seed": self.seed,
-            "jobs": self.jobs,
-        }
+        return asdict(self)
 
 
 def _job_rng(seed, suite, n):

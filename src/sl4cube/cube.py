@@ -68,9 +68,7 @@ class Cube:
         return self.N - 2 * i
 
     def adjacency(self):
-        return Mat(
-            [[1 if self.pc[x ^ y] == 1 else 0 for y in range(self.size)] for x in range(self.size)]
-        )
+        return self.distance_op(1)
 
     def distance_op(self, i):
         return Mat(

@@ -30,8 +30,7 @@ _SIGNS = (
     (1, -1, -1, 1),
 )
 
-_VARS = ("x", "y", "z", "w")
-_STARRED_VARS = ("x*", "y*", "z*", "w*")
+_UNIT_SHIFTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class Profile(NamedTuple):
@@ -105,13 +104,37 @@ def _shift(p, dr, ds, dt, du):
     return Profile(p.r + dr, p.s + ds, p.t + dt, p.u + du)
 
 
-# Off-diagonal action of the generators: for index k, a list of
-# (coefficient position, profile shift).  The coefficient is the profile
-# component at that position.
+def _apply_terms(terms, coeffs, out=None):
+    """The one kernel of every operator that moves exponent profiles.
+
+    Each term (scale, slots, shift) sends the profile p to p + shift with
+    coefficient scale * prod(p[k] for k in slots).  The images of the
+    profile-keyed ``coeffs`` accumulate into ``out`` (a fresh dict by default),
+    entries that cancel to zero are dropped, and ``out`` is returned.
+    """
+    if out is None:
+        out = {}
+    for p, c in coeffs.items():
+        for scale, slots, shift in terms:
+            k = scale
+            for pos in slots:
+                k *= p[pos]
+            if k:
+                q = _shift(p, *shift)
+                nv = out.get(q, 0) + c * k
+                if nv:
+                    out[q] = nv
+                else:
+                    del out[q]
+    return out
+
+
+# Off-diagonal action of the generators, for index k: four terms, each with
+# the profile component at one position as its coefficient.
 _FOUR_TERM = {
-    1: ((0, (-1, 1, 0, 0)), (1, (1, -1, 0, 0)), (2, (0, 0, -1, 1)), (3, (0, 0, 1, -1))),
-    2: ((0, (-1, 0, 1, 0)), (1, (0, -1, 0, 1)), (2, (1, 0, -1, 0)), (3, (0, 1, 0, -1))),
-    3: ((0, (-1, 0, 0, 1)), (1, (0, -1, 1, 0)), (2, (0, 1, -1, 0)), (3, (1, 0, 0, -1))),
+    1: ((1, (0,), (-1, 1, 0, 0)), (1, (1,), (1, -1, 0, 0)), (1, (2,), (0, 0, -1, 1)), (1, (3,), (0, 0, 1, -1))),
+    2: ((1, (0,), (-1, 0, 1, 0)), (1, (1,), (0, -1, 0, 1)), (1, (2,), (1, 0, -1, 0)), (1, (3,), (0, 1, 0, -1))),
+    3: ((1, (0,), (-1, 0, 0, 1)), (1, (1,), (0, -1, 1, 0)), (1, (2,), (0, 1, -1, 0)), (1, (3,), (1, 0, 0, -1))),
 }
 
 
@@ -128,24 +151,13 @@ def weight(index, p):
 def _act_profiles(four_term, index, coeffs):
     """One generator on profile-keyed coordinates: the four-term shift table
     when ``four_term``, else the diagonal weight.  Returns the new dict."""
-    out = {}
     if four_term:
-        table = _FOUR_TERM[index]
-        for p, c in coeffs.items():
-            for pos, shift in table:
-                k = p[pos]
-                if k:
-                    q = _shift(p, *shift)
-                    nv = out.get(q, 0) + c * k
-                    if nv:
-                        out[q] = nv
-                    else:
-                        del out[q]
-    else:
-        for p, c in coeffs.items():
-            w = weight(index, p)
-            if w:
-                out[p] = c * w
+        return _apply_terms(_FOUR_TERM[index], coeffs)
+    out = {}
+    for p, c in coeffs.items():
+        w = weight(index, p)
+        if w:
+            out[p] = c * w
     return out
 
 
@@ -162,19 +174,10 @@ def _product_expansion(R, S, T, U):
     product of the four signed linear forms (the rows of the sign table)
     raised to the powers R, S, T, U."""
     poly = {Profile(0, 0, 0, 0): 1}
-    unit_shifts = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     for signs, power in zip(_SIGNS, (R, S, T, U)):
+        terms = tuple((sign, (), unit) for sign, unit in zip(signs, _UNIT_SHIFTS))
         for _ in range(power):
-            nxt = {}
-            for p, c in poly.items():
-                for j in range(4):
-                    q = _shift(p, *unit_shifts[j])
-                    nv = nxt.get(q, 0) + c * signs[j]
-                    if nv:
-                        nxt[q] = nv
-                    else:
-                        del nxt[q]
-            poly = nxt
+            poly = _apply_terms(terms, poly)
     return poly
 
 
@@ -206,91 +209,42 @@ def sigma(v: PolyVec) -> PolyVec:
     return PolyVec._of(other, dict(v.coeffs))
 
 
-def _var_slot(var):
-    if var in _VARS:
-        return _VARS.index(var), False
-    if var in _STARRED_VARS:
-        return _STARRED_VARS.index(var), True
-    raise ValueError(f"unknown variable {var!r}")
+def apply_D(slot, v: PolyVec) -> PolyVec:
+    """Partial derivative in the slot-th variable of the vector's own basis;
+    lowers degree by one."""
+    down = tuple(-d for d in _UNIT_SHIFTS[slot])
+    return PolyVec._of(v.basis, _apply_terms(((1, (slot,), down),), v.coeffs))
 
 
-def apply_D(var, v: PolyVec) -> PolyVec:
-    """Partial derivative; lowers degree by one.
-
-    A starred derivative acting on a monomial-tagged vector (or vice versa) is
-    expanded as the half-sum combination of the four natural derivatives.
-    """
-    slot, starred = _var_slot(var)
-    natural = (v.basis == STARRED) == starred
-    if natural:
-        out = {}
-        down = [(-1 if i == slot else 0) for i in range(4)]
-        for p, c in v.coeffs.items():
-            k = p[slot]
-            if k:
-                q = _shift(p, *down)
-                out[q] = out.get(q, 0) + c * k
-        return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
-    names = _VARS if v.basis == MONOMIAL else _STARRED_VARS
-    out = PolyVec._of(v.basis, {})
-    for j in range(4):
-        out.add_scaled(Fraction(_SIGNS[slot][j], 2), apply_D(names[j], v))
-    return out
+def apply_M(slot, v: PolyVec) -> PolyVec:
+    """Multiplication by the slot-th variable of the vector's own basis;
+    raises degree by one."""
+    return PolyVec._of(v.basis, _apply_terms(((1, (), _UNIT_SHIFTS[slot]),), v.coeffs))
 
 
-def apply_M(var, v: PolyVec) -> PolyVec:
-    """Multiplication by a variable; raises degree by one."""
-    slot, starred = _var_slot(var)
-    natural = (v.basis == STARRED) == starred
-    if natural:
-        up = [(1 if i == slot else 0) for i in range(4)]
-        return PolyVec._of(v.basis, {_shift(p, *up): c for p, c in v.coeffs.items()})
-    names = _VARS if v.basis == MONOMIAL else _STARRED_VARS
-    out = PolyVec._of(v.basis, {})
-    for j in range(4):
-        out.add_scaled(Fraction(_SIGNS[slot][j], 2), apply_M(names[j], v))
-    return out
-
-
+# L_i: the difference of two second derivatives.
 _L_TABLE = {
-    1: ((0, 1, (-1, -1, 0, 0)), (2, 3, (0, 0, -1, -1))),
-    2: ((0, 2, (-1, 0, -1, 0)), (1, 3, (0, -1, 0, -1))),
-    3: ((0, 3, (-1, 0, 0, -1)), (1, 2, (0, -1, -1, 0))),
+    1: ((1, (0, 1), (-1, -1, 0, 0)), (-1, (2, 3), (0, 0, -1, -1))),
+    2: ((1, (0, 2), (-1, 0, -1, 0)), (-1, (1, 3), (0, -1, 0, -1))),
+    3: ((1, (0, 3), (-1, 0, 0, -1)), (-1, (1, 2), (0, -1, -1, 0))),
 }
 
+# R_i: multiplication by the difference of two variable products.
 _R_TABLE = {
-    1: ((1, 1, 0, 0), (0, 0, 1, 1)),
-    2: ((1, 0, 1, 0), (0, 1, 0, 1)),
-    3: ((1, 0, 0, 1), (0, 1, 1, 0)),
+    1: ((1, (), (1, 1, 0, 0)), (-1, (), (0, 0, 1, 1))),
+    2: ((1, (), (1, 0, 1, 0)), (-1, (), (0, 1, 0, 1))),
+    3: ((1, (), (1, 0, 0, 1)), (-1, (), (0, 1, 1, 0))),
 }
 
 
 def apply_L(i, v: PolyVec) -> PolyVec:
     """Lowering map: the difference of two second derivatives; degree -2."""
-    (a1, a2, sh1), (b1, b2, sh2) = _L_TABLE[i]
-    out = {}
-    for p, c in v.coeffs.items():
-        k1 = p[a1] * p[a2]
-        if k1:
-            q = _shift(p, *sh1)
-            out[q] = out.get(q, 0) + c * k1
-        k2 = p[b1] * p[b2]
-        if k2:
-            q = _shift(p, *sh2)
-            out[q] = out.get(q, 0) - c * k2
-    return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
+    return PolyVec._of(v.basis, _apply_terms(_L_TABLE[i], v.coeffs))
 
 
 def apply_R(i, v: PolyVec) -> PolyVec:
     """Raising map: multiplication by a difference of variable products; degree +2."""
-    up, dn = _R_TABLE[i]
-    out = {}
-    for p, c in v.coeffs.items():
-        q = _shift(p, *up)
-        out[q] = out.get(q, 0) + c
-        q = _shift(p, *dn)
-        out[q] = out.get(q, 0) - c
-    return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
+    return PolyVec._of(v.basis, _apply_terms(_R_TABLE[i], v.coeffs))
 
 
 def apply_Omega(v: PolyVec) -> PolyVec:
@@ -298,31 +252,23 @@ def apply_Omega(v: PolyVec) -> PolyVec:
     return PolyVec._of(v.basis, {p: c * p.degree for p, c in v.coeffs.items() if p.degree})
 
 
+# C_i off the N(N+2)/2 diagonal: two moving terms and their zero-shift
+# counterparts.
 _C_TABLE = {
-    1: ((0, 1, (-1, -1, 1, 1)), (2, 3, (1, 1, -1, -1))),
-    2: ((0, 2, (-1, 1, -1, 1)), (1, 3, (1, -1, 1, -1))),
-    3: ((0, 3, (-1, 1, 1, -1)), (1, 2, (1, -1, -1, 1))),
+    1: ((2, (0, 1), (-1, -1, 1, 1)), (2, (2, 3), (1, 1, -1, -1)), (-2, (0, 1), (0, 0, 0, 0)), (-2, (2, 3), (0, 0, 0, 0))),
+    2: ((2, (0, 2), (-1, 1, -1, 1)), (2, (1, 3), (1, -1, 1, -1)), (-2, (0, 2), (0, 0, 0, 0)), (-2, (1, 3), (0, 0, 0, 0))),
+    3: ((2, (0, 3), (-1, 1, 1, -1)), (2, (1, 2), (1, -1, -1, 1)), (-2, (0, 3), (0, 0, 0, 0)), (-2, (1, 2), (0, 0, 0, 0))),
 }
 
 
 def apply_C(i, v: PolyVec) -> PolyVec:
     """Casimir-type operator, by its three-term action on basis vectors."""
-    (a1, a2, sh_dn), (b1, b2, sh_up) = _C_TABLE[i]
-    out = {}
+    diag = {}
     for p, c in v.coeffs.items():
         N = p.degree
-        ka = p[a1] * p[a2]
-        kb = p[b1] * p[b2]
-        if ka:
-            q = _shift(p, *sh_dn)
-            out[q] = out.get(q, 0) + 2 * ka * c
-        if kb:
-            q = _shift(p, *sh_up)
-            out[q] = out.get(q, 0) + 2 * kb * c
-        diag = Fraction(N * (N + 2), 2) - 2 * ka - 2 * kb
-        if diag:
-            out[p] = out.get(p, 0) + diag * c
-    return PolyVec._of(v.basis, {p: c for p, c in out.items() if c})
+        if N:
+            diag[p] = Fraction(N * (N + 2), 2) * c
+    return PolyVec._of(v.basis, _apply_terms(_C_TABLE[i], v.coeffs, diag))
 
 
 def apply_C_via_ladder(i, v: PolyVec) -> PolyVec:

@@ -153,13 +153,12 @@ def check_recurrences(N, table=None) -> Report:
     rep = Report()
     ts = tails(N)
     table = table or transition_table(N)
-    value = lambda lam, mu: table[(lam, mu)] if (lam, mu) in table else calP_sum(N, lam, mu)
 
     def failures(which):
         for lam in ts:
             for mu in ts:
                 lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
-                if lhs != _recurrence_rhs(N, which, lam, lambda shifted: value(shifted, mu)):
+                if lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)]):
                     yield f"recurrence {which} at N={N} lam={lam} mu={mu}"
     for which in (1, 2, 3):
         rep.check(f"special.recurrence.{which}", f"weighted transition recurrence #{which} in the plain variables", N, failures(which))

@@ -92,10 +92,10 @@ def suite_sl4(rng) -> Report:
 # ---------------------------------------------------------------------------
 
 _DM_FACTORIZATION = {
-    # generator index -> (M variable, D variable) summands, plain variables
-    1: (("y", "x"), ("x", "y"), ("w", "z"), ("z", "w")),
-    2: (("z", "x"), ("w", "y"), ("x", "z"), ("y", "w")),
-    3: (("w", "x"), ("z", "y"), ("y", "z"), ("x", "w")),
+    # generator index -> (M slot, D slot) summands, in the vector's own basis
+    1: ((1, 0), (0, 1), (3, 2), (2, 3)),
+    2: ((2, 0), (3, 1), (0, 2), (1, 3)),
+    3: ((3, 0), (2, 1), (1, 2), (0, 3)),
 }
 
 _DIAG_SIGNS = {1: (1, 1, -1, -1), 2: (1, -1, 1, -1), 3: (1, -1, -1, 1)}
@@ -103,14 +103,13 @@ _DIAG_SIGNS = {1: (1, 1, -1, -1), 2: (1, -1, 1, -1), 3: (1, -1, -1, 1)}
 
 def _apply_dm_factorization(gid, v):
     """The derivative/multiplication form of a generator, in either basis."""
-    star = "" if v.basis == MONOMIAL else "*"
     out = PolyVec.zero(v.basis)
     if (gid.kind == "A") == (v.basis == MONOMIAL):
-        terms = [(1, mv, dv) for mv, dv in _DM_FACTORIZATION[gid.index]]
+        terms = [(1, m, d) for m, d in _DM_FACTORIZATION[gid.index]]
     else:
-        terms = [(sign, name, name) for name, sign in zip(("x", "y", "z", "w"), _DIAG_SIGNS[gid.index])]
-    for sign, mv, dv in terms:
-        out.add_scaled(sign, polyspace.apply_M(mv + star, polyspace.apply_D(dv + star, v)))
+        terms = [(sign, k, k) for k, sign in enumerate(_DIAG_SIGNS[gid.index])]
+    for sign, m, d in terms:
+        out.add_scaled(sign, polyspace.apply_M(m, polyspace.apply_D(d, v)))
     return out
 
 
@@ -133,11 +132,11 @@ def suite_poly(N, rng) -> Report:
     sv = random_polyvec(rng, N, STARRED)
 
     def weyl():
-        for vec, names in ((v, ("x", "y", "z", "w")), (sv, ("x*", "y*", "z*", "w*"))):
-            for a in names:
-                for b in names:
+        for vec, star in ((v, ""), (sv, "*")):
+            for a in range(4):
+                for b in range(4):
                     if D(a, M(b, vec)) - M(b, D(a, vec)) != (vec if a == b else PolyVec.zero(vec.basis)):
-                        yield f"[D_{a}, M_{b}]"
+                        yield f"[D_{'xyzw'[a]}{star}, M_{'xyzw'[b]}{star}]"
     rep.check("poly.weyl", "[D_a, M_b] = delta_ab I in both variable systems", N, weyl())
 
     def adjoint_generators():
@@ -206,12 +205,19 @@ def suite_poly(N, rng) -> Report:
     rep.check("poly.casimir_selfadjoint", "<C_i f, g> = <f, C_i g>", N, selfadjoint)
 
     sigma = polyspace.sigma
-    sf = sigma(f)
-    sg = sigma(g)
-    rep.add("poly.sigma_involution", "sigma^2 = id", N, sigma(sf) == f)
-    rep.add("poly.sigma_isometry", "<sigma f, sigma g> = <f, g>", N, herm(sf, sg) == herm(f, g))
+
+    def sigma_involution():
+        if sigma(sigma(f)) != f:
+            yield "sigma(sigma(f)) != f on a random f"
+    rep.check("poly.sigma_involution", "sigma^2 = id", N, sigma_involution())
+
+    def sigma_isometry():
+        if herm(sigma(f), sigma(g)) != herm(f, g):
+            yield "<sigma f, sigma g> != <f, g> on random f, g"
+    rep.check("poly.sigma_isometry", "<sigma f, sigma g> = <f, g>", N, sigma_isometry())
 
     def sigma_ladder():
+        sf = sigma(f)
         for i in (1, 2, 3):
             if sigma(L(i, f)) != L(i, sf):
                 yield f"sigma and L_{i}"
@@ -220,6 +226,7 @@ def suite_poly(N, rng) -> Report:
     rep.check("poly.sigma_ladder", "sigma commutes with L_i and R_i", N, sigma_ladder())
 
     def tau_conjugation():
+        sf = sigma(f)
         for k in (1, 2, 3):
             a, b = GeneratorId("A", k), GeneratorId("Astar", k)
             if act(b, f) != sigma(act(a, sf)):
@@ -240,20 +247,18 @@ def suite_poly(N, rng) -> Report:
     pairing = (f"profile {tuple(p)}" for p in profiles if herm(unit(MONOMIAL, p), xsN) != want)
     rep.check("poly.pairing_constant", "<x^r y^s z^t w^u, x*^N> = N!/2^N for every profile", N, pairing)
 
-    xN = unit(MONOMIAL, (N, 0, 0, 0))
-    expansion = polyspace.convert_basis(xN, STARRED)
-    want_exp = PolyVec(
-        STARRED, {p: Fraction(factorial(N), 2**N * p.norm_sq) for p in profiles}
-    )
-    rep.add("poly.xn_expansion", "x^N = N!/2^N sum of starred monomials over their norms", N, expansion == want_exp)
+    def xn_expansion():
+        want = PolyVec(STARRED, {p: Fraction(factorial(N), 2**N * p.norm_sq) for p in profiles})
+        if polyspace.convert_basis(unit(MONOMIAL, (N, 0, 0, 0)), STARRED) != want:
+            yield "x^N converted to the starred basis differs from the stated sum"
+    rep.check("poly.xn_expansion", "x^N = N!/2^N sum of starred monomials over their norms", N, xn_expansion())
 
     rt = random_polyvec(rng, N, MONOMIAL)
-    rep.add(
-        "poly.conversion_roundtrip",
-        "changing basis twice is the identity",
-        N,
-        polyspace.convert_basis(polyspace.convert_basis(rt, STARRED), MONOMIAL) == rt,
-    )
+
+    def conversion_roundtrip():
+        if polyspace.convert_basis(polyspace.convert_basis(rt, STARRED), MONOMIAL) != rt:
+            yield "monomial -> starred -> monomial on a random vector"
+    rep.check("poly.conversion_roundtrip", "changing basis twice is the identity", N, conversion_roundtrip())
 
     def weights():  # the decomposition certifies itself by raising
         polyspace.weight_decomposition(N)
@@ -325,14 +330,11 @@ def suite_poly(N, rng) -> Report:
         yield from ()
     rep.check("poly.word_basis", "generator power words on x^N span the slice, both kinds", N, word_basis())
 
-    op_mat = polyspace.operator_matrix(lambda w: C(1, w), N)
-    coords = polyspace.vector_coords(f, N)
-    rep.add(
-        "poly.matrix_vs_rule",
-        "the dense matrix of an operator agrees with its sparse rule",
-        N,
-        op_mat.apply(coords) == polyspace.vector_coords(C(1, f), N),
-    )
+    def matrix_vs_rule():
+        op_mat = polyspace.operator_matrix(lambda w: C(1, w), N)
+        if op_mat.apply(polyspace.vector_coords(f, N)) != polyspace.vector_coords(C(1, f), N):
+            yield "C_1 on a random vector"
+    rep.check("poly.matrix_vs_rule", "the dense matrix of an operator agrees with its sparse rule", N, matrix_vs_rule())
     return rep
 
 

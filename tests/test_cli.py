@@ -94,6 +94,15 @@ def test_report_digest_pinned():
     )
 
 
+def test_process_pool_gives_the_same_checks():
+    # --jobs 2 runs the (suite, N) jobs in worker processes; the report must
+    # not depend on that
+    cfg = SuiteConfig(n_max=1, oracle_n_max=1)
+    serial, _ = cli.run(cfg)
+    pooled, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1, jobs=2))
+    assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
+
+
 def test_crash_outside_checks_is_one_failing_check(monkeypatch):
     def broken(self):
         raise ArithmeticError("corrupted center")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sl4cube import cube, specialfn, suites
+from sl4cube import cli, cube, polyspace, specialfn, suites
 
 
 def _raise(*args):
@@ -39,3 +39,58 @@ def test_dual_distance_elem_corruption_fails_pointwise(monkeypatch, basepoint):
     rep = suites.suite_cube(2, basepoint, random.Random(0))
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["cube.dual_distance_pointwise"].startswith("grade 0 at vertex ")
+
+
+@pytest.fixture
+def fresh_expansion_caches():
+    # the cached basis-change expansions are built through the operator
+    # kernel; start and end empty so no corrupted value outlives its test
+    caches = (polyspace._product_expansion, polyspace._expand_profile)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_casimir_table_corruption_keeps_every_poly_check(monkeypatch, fresh_expansion_caches):
+    # swapping the two shifts of C_1 sends profiles below zero, so the dense
+    # matrix of C_1 raises KeyError; that must fail its check, not end the job
+    job = ("poly", 2, (0, 2, 0))
+    clean = [c.id for c in cli._run_job(job)]
+    up, down, *diagonal = polyspace._C_TABLE[1]
+    swapped = ((up[0], up[1], down[2]), (down[0], down[1], up[2]), *diagonal)
+    monkeypatch.setitem(polyspace._C_TABLE, 1, swapped)
+    checks = cli._run_job(job)
+    assert [c.id for c in checks] == clean
+    failed = {c.id: c.witness for c in checks if c.status == "fail"}
+    assert failed["poly.matrix_vs_rule"].startswith("KeyError:")
+
+
+def _kernel_ignoring(part):
+    real = polyspace._apply_terms
+
+    def mutant(terms, coeffs, out=None):
+        if part == "slots":
+            terms = [(scale, (), shift) for scale, _, shift in terms]
+        else:
+            terms = [(1, slots, shift) for _, slots, shift in terms]
+        return real(terms, coeffs, out)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "part, run, check_id",
+    [
+        ("slots", lambda: suites.suite_tensor(2, 0, 2, random.Random(0)), "tensor.oracle"),
+        ("scale", lambda: suites.suite_poly(2, random.Random(0)), "poly.casimir_three_way"),
+    ],
+    ids=["slots", "scale"],
+)
+def test_kernel_mutant_fails_its_guard(monkeypatch, fresh_expansion_caches, part, run, check_id):
+    # the slot-wise tensor action does not use the kernel, and the generator
+    # forms of C_i use only unit scales, so each catches one broken kernel
+    monkeypatch.setattr(polyspace, "_apply_terms", _kernel_ignoring(part))
+    failed = {c.id: c.witness for c in run().failures}
+    assert failed.get(check_id)
