@@ -106,6 +106,13 @@ def _run_job(job):
         return rep.checks
 
 
+def _cost_rank(job):
+    """Sort key putting costlier jobs first: higher N first (sl4, with no N,
+    last), and correspond, the costliest suite, first within an N."""
+    suite, n, _ = job
+    return (1 if n is None else -n, suite != "correspond")
+
+
 def run(cfg: SuiteConfig):
     """Execute the configured suites; returns (report, exit_status)."""
     cfg.validate()
@@ -118,9 +125,13 @@ def run(cfg: SuiteConfig):
                 jobs.append((suite, n, (cfg.seed, cfg.oracle_n_max, cfg.basepoint)))
     report = Report()
     if cfg.jobs > 1:
+        # submit the longest jobs first so no worker starts one near the end;
+        # the report keeps the canonical job order
+        order = sorted(range(len(jobs)), key=lambda k: _cost_rank(jobs[k]))
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for checks in pool.map(_run_job, jobs):
-                report.checks.extend(checks)
+            results = dict(zip(order, pool.map(_run_job, [jobs[k] for k in order])))
+        for k in range(len(jobs)):
+            report.checks.extend(results[k])
     else:
         for job in jobs:
             report.checks.extend(_run_job(job))

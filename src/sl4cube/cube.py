@@ -297,28 +297,24 @@ class TAlgebra:
         if self._e_basis is not None:
             return self._e_basis
         Ks = self.cube.idempotent_numerators()
-        size = self.cube.size
         den = self.e_den
         sizes = [self.cell_sizes[t] for t in self.triples]
         diags = {h: self.dual_distance_diag(h) for h in range(self.N + 1)}
         shared = {}  # numerator -> (one int, one Fraction) reused across the basis
         out, rows, norms = {}, {}, {}
+        cols, cols_h = {}, None  # (j, y) -> column dh[k] * K_j[k, y] for the current h
         for trip in self.triples:
             h, i, j = trip
-            Ki, Kj, dh = Ks[i], Ks[j], diags[h]
+            if h != cols_h:  # triples come sorted by h, so each column is built once
+                cols, cols_h = {}, h
+            Kirows, Kjrows, dh = Ks[i].rows, Ks[j].rows, diags[h]
             coords = {}
             row = []
             for target, (x, y) in self.cell_reps.items():
-                kirow = Ki.rows[x]
-                total = 0
-                for k in range(size):
-                    a = kirow[k]
-                    if a:
-                        b = dh[k]
-                        if b:
-                            c = Kj.rows[k][y]
-                            if c:
-                                total += a * b * c
+                col = cols.get((j, y))
+                if col is None:
+                    col = cols[(j, y)] = [b * r[y] for b, r in zip(dh, Kjrows)]
+                total = sum(map(mul, Kirows[x], col))
                 if total:
                     pair = shared.get(total)
                     if pair is None:

@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .exact import binomial, factorial
+from .exact import binomial, clear_denominators, factorial
 from .linalg import Mat, kernel_dim, rank
 from .sl4core import GeneratorId
 from .sparse import SparseVec, require_rational
@@ -72,6 +72,8 @@ class PolyVec(SparseVec):
         if coeffs:
             for p, c in coeffs.items():
                 require_rational(c)
+                if min(p) < 0:
+                    raise ValueError(f"negative exponent in profile {tuple(p)}")
                 if c:
                     self.coeffs[Profile(*p)] = c
 
@@ -172,7 +174,9 @@ def act_generator(gid: GeneratorId, v: PolyVec) -> PolyVec:
 def _product_expansion(R, S, T, U):
     """Integer coefficients, keyed by profile in the other basis, of the
     product of the four signed linear forms (the rows of the sign table)
-    raised to the powers R, S, T, U."""
+    raised to the powers R, S, T, U.  Raises ValueError on a negative power."""
+    if min(R, S, T, U) < 0:
+        raise ValueError(f"negative power in ({R}, {S}, {T}, {U})")
     poly = {Profile(0, 0, 0, 0): 1}
     for signs, power in zip(_SIGNS, (R, S, T, U)):
         terms = tuple((sign, (), unit) for sign, unit in zip(signs, _UNIT_SHIFTS))
@@ -181,26 +185,23 @@ def _product_expansion(R, S, T, U):
     return poly
 
 
-@lru_cache(maxsize=None)
-def _expand_profile(profile):
-    """Coefficients of a degree-1-substituted monomial in the opposite basis:
-    the product expansion times the overall 1/2^N."""
-    half = Fraction(1, 2 ** sum(profile))
-    return {p: c * half for p, c in _product_expansion(*profile).items()}
-
-
 def convert_basis(v: PolyVec, target) -> PolyVec:
     """Exact change of basis; converting twice returns the original.
 
+    Each profile p of degree N expands to _product_expansion(*p) / 2^N.  The
+    coefficients are cleared to integers over one denominator, the expansions
+    are summed in integers, and each output coefficient becomes one Fraction.
     A vector already in the target basis is returned as it is, not copied:
     vectors are immutable by convention.
     """
     if v.basis == target:
         return v
-    out = PolyVec._of(target, {})
-    for p, c in v.coeffs.items():
-        out.add_scaled(c, PolyVec._of(target, _expand_profile(p)))
-    return out
+    ints, den = clear_denominators(v.coeffs.values())
+    acc = {}
+    for p, m in zip(v.coeffs, ints):
+        for q, c in _product_expansion(*p).items():
+            acc[q] = acc.get(q, 0) + m * c
+    return PolyVec._of(target, {q: Fraction(a, den << q.degree) for q, a in acc.items() if a})
 
 
 def sigma(v: PolyVec) -> PolyVec:

@@ -32,14 +32,17 @@ _ASTAR = {
     3: Mat.diag([1, -1, -1, 1]),
 }
 
-UPSILON = Mat(
+# The +-1 Hadamard matrix H; Upsilon = H/2, and H is symmetric with H^2 = 4 I.
+_H = Mat(
     [
         [1, 1, 1, 1],
         [1, 1, -1, -1],
         [1, -1, 1, -1],
         [1, -1, -1, 1],
     ]
-).scale(Fraction(1, 2))
+)
+
+UPSILON = _H.scale(Fraction(1, 2))
 
 
 def generator(gid: GeneratorId) -> Mat:
@@ -56,8 +59,13 @@ def bracket(x: Mat, y: Mat) -> Mat:
 
 
 def tau(m: Mat) -> Mat:
-    """Conjugation by Upsilon; an involution since Upsilon squares to I."""
-    return UPSILON @ m @ UPSILON
+    """Conjugation by Upsilon; an involution since Upsilon squares to I.
+
+    Computed as the product H m H, with one division by 4 per entry: an int
+    where that division is exact, else a Fraction, so non-integral input
+    stays exact.
+    """
+    return Mat([[e // 4 if e % 4 == 0 else Fraction(e, 4) for e in row] for row in (_H @ m @ _H).rows])
 
 
 def basis15():

@@ -67,11 +67,12 @@ def suite_sl4(rng) -> Report:
     rep.check("sl4.tau_swaps", "tau swaps A_i with A*_i", None, (f"index {k}" for k, a, b in pairs if tau(a) != b or tau(b) != a))
 
     def tau_lie_map():
-        for x in basis:
-            if tau(tau(x)) != x:
+        images = [tau(x) for x in basis]
+        for x, tx in zip(basis, images):
+            if tau(tx) != x:
                 yield "involution fails"
-            for y in basis:
-                if tau(bracket(x, y)) != bracket(tau(x), tau(y)):
+            for y, ty in zip(basis, images):
+                if tau(bracket(x, y)) != bracket(tx, ty):
                     yield "bracket compatibility fails"
     rep.check("sl4.tau_lie_map", "tau^2 = id and tau[X, Y] = [tau X, tau Y] on the basis", None, tau_lie_map())
 

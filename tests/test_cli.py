@@ -103,6 +103,34 @@ def test_process_pool_gives_the_same_checks():
     assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
 
 
+def test_pool_submits_longest_first(monkeypatch):
+    # with --jobs the jobs go out by descending N, correspond first within an
+    # N and sl4 last; the report keeps the canonical order
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            submitted.extend((suite, n) for suite, n, _ in jobs)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    cfg = SuiteConfig(n_max=1, oracle_n_max=1)
+    serial, _ = cli.run(cfg)
+    pooled, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1, jobs=2))
+    assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
+    others = ["poly", "special", "cube", "tensor"]
+    assert submitted == [(s, n) for n in (1, 0) for s in ["correspond"] + others] + [("sl4", None)]
+
+
 def test_crash_outside_checks_is_one_failing_check(monkeypatch):
     def broken(self):
         raise ArithmeticError("corrupted center")

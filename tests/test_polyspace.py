@@ -215,3 +215,41 @@ def test_nonrational_coefficients_rejected():
         PolyVec(MONOMIAL, {(1, 0, 0, 0): 1.5})
     with pytest.raises(TypeError):
         PolyVec(MONOMIAL, {(1, 0, 0, 0): 1j})
+
+
+def test_negative_exponents_rejected():
+    with pytest.raises(ValueError):
+        ps.convert_basis(PolyVec(MONOMIAL, {(-1, -1, 2, 2): 1}), STARRED)
+    # vectors built by the operator kernels skip the constructor's check, so
+    # the expansion itself refuses a negative power
+    with pytest.raises(ValueError):
+        ps.convert_basis(PolyVec._of(MONOMIAL, {Profile(-1, -1, 2, 2): 1}), STARRED)
+
+
+def _substituted(profile):
+    """The monomial with each variable replaced by half its signed sum of the
+    other basis's variables, multiplied out over plain dicts of Fractions."""
+    rows = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
+    poly = {(0, 0, 0, 0): Fraction(1)}
+    for signs, power in zip(rows, profile):
+        for _ in range(power):
+            out = {}
+            for q, c in poly.items():
+                for k, sign in enumerate(signs):
+                    key = tuple(e + (k == m) for m, e in enumerate(q))
+                    out[key] = out.get(key, 0) + c * Fraction(sign, 2)
+            poly = out
+    return poly
+
+
+@pytest.mark.parametrize("source, target", [(MONOMIAL, STARRED), (STARRED, MONOMIAL)])
+def test_conversion_matches_fraction_sum(source, target):
+    rng = random.Random(11)
+    for N in range(4):
+        coeffs = {p: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))) for p in ps.enumerate_profiles(N)}
+        coeffs.update({p: Fraction(rng.randint(-9, 9), 4) for p in rng.sample(ps.enumerate_profiles(N + 1), 2)})
+        want = {}
+        for p, c in coeffs.items():
+            for q, e in _substituted(p).items():
+                want[q] = want.get(q, 0) + c * e
+        assert ps.convert_basis(PolyVec(source, coeffs), target) == PolyVec(target, want)

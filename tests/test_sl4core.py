@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 from sl4cube.linalg import Mat
 from sl4cube.sl4core import (
     UPSILON,
@@ -75,3 +78,13 @@ def test_upsilon_intertwines():
         b = generator(GeneratorId("Astar", k))
         assert a @ UPSILON == UPSILON @ b
         assert b @ UPSILON == UPSILON @ a
+
+
+def test_tau_matches_conjugation_by_upsilon():
+    rng = random.Random(2)
+    ints = [Mat([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]) for _ in range(20)]
+    fracs = [Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)] for _ in range(4)]) for _ in range(20)]
+    for m in basis15() + ints + fracs:
+        assert tau(m) == UPSILON @ m @ UPSILON
+    # integer input whose image is not integral
+    assert tau(Mat.diag([1, 0, 0, 0])) == Mat([[Fraction(1, 4)] * 4] * 4)

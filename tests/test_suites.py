@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from sl4cube import cli, cube, polyspace, specialfn, suites
+from sl4cube import cli, cube, polyspace, sl4core, specialfn, suites
+from sl4cube.linalg import Mat
 
 
 def _raise(*args):
@@ -45,12 +47,9 @@ def test_dual_distance_elem_corruption_fails_pointwise(monkeypatch, basepoint):
 def fresh_expansion_caches():
     # the cached basis-change expansions are built through the operator
     # kernel; start and end empty so no corrupted value outlives its test
-    caches = (polyspace._product_expansion, polyspace._expand_profile)
-    for f in caches:
-        f.cache_clear()
+    polyspace._product_expansion.cache_clear()
     yield
-    for f in caches:
-        f.cache_clear()
+    polyspace._product_expansion.cache_clear()
 
 
 def test_casimir_table_corruption_keeps_every_poly_check(monkeypatch, fresh_expansion_caches):
@@ -94,3 +93,21 @@ def test_kernel_mutant_fails_its_guard(monkeypatch, fresh_expansion_caches, part
     monkeypatch.setattr(polyspace, "_apply_terms", _kernel_ignoring(part))
     failed = {c.id: c.witness for c in run().failures}
     assert failed.get(check_id)
+
+
+def test_tau_as_transpose_fails_bracket_compatibility(monkeypatch):
+    # transposition is an involution but reverses brackets
+    monkeypatch.setattr(sl4core, "tau", lambda m: m.transpose())
+    failed = {c.id: c.witness for c in suites.suite_sl4(random.Random(0)).failures}
+    assert failed["sl4.tau_lie_map"] == "bracket compatibility fails"
+
+
+@pytest.mark.parametrize("row, col", [(r, c) for r in range(4) for c in range(4)])
+def test_hadamard_sign_flip_fails(monkeypatch, row, col):
+    rows = [list(r) for r in sl4core._H.rows]
+    rows[row][col] *= -1
+    flipped = Mat(rows)
+    monkeypatch.setattr(sl4core, "_H", flipped)
+    monkeypatch.setattr(sl4core, "UPSILON", flipped.scale(Fraction(1, 2)))
+    failed = {c.id for c in suites.suite_sl4(random.Random(0)).failures}
+    assert failed & {"sl4.upsilon_involution", "sl4.tau_swaps"}
