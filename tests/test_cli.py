@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sl4cube import cli, cube
+from sl4cube import cli, cube, suites
 from sl4cube.cli import SuiteConfig
 
 
@@ -103,9 +103,9 @@ def test_process_pool_gives_the_same_checks():
     assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
 
 
-def test_pool_submits_longest_first(monkeypatch):
-    # with --jobs the jobs go out by descending N, correspond first within an
-    # N and sl4 last; the report keeps the canonical order
+def test_pool_submits_longest_measured_first(monkeypatch):
+    # with --jobs the jobs go out by descending measured seconds, unlisted ones
+    # in canonical order; the report keeps the canonical order
     submitted = []
 
     class InlinePool:
@@ -123,12 +123,25 @@ def test_pool_submits_longest_first(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    cfg = SuiteConfig(n_max=1, oracle_n_max=1)
-    serial, _ = cli.run(cfg)
+    monkeypatch.setattr(cli, "_JOB_SECONDS", {("tensor", 1): 2.0, ("cube", 0): 1.0})
+    serial, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1))
     pooled, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1, jobs=2))
     assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
-    others = ["poly", "special", "cube", "tensor"]
-    assert submitted == [(s, n) for n in (1, 0) for s in ["correspond"] + others] + [("sl4", None)]
+    canonical = [("sl4", None)] + [(s, n) for s in suites.SUITES[1:] for n in (0, 1)]
+    ranked = [("tensor", 1), ("cube", 0)]
+    assert submitted == ranked + [j for j in canonical if j not in ranked]
+
+
+def _submit_order(n_max):
+    jobs = [(s, n, None) for s in suites.SUITES[1:] for n in range(n_max + 1)]
+    return [job[:2] for job in sorted(jobs, key=cli._submit_rank)]
+
+
+def test_submit_rank_on_the_measured_table():
+    # tensor at N = 4 outweighs most N = 5 jobs; jobs above the measured N lead
+    default = _submit_order(5)
+    assert default.index(("tensor", 4)) < default.index(("poly", 5))
+    assert _submit_order(6)[:5] == [(s, 6) for s in suites.SUITES[1:]]
 
 
 def test_crash_outside_checks_is_one_failing_check(monkeypatch):
