@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import specialfn, suites
-from .cube import DEFAULT_N_CAP
+from .cube import DEFAULT_N_CAP, t_algebra
 from .exact import binomial
 from .report import Report
 
@@ -102,7 +102,7 @@ def _run_job(job):
         return _suite_report(suite, n, rng, oracle_n_max, base).checks
     except Exception as e:
         rep = Report()
-        rep.add(f"{suite}.completed", "the suite runs to its end", n, False, f"{type(e).__name__}: {e}")
+        rep.check(f"{suite}.completed", "the suite runs to its end", n, [f"{type(e).__name__}: {e}"])
         return rep.checks
 
 
@@ -197,10 +197,9 @@ def table_rows(kind, N):
                 rows.append(tuple(str(v) for v in (N, n, k, f.numerator, f.denominator)))
     elif kind == "wedderburn":
         header = ("l", "eigenvalue", "dim")
-        rows = [
-            (str(l), str(Fraction((N - 2 * l) * (N - 2 * l + 2), 2)), str((N - 2 * l + 1) ** 2))
-            for l in range(N // 2 + 1)
-        ]
+        # read off the certified decomposition: wedderburn raises unless each
+        # ideal has the dimension and central eigenvalue it is listed with
+        rows = [(str(l), str(lam), str(len(ideal))) for l, lam, ideal in t_algebra(N).wedderburn()]
     else:
         raise ValueError(f"unknown table kind {kind!r}")
     return header, rows
@@ -294,6 +293,9 @@ def main(argv=None):
     if args.command == "table":
         if args.n < 0:
             print("error: n must be >= 0", file=sys.stderr)
+            return USAGE_ERROR
+        if args.kind == "wedderburn" and args.n > DEFAULT_N_CAP:
+            print(f"error: n {args.n} exceeds the cube cap {DEFAULT_N_CAP} of the wedderburn table", file=sys.stderr)
             return USAGE_ERROR
         try:
             emit_table(args.kind, args.n, args.out, args.format)

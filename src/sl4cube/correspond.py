@@ -9,6 +9,7 @@ to r!s!t!u! times the cell indicator with distance triple (t+u, u+s, s+t),
 outer indices reversed.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,6 +117,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
     profiles = polyspace.enumerate_profiles(N)
     scale_sq = ddag_map(N).scale_squared
     unit = PolyVec.unit
+    oracle = f"N > {oracle_cap} (oracle cap)" if N > oracle_cap else None
 
     def intertwine():
         for tag, fwd in ((MONOMIAL, ddag_scaled), (STARRED, ddag_scaled_starred)):
@@ -127,50 +129,53 @@ def check_ddag(N, oracle_cap=3) -> Report:
     rep.check("correspond.ddag.intertwine", "image of generator action = operator action of image", N, intertwine())
 
     units = {p: unit(MONOMIAL, p) for p in profiles}
-    images = {p: ddag_scaled(v) for p, v in units.items()}
+    images = functools.cache(lambda: {p: ddag_scaled(v) for p, v in units.items()})
+    lifted = functools.cache(lambda: {p: v.lift() for p, v in images().items()})
 
     def form(vectors, name):
+        vectors = vectors()
         for p in profiles:
             for q in profiles:
                 if vectors[p].inner(vectors[q]) != scale_sq * polyspace.hermitian(units[p], units[q]):
                     yield f"{name} pair {tuple(p)},{tuple(q)}"
     rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, "form"))
 
-    if N <= oracle_cap:
-
-        def concrete():
-            for gid in _GENS:
-                for p in profiles:
-                    lhs = tensorspace.act_concrete(gid.index, gid.kind, images[p].lift())
-                    if lhs != ddag_scaled(polyspace.act_generator(gid, units[p])).lift():
-                        yield f"{gid} on unit {tuple(p)}"
-        rep.check("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, concrete())
-        lifted = {p: images[p].lift() for p in profiles}
-        rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, "concrete form"))
-
-        def starred_consistency():
+    def concrete():
+        for gid in _GENS:
             for p in profiles:
-                e = unit(STARRED, p)
-                if ddag_scaled_starred(e).lift() != ddag_scaled(polyspace.convert_basis(e, MONOMIAL)).lift():
-                    yield f"starred unit {tuple(p)}"
-        rep.check(
-            "correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, starred_consistency()
-        )
+                lhs = tensorspace.act_concrete(gid.index, gid.kind, images()[p].lift())
+                if lhs != ddag_scaled(polyspace.act_generator(gid, units[p])).lift():
+                    yield f"{gid} on unit {tuple(p)}"
+    rep.check("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, concrete(), skip=oracle)
+    rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, "concrete form"), skip=oracle)
 
-        def cross_form():
-            starred = {q: ddag_scaled_starred(unit(STARRED, q)).lift() for q in profiles}
-            for p in profiles:
-                for q in profiles:
-                    if lifted[p].inner(starred[q]) != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
-                        yield f"cross pair {tuple(p)},{tuple(q)}"
-        rep.check("correspond.ddag.cross_form", "<image(x^p), image(x*^q)> = (N!)^2 * transition coefficient", N, cross_form())
+    def consistency():
+        for p in profiles:
+            e = unit(STARRED, p)
+            if ddag_scaled_starred(e).lift() != ddag_scaled(polyspace.convert_basis(e, MONOMIAL)).lift():
+                yield f"starred unit {tuple(p)}"
+    rep.check(
+        "correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, consistency(), skip=oracle
+    )
 
-        keys = sorted({k for vec in lifted.values() for k in vec.coeffs})
-        rows = [[lifted[p].coeffs.get(k, 0) for k in keys] for p in profiles]
-    else:
-        rep.skip("correspond.ddag.concrete", "concrete tensor oracle", N, "above oracle cap")
-        rows = [[images[p].coeffs.get(q, 0) for q in profiles] for p in profiles]
-    rep.add("correspond.ddag.injective", "the map has full rank on the degree slice", N, rank(rows) == len(profiles))
+    def cross_form():
+        starred = {q: ddag_scaled_starred(unit(STARRED, q)).lift() for q in profiles}
+        for p in profiles:
+            for q in profiles:
+                if lifted()[p].inner(starred[q]) != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
+                    yield f"cross pair {tuple(p)},{tuple(q)}"
+    rep.check("correspond.ddag.cross_form", "<image(x^p), image(x*^q)> = (N!)^2 * transition coefficient", N, cross_form(), skip=oracle)
+
+    def injective():  # on the lifted tensors where the oracle runs, else on the coordinates
+        if oracle:
+            rows = [[images()[p].coeffs.get(q, 0) for q in profiles] for p in profiles]
+        else:
+            keys = sorted({k for vec in lifted().values() for k in vec.coeffs})
+            rows = [[lifted()[p].coeffs.get(k, 0) for k in keys] for p in profiles]
+        r = rank(rows)
+        if r != len(profiles):
+            yield f"rank {r} of {len(profiles)} rows"
+    rep.check("correspond.ddag.injective", "the map has full rank on the degree slice", N, injective())
     return rep
 
 
@@ -182,18 +187,16 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
     scale_sq = eps_map(N, basepoint).scale_squared
     units = {tag: {p: FixVec.unit(N, tag, p) for p in profiles} for tag in (TILDE, STAR_TILDE)}
 
-    if N <= oracle_cap:
-
-        def routes():
-            for tag, vecs in units.items():
-                for p, u in vecs.items():
-                    if alg.from_matrix(eps_scaled_concrete(alg, u.lift())) != eps_scaled_fix(alg, u):
-                        yield f"{tag} unit {tuple(p)}"
-        rep.check("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, routes())
-
-    ops = alg.t_module_ops()
+    def routes():
+        for tag, vecs in units.items():
+            for p, u in vecs.items():
+                if alg.from_matrix(eps_scaled_concrete(alg, u.lift())) != eps_scaled_fix(alg, u):
+                    yield f"{tag} unit {tuple(p)}"
+    oracle = f"N > {oracle_cap} (oracle cap)" if N > oracle_cap else None
+    rep.check("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, routes(), skip=oracle)
 
     def intertwine():
+        ops = alg.t_module_ops()
         for tag, vecs in units.items():
             for kind, k in ops:
                 for p, u in vecs.items():
@@ -210,8 +213,11 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
                         yield f"{tag} pair {tuple(p)},{tuple(q)}"
     rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, form())
 
-    images = [eps_scaled_fix(alg, u).coord_vector() for u in units[STAR_TILDE].values()]
-    rep.add("correspond.eps.bijective", "flattening restricted to the fixed subspace has full rank", N, rank(images) == len(profiles))
+    def bijective():
+        r = rank([eps_scaled_fix(alg, u).coord_vector() for u in units[STAR_TILDE].values()])
+        if r != len(profiles):
+            yield f"rank {r} of {len(profiles)} images"
+    rep.check("correspond.eps.bijective", "flattening restricted to the fixed subspace has full rank", N, bijective())
     return rep
 
 
@@ -224,9 +230,8 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
     scale_sq = theta_map(N, basepoint).scale_squared
     units = {tag: {p: PolyVec.unit(tag, p) for p in profiles} for tag in (MONOMIAL, STARRED)}
 
-    ops = alg.t_module_ops()
-
     def intertwine():
+        ops = alg.t_module_ops()
         for tag, vecs in units.items():
             for gid in _GENS:
                 for p, e in vecs.items():
@@ -241,13 +246,13 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
                     yield f"{tag} unit {tuple(p)}"
     rep.check("correspond.theta.composite", "theta = flattening after the fixed-space map (scales N! 2^N * 2^-N = N!)", N, composite())
 
-    if N <= oracle_cap:
-        concrete = (
-            f"unit {tuple(p)}"
-            for p, e in units[MONOMIAL].items()
-            if alg.from_matrix(eps_scaled_concrete(alg, ddag_scaled(e).lift())) != theta(e)
-        )
-        rep.check("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, concrete)
+    concrete = (
+        f"unit {tuple(p)}"
+        for p, e in units[MONOMIAL].items()
+        if alg.from_matrix(eps_scaled_concrete(alg, ddag_scaled(e).lift())) != theta(e)
+    )
+    oracle = f"N > {oracle_cap} (oracle cap)" if N > oracle_cap else None
+    rep.check("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, concrete, skip=oracle)
 
     def form():
         for tag, vecs in units.items():
@@ -259,8 +264,11 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
                         yield f"{tag} pair {tuple(p)},{tuple(q)}"
     rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, form())
 
-    images = [theta(e).coord_vector() for e in units[MONOMIAL].values()]
-    rep.add("correspond.theta.injective", "theta has full rank", N, rank(images) == len(profiles))
+    def injective():
+        r = rank([theta(e).coord_vector() for e in units[MONOMIAL].values()])
+        if r != len(profiles):
+            yield f"rank {r} of {len(profiles)} images"
+    rep.check("correspond.theta.injective", "theta has full rank", N, injective())
     return rep
 
 
@@ -283,9 +291,9 @@ def check_c1_phi(N, basepoint=0) -> Report:
     by the central element."""
     rep = Report()
     alg = t_algebra(N, basepoint)
-    phi = alg.phi_central()
 
     def failures():
+        phi = alg.phi_central()
         for p in polyspace.enumerate_profiles(N):
             e = PolyVec.unit(MONOMIAL, p)
             if theta_scaled(alg, polyspace.apply_C(1, e)) != phi @ theta_scaled(alg, e):

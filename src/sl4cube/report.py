@@ -31,34 +31,38 @@ class Check:
         return d
 
 
+def unless(holds, witness):
+    """The failures of a one-condition check: witness, unless holds() is true."""
+    if not holds():
+        yield witness
+
+
 @dataclass
 class Report:
     checks: list = field(default_factory=list)
 
-    def add(self, id, anchor, n, ok, witness=None):
-        if ok:
-            self.checks.append(Check(id, anchor, n, PASS))
-        else:
-            self.checks.append(Check(id, anchor, n, FAIL, witness or "no witness recorded"))
-
-    def check(self, id, anchor, n, failures):
+    def check(self, id, anchor, n, failures, skip=None):
         """Record one check from a lazy iterable of witness strings.
 
         The check passes when the iterable yields nothing; otherwise the first
         value yielded is the witness.  An exception raised while drawing from
         the iterable fails the check with witness "<Type>: <message>".
         Returns whether the check passed.
+
+        When ``skip`` is a reason string the check does not apply: it is
+        recorded as skipped, with the reason in its anchor, nothing is drawn
+        from ``failures``, and None is returned.
         """
+        if skip is not None:
+            self.checks.append(Check(id, f"{anchor} [skipped: {skip}]", n, SKIPPED))
+            return None
         try:
             witness = next(iter(failures), _PASSED)
         except Exception as e:
             witness = f"{type(e).__name__}: {e}"
         ok = witness is _PASSED
-        self.add(id, anchor, n, ok, witness)
+        self.checks.append(Check(id, anchor, n, PASS) if ok else Check(id, anchor, n, FAIL, witness))
         return ok
-
-    def skip(self, id, anchor, n, reason):
-        self.checks.append(Check(id, f"{anchor} [skipped: {reason}]", n, SKIPPED))
 
     def extend(self, other):
         self.checks.extend(other.checks)

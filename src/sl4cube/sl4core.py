@@ -12,7 +12,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 from .linalg import Mat
-from .report import Report
+from .report import Report, unless
 
 
 class GeneratorId(NamedTuple):
@@ -155,58 +155,31 @@ def check_presentation() -> Report:
     """Evaluate every instance of the defining relations on the generator matrices."""
     rep = Report()
     zero = Mat.zeros(4, 4)
+    commute = lambda X, Y: lambda: bracket(X, Y) == zero
+    serre = lambda X, Y: lambda: bracket(X, bracket(X, Y)) == Y.scale(4)
     for i, j in permutations((1, 2, 3), 2):
-        rep.add(
-            f"presentation.commute.A{i}A{j}",
-            f"[A_{i}, A_{j}] = 0",
-            None,
-            bracket(_A[i], _A[j]) == zero,
-            f"[A_{i}, A_{j}] != 0",
-        )
-        rep.add(
-            f"presentation.commute.As{i}As{j}",
-            f"[A*_{i}, A*_{j}] = 0",
-            None,
-            bracket(_ASTAR[i], _ASTAR[j]) == zero,
-            f"[A*_{i}, A*_{j}] != 0",
+        rep.check(f"presentation.commute.A{i}A{j}", f"[A_{i}, A_{j}] = 0", None, unless(commute(_A[i], _A[j]), f"[A_{i}, A_{j}] != 0"))
+        rep.check(
+            f"presentation.commute.As{i}As{j}", f"[A*_{i}, A*_{j}] = 0", None, unless(commute(_ASTAR[i], _ASTAR[j]), f"[A*_{i}, A*_{j}] != 0")
         )
     for i in (1, 2, 3):
-        rep.add(
-            f"presentation.commute.A{i}As{i}",
-            f"[A_{i}, A*_{i}] = 0",
-            None,
-            bracket(_A[i], _ASTAR[i]) == zero,
-            f"[A_{i}, A*_{i}] != 0",
-        )
+        rep.check(f"presentation.commute.A{i}As{i}", f"[A_{i}, A*_{i}] = 0", None, unless(commute(_A[i], _ASTAR[i]), f"[A_{i}, A*_{i}] != 0"))
     for i, j in permutations((1, 2, 3), 2):
-        lhs = bracket(_A[i], bracket(_A[i], _ASTAR[j]))
-        rep.add(
-            f"presentation.serre.A{i}As{j}",
-            f"[A_{i}, [A_{i}, A*_{j}]] = 4 A*_{j}",
-            None,
-            lhs == _ASTAR[j].scale(4),
-            f"fails at (i, j) = ({i}, {j})",
-        )
-        lhs = bracket(_ASTAR[j], bracket(_ASTAR[j], _A[i]))
-        rep.add(
-            f"presentation.serre.As{j}A{i}",
-            f"[A*_{j}, [A*_{j}, A_{i}]] = 4 A_{i}",
-            None,
-            lhs == _A[i].scale(4),
-            f"fails at (j, i) = ({j}, {i})",
-        )
-    for h, i, j in permutations((1, 2, 3)):
+        anchor = f"[A_{i}, [A_{i}, A*_{j}]] = 4 A*_{j}"
+        rep.check(f"presentation.serre.A{i}As{j}", anchor, None, unless(serre(_A[i], _ASTAR[j]), f"fails at (i, j) = ({i}, {j})"))
+        anchor = f"[A*_{j}, [A*_{j}, A_{i}]] = 4 A_{i}"
+        rep.check(f"presentation.serre.As{j}A{i}", anchor, None, unless(serre(_ASTAR[j], _A[i]), f"fails at (j, i) = ({j}, {i})"))
+
+    def triple(h, i, j):
         vals = [
             bracket(_A[h], bracket(_ASTAR[i], _A[j])),
             bracket(_ASTAR[h], bracket(_A[i], _ASTAR[j])),
             bracket(_A[j], bracket(_ASTAR[i], _A[h])),
             bracket(_ASTAR[j], bracket(_A[i], _ASTAR[h])),
         ]
-        rep.add(
-            f"presentation.triple.{h}{i}{j}",
-            "[A_h, [A*_i, A_j]] = [A*_h, [A_i, A*_j]] = [A_j, [A*_i, A_h]] = [A*_j, [A_i, A*_h]]",
-            None,
-            all(v == vals[0] for v in vals[1:]),
-            f"fails at (h, i, j) = ({h}, {i}, {j})",
-        )
+        if any(v != vals[0] for v in vals[1:]):
+            yield f"fails at (h, i, j) = ({h}, {i}, {j})"
+    anchor = "[A_h, [A*_i, A_j]] = [A*_h, [A_i, A*_j]] = [A_j, [A*_i, A_h]] = [A*_j, [A_i, A*_h]]"
+    for h, i, j in permutations((1, 2, 3)):
+        rep.check(f"presentation.triple.{h}{i}{j}", anchor, None, triple(h, i, j))
     return rep

@@ -148,8 +148,13 @@ def _recurrence_rhs(N, which, lam, value):
     return sum(coeff_of[name] * value(shifted) for shifted, name in _recurrence_terms(which, s, t, u) if coeff_of[name])
 
 
+# The recurrences are checked on every key up to this degree, on sampled keys above it.
+EXHAUSTIVE_N_MAX = 3
+
+
 def check_recurrences(N, table=None) -> Report:
-    """The three contiguous recurrences, exhaustively over degree-N tail pairs."""
+    """The three contiguous recurrences, exhaustively over degree-N tail pairs;
+    skipped above EXHAUSTIVE_N_MAX."""
     rep = Report()
     ts = tails(N)
     table = table or transition_table(N)
@@ -160,13 +165,15 @@ def check_recurrences(N, table=None) -> Report:
                 lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
                 if lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)]):
                     yield f"recurrence {which} at N={N} lam={lam} mu={mu}"
+    above = f"N > {EXHAUSTIVE_N_MAX} (exhaustive range)" if N > EXHAUSTIVE_N_MAX else None
     for which in (1, 2, 3):
-        rep.check(f"special.recurrence.{which}", f"weighted transition recurrence #{which} in the plain variables", N, failures(which))
+        rep.check(f"special.recurrence.{which}", f"weighted transition recurrence #{which} in the plain variables", N, failures(which), skip=above)
     return rep
 
 
 def check_recurrences_sampled(N, table, rng, count) -> Report:
-    """Random instances of the three recurrences, for degrees past the exhaustive range."""
+    """Random instances of the three recurrences, for degrees past the exhaustive
+    range; skipped within it, where no sample is drawn."""
     rep = Report()
     ts = tails(N)
 
@@ -178,12 +185,14 @@ def check_recurrences_sampled(N, table, rng, count) -> Report:
                 lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
                 if lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)]):
                     yield f"recurrence {which} at lam={lam} mu={mu}"
-    rep.check("special.recurrence.sampled", "weighted transition recurrences on sampled keys", N, failures())
+    within = f"N <= {EXHAUSTIVE_N_MAX} (checked exhaustively)" if N <= EXHAUSTIVE_N_MAX else None
+    rep.check("special.recurrence.sampled", "weighted transition recurrences on sampled keys", N, failures(), skip=within)
     return rep
 
 
 def check_weight_recurrences(N) -> Report:
-    """The same recurrences after the change to weight coordinates."""
+    """The same recurrences after the change to weight coordinates; skipped
+    above EXHAUSTIVE_N_MAX."""
     rep = Report()
     triples = polyspace.enumerate_weight_triples(N)
     ts = tails(N)
@@ -200,8 +209,11 @@ def check_weight_recurrences(N) -> Report:
             for trip in triples:
                 if trip[which - 1] * pv(lam, trip) != _recurrence_rhs(N, which, lam, lambda shifted: pv(shifted, trip)):
                     yield f"weight recurrence {which} at N={N} lam={lam} weights={trip}"
+    above = f"N > {EXHAUSTIVE_N_MAX} (exhaustive range)" if N > EXHAUSTIVE_N_MAX else None
     for which in (1, 2, 3):
-        rep.check(f"special.weight_recurrence.{which}", f"weighted transition recurrence #{which} in weight coordinates", N, failures(which))
+        rep.check(
+            f"special.weight_recurrence.{which}", f"weighted transition recurrence #{which} in weight coordinates", N, failures(which), skip=above
+        )
     return rep
 
 

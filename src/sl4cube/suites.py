@@ -1,11 +1,14 @@
 """Per-module verification suites: every identity the package certifies, as checks.
 
-Each suite returns a Report of pass/fail checks with a witness on failure.
-Randomized spot checks draw from the caller's seeded PRNG so reports are
-reproducible.  Heavy concrete-tensor oracles only run up to the oracle cap and
-record an explicit skipped status above it.
+Each suite returns a Report with every one of its check ids at every N: pass,
+fail with a witness, or skipped with the reason, such as the oracle cap, that
+the check does not apply.  Each check builds what it needs inside its own body
+(inputs shared by several checks once, through a cached local), so a raise
+while building fails those checks and the others still run.  Randomized spot
+checks draw from the caller's seeded PRNG so reports are reproducible.
 """
 
+import functools
 from fractions import Fraction
 
 from . import correspond, cube, polyspace, specialfn, tensorspace
@@ -13,7 +16,7 @@ from . import sl4core
 from .exact import binomial, factorial
 from .linalg import Mat, rank
 from .polyspace import MONOMIAL, STARRED, PolyVec
-from .report import Report
+from .report import Report, unless
 from .sl4core import GeneratorId
 from .tensorspace import STAR_TILDE, TILDE, FixVec
 
@@ -26,6 +29,15 @@ def random_polyvec(rng, N, basis):
         if rng.random() < 0.6:
             coeffs[p] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
     return PolyVec(basis, coeffs)
+
+
+def _second_basepoint_skip(N, basepoint, n_max):
+    """Why a comparison from basepoint 0 with basepoint 1 does not apply, or None."""
+    if N == 0:
+        return "N = 0 (one vertex)"
+    if N > n_max:
+        return f"N > {n_max} (second-basepoint bound)"
+    return f"basepoint {basepoint} (compared from basepoint 0 only)" if basepoint else None
 
 
 def random_telem(alg, rng):
@@ -44,8 +56,7 @@ def suite_sl4(rng) -> Report:
     rep = Report()
     rep.extend(sl4core.check_presentation())
     tau, bracket, U = sl4core.tau, sl4core.bracket, sl4core.UPSILON
-
-    rep.add("sl4.upsilon_involution", "Upsilon^2 = I", None, U @ U == Mat.identity(4))
+    rep.check("sl4.upsilon_involution", "Upsilon^2 = I", None, unless(lambda: U @ U == Mat.identity(4), "Upsilon^2 != I"))
     pairs = [(k, sl4core.generator(GeneratorId("A", k)), sl4core.generator(GeneratorId("Astar", k))) for k in (1, 2, 3)]
     rep.check(
         "sl4.intertwine_upsilon",
@@ -54,24 +65,24 @@ def suite_sl4(rng) -> Report:
         (f"index {k}" for k, a, b in pairs if a @ U != U @ b or b @ U != U @ a),
     )
 
-    basis = None
+    basis = functools.cache(sl4core.basis15)  # certifies its rank by raising
 
     def basis_rank():
-        nonlocal basis
-        basis = sl4core.basis15()
+        basis()
         yield from ()
-    if not rep.check("sl4.basis15.rank", "the 15 bracket words are linearly independent", None, basis_rank()):
-        return rep
+    rep.check("sl4.basis15.rank", "the 15 bracket words are linearly independent", None, basis_rank())
 
-    rep.add("sl4.basis15.trace", "every basis matrix is traceless", None, all(m.trace() == 0 for m in basis))
+    def traceless():
+        yield from (f"basis matrix {k} has trace {m.trace()}" for k, m in enumerate(basis()) if m.trace() != 0)
+    rep.check("sl4.basis15.trace", "every basis matrix is traceless", None, traceless())
     rep.check("sl4.tau_swaps", "tau swaps A_i with A*_i", None, (f"index {k}" for k, a, b in pairs if tau(a) != b or tau(b) != a))
 
     def tau_lie_map():
-        images = [tau(x) for x in basis]
-        for x, tx in zip(basis, images):
+        images = [tau(x) for x in basis()]
+        for x, tx in zip(basis(), images):
             if tau(tx) != x:
                 yield "involution fails"
-            for y, ty in zip(basis, images):
+            for y, ty in zip(basis(), images):
                 if tau(bracket(x, y)) != bracket(tx, ty):
                     yield "bracket compatibility fails"
     rep.check("sl4.tau_lie_map", "tau^2 = id and tau[X, Y] = [tau X, tau Y] on the basis", None, tau_lie_map())
@@ -119,7 +130,9 @@ def suite_poly(N, rng) -> Report:
     profiles = polyspace.enumerate_profiles(N)
     D, M, L, R, C = polyspace.apply_D, polyspace.apply_M, polyspace.apply_L, polyspace.apply_R, polyspace.apply_C
     act, herm, unit, Omega = polyspace.act_generator, polyspace.hermitian, PolyVec.unit, polyspace.apply_Omega
-    rep.add("poly.profile_count", "number of degree-N profiles = C(N+3, 3)", N, len(profiles) == binomial(N + 3, 3))
+    low = "N < 2 (no slice of degree N-2)" if N < 2 else None
+    count = unless(lambda: len(profiles) == binomial(N + 3, 3), f"{len(profiles)} profiles")
+    rep.check("poly.profile_count", "number of degree-N profiles = C(N+3, 3)", N, count)
 
     def tables_vs_dm():
         for basis in (MONOMIAL, STARRED):
@@ -149,16 +162,14 @@ def suite_poly(N, rng) -> Report:
                         yield f"{gid} at pair {tuple(p)},{tuple(q)}"
     rep.check("poly.adjoint_generators", "<G f, g> = <f, G g> for all six generators", N, adjoint_generators())
 
-    if N >= 2:
-
-        def adjoint_ladder():
-            for i in (1, 2, 3):
-                for p in polyspace.enumerate_profiles(N - 2):
-                    for q in profiles:
-                        f, g = unit(MONOMIAL, p), unit(MONOMIAL, q)
-                        if herm(R(i, f), g) != herm(f, L(i, g)):
-                            yield f"R_{i}/L_{i} at {tuple(p)},{tuple(q)}"
-        rep.check("poly.adjoint_ladder", "<R_i f, g> = <f, L_i g>", N, adjoint_ladder())
+    def adjoint_ladder():
+        for i in (1, 2, 3):
+            for p in polyspace.enumerate_profiles(N - 2):
+                for q in profiles:
+                    f, g = unit(MONOMIAL, p), unit(MONOMIAL, q)
+                    if herm(R(i, f), g) != herm(f, L(i, g)):
+                        yield f"R_{i}/L_{i} at {tuple(p)},{tuple(q)}"
+    rep.check("poly.adjoint_ladder", "<R_i f, g> = <f, L_i g>", N, adjoint_ladder(), skip=low)
 
     v = random_polyvec(rng, N, MONOMIAL)
 
@@ -266,16 +277,15 @@ def suite_poly(N, rng) -> Report:
         yield from ()
     rep.check("poly.weights", "profiles biject with the degree-N weight triples, both Cartans", N, weights())
 
-    if N <= 5:
-
-        def eigenspace_dims():
-            want_dims = {N - 2 * n: (n + 1) * (N - n + 1) for n in range(N + 1)}
-            for i in (1, 2, 3):
-                for which in ("A", "Astar"):
-                    dims = polyspace.eigenspace_dims(i, which, N)
-                    if dims != want_dims:
-                        yield f"{which}_{i}: {dims}"
-        rep.check("poly.eigenspace_dims", "generator eigenspace of N-2n has dimension (n+1)(N-n+1)", N, eigenspace_dims())
+    def eigenspace_dims():
+        want_dims = {N - 2 * n: (n + 1) * (N - n + 1) for n in range(N + 1)}
+        for i in (1, 2, 3):
+            for which in ("A", "Astar"):
+                dims = polyspace.eigenspace_dims(i, which, N)
+                if dims != want_dims:
+                    yield f"{which}_{i}: {dims}"
+    dense = "N > 5 (dense eigenspace bound)" if N > 5 else None
+    rep.check("poly.eigenspace_dims", "generator eigenspace of N-2n has dimension (n+1)(N-n+1)", N, eigenspace_dims(), skip=dense)
 
     # decomposition machinery
     def kernel_basis():
@@ -314,16 +324,14 @@ def suite_poly(N, rng) -> Report:
                     yield f"f_{N+1}(A_{i}) on {tuple(p)}"
     rep.check("poly.krawtchouk_annihilation", "the top Krawtchouk polynomial annihilates the degree-N slice", N, krawtchouk_annihilation())
 
-    if N >= 2:
-
-        def raised_perp_kernel():
-            kb = polyspace.kernel_L_basis(1, N)
-            for p in polyspace.enumerate_profiles(N - 2):
-                rf = R(1, unit(MONOMIAL, p))
-                for key, v in kb.items():
-                    if herm(rf, v) != 0:
-                        yield f"raised {tuple(p)} against word {key}"
-        rep.check("poly.raised_perp_kernel", "the raised image of the lower slice is orthogonal to Ker L_i", N, raised_perp_kernel())
+    def raised_perp_kernel():
+        kb = polyspace.kernel_L_basis(1, N)
+        for p in polyspace.enumerate_profiles(N - 2):
+            rf = R(1, unit(MONOMIAL, p))
+            for key, v in kb.items():
+                if herm(rf, v) != 0:
+                    yield f"raised {tuple(p)} against word {key}"
+    rep.check("poly.raised_perp_kernel", "the raised image of the lower slice is orthogonal to Ker L_i", N, raised_perp_kernel(), skip=low)
 
     def word_basis():  # the word bases certify their rank by raising
         polyspace.a_word_basis(N)
@@ -359,12 +367,9 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
     rep.check("special.symmetry", "the transition coefficient is symmetric in its two slots", N, symmetry)
 
     rep.extend(specialfn.check_orthogonality(N, table))
-
-    if N <= 3:
-        rep.extend(specialfn.check_recurrences(N, table))
-        rep.extend(specialfn.check_weight_recurrences(N))
-    else:
-        rep.extend(specialfn.check_recurrences_sampled(N, table, rng, 40))
+    rep.extend(specialfn.check_recurrences(N, table))
+    rep.extend(specialfn.check_weight_recurrences(N))
+    rep.extend(specialfn.check_recurrences_sampled(N, table, rng, 40))
 
     sample = keys if N <= 4 else keys[:40]
 
@@ -384,23 +389,20 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
                 yield f"key {lam};{mu}"
     rep.check("special.pairing", "<x^p, x*^q> = N!/2^N times the transition coefficient", N, pairing())
 
-    if N <= 4:
+    def transition_expansion():
+        for p in polyspace.enumerate_profiles(N):
+            for q, c in polyspace.convert_basis(PolyVec.unit(MONOMIAL, p), STARRED).items():
+                if c != nfact * table[((p.s, p.t, p.u), (q.s, q.t, q.u))] / q.norm_sq:
+                    yield f"{tuple(p)} -> {tuple(q)}"
+    every_key = "N > 4 (all-keys bound)" if N > 4 else None
+    rep.check("special.transition_expansion", "basis conversion reproduces the transition coefficients", N, transition_expansion(), skip=every_key)
 
-        def transition_expansion():
-            for p in polyspace.enumerate_profiles(N):
-                for q, c in polyspace.convert_basis(PolyVec.unit(MONOMIAL, p), STARRED).items():
-                    if c != nfact * table[((p.s, p.t, p.u), (q.s, q.t, q.u))] / q.norm_sq:
-                        yield f"{tuple(p)} -> {tuple(q)}"
-        rep.check("special.transition_expansion", "basis conversion reproduces the transition coefficients", N, transition_expansion())
+    fam = functools.cache(lambda: specialfn.krawtchouk(N))  # certifies its closed form by raising
 
-    fam = None
-
-    def krawtchouk_family():  # the family certifies its closed form by raising
-        nonlocal fam
-        fam = specialfn.krawtchouk(N)
+    def krawtchouk_family():
+        fam()
         yield from ()
-    if not rep.check("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, krawtchouk_family()):
-        return rep
+    rep.check("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, krawtchouk_family())
 
     def krawtchouk_vectors():
         for k in (1, 2, 3):  # generator k moves weight into profile slot k
@@ -415,7 +417,7 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
 
     def operator_recurrence():
         act = lambda w: polyspace.act_generator(GeneratorId("A", 1), w)
-        vecs = [polyspace.apply_op_poly(fam.coeffs[n], act, PolyVec.unit(MONOMIAL, (N, 0, 0, 0))) for n in range(N + 2)]
+        vecs = [polyspace.apply_op_poly(fam().coeffs[n], act, PolyVec.unit(MONOMIAL, (N, 0, 0, 0))) for n in range(N + 2)]
         for n in range(N + 1):
             rhs = (n * vecs[n - 1] if n else PolyVec.zero(MONOMIAL)) + (N - n) * vecs[n + 1]
             if n == N:
@@ -424,17 +426,14 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
                 yield f"recurrence at n={n}"
     rep.check("special.operator_recurrence", "the generator satisfies the Krawtchouk recurrence on seed words", N, operator_recurrence())
 
-    if N <= oracle_n_max:
-
-        def pvee_words():
-            for p in polyspace.enumerate_profiles(N):
-                if polyspace.pvee_word(N, (p.s, p.t, p.u)) != PolyVec.unit(MONOMIAL, p):
-                    yield f"plain word {tuple(p)}"
-                if polyspace.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
-                    yield f"starred word {tuple(p)}"
-        rep.check("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, pvee_words())
-    else:
-        rep.skip("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, "above oracle cap")
+    def pvee_words():
+        for p in polyspace.enumerate_profiles(N):
+            if polyspace.pvee_word(N, (p.s, p.t, p.u)) != PolyVec.unit(MONOMIAL, p):
+                yield f"plain word {tuple(p)}"
+            if polyspace.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
+                yield f"starred word {tuple(p)}"
+    oracle = f"N > {oracle_n_max} (oracle cap)" if N > oracle_n_max else None
+    rep.check("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, pvee_words(), skip=oracle)
     return rep
 
 
@@ -454,16 +453,14 @@ def suite_cube(N, basepoint, rng) -> Report:
     A = c.adjacency()
     Astar = alg.dual_adjacency()
     br = lambda X, Y: X @ Y - Y @ X
-    rep.add(
-        "cube.presentation",
-        "[A, [A, A*]] = 4 A* and [A*, [A*, A]] = 4 A on the standard module",
-        N,
-        br(A, br(A, Astar)) == Astar.scale(4) and br(Astar, br(Astar, A)) == A.scale(4),
-    )
 
-    # the Krawtchouk family, the idempotent numerators and the E-basis are
-    # built inside the checks that use them, so a raise while building fails
-    # those checks
+    def presentation():
+        if br(A, br(A, Astar)) != Astar.scale(4):
+            yield "[A, [A, A*]] != 4 A*"
+        if br(Astar, br(Astar, A)) != A.scale(4):
+            yield "[A*, [A*, A]] != 4 A"
+    rep.check("cube.presentation", "[A, [A, A*]] = 4 A* and [A*, [A*, A]] = 4 A on the standard module", N, presentation())
+
     def idempotents():
         Ks = c.idempotent_numerators()
         total = Mat.zeros(size, size)
@@ -508,11 +505,15 @@ def suite_cube(N, basepoint, rng) -> Report:
                 yield f"distance operator {i}"
     rep.check("cube.distance_vs_krawtchouk", "A_i = C(N, i) f_i(A)", N, distance_vs_krawtchouk())
 
-    ones = Mat([[1] * size for _ in range(size)])
-    total = Mat.zeros(size, size)
-    for i in range(N + 1):
-        total = total + c.distance_op(i)
-    rep.add("cube.distance_partition", "the distance operators sum to the all-ones matrix", N, total == ones and c.distance_op(0) == eye)
+    def distance_partition():
+        total = Mat.zeros(size, size)
+        for i in range(N + 1):
+            total = total + c.distance_op(i)
+        if total != Mat([[1] * size for _ in range(size)]):
+            yield "the sum is not the all-ones matrix"
+        if c.distance_op(0) != eye:
+            yield "A_0 is not the identity"
+    rep.check("cube.distance_partition", "the distance operators sum to the all-ones matrix", N, distance_partition())
 
     # the Krawtchouk value of the h-th dual distance operator at vertex x
     dual_value = lambda fam, h, x: binomial(N, h) * fam.evaluate(h, c.theta(alg.dist_to_base[x]))
@@ -577,7 +578,8 @@ def suite_cube(N, basepoint, rng) -> Report:
             alg.from_matrix(A @ estar[trip].matrix())
         yield from ()
     rep.check("cube.closure", "adjacency times any cell indicator is again constant on cells (algebra closure)", N, closure())
-    rep.add("cube.dimension", "the algebra has dimension C(N+3, 3)", N, len(alg.triples) == binomial(N + 3, 3))
+    dimension = unless(lambda: len(alg.triples) == binomial(N + 3, 3), f"{len(alg.triples)} valid triples")
+    rep.check("cube.dimension", "the algebra has dimension C(N+3, 3)", N, dimension)
 
     def e_basis():
         elems = [(t,) + e.int_scaled() for t, e in alg.e_basis().items()]  # Gram on integer copies
@@ -591,24 +593,23 @@ def suite_cube(N, basepoint, rng) -> Report:
                     yield f"pair {tuple(ta)},{tuple(tb)}"
     rep.check("cube.e_basis", "E_i A*_h E_j are orthogonal, nonzero, with norms N!/(r!s!t!u!)", N, e_basis())
 
-    if N <= 3:
+    def dense():
+        for t, e in alg.e_basis().items():
+            if e.matrix() != alg.e_basis_product_matrix(t):
+                yield f"triple {tuple(t)}"
+    dense_cap = "N > 3 (dense-product oracle bound)" if N > 3 else None
+    rep.check("cube.e_basis_dense_oracle", "cell-coordinate products match dense matrix products", N, dense(), skip=dense_cap)
 
-        def dense():
-            for t, e in alg.e_basis().items():
-                if e.matrix() != alg.e_basis_product_matrix(t):
-                    yield f"triple {tuple(t)}"
-        rep.check("cube.e_basis_dense_oracle", "cell-coordinate products match dense matrix products", N, dense())
+    # drawn only where the oracle runs, so the later draws keep their values
+    X, Y = (None, None) if dense_cap else (random_telem(alg, rng), random_telem(alg, rng))
 
-        X = random_telem(alg, rng)
-        Y = random_telem(alg, rng)
-
-        def product_oracle():
-            XM, YM = X.matrix(), Y.matrix()
-            if (X @ Y).matrix() != XM @ YM:
-                yield "product of two random elements"
-            if X.inner(Y) != sum(a * b for ra, rb in zip(XM.rows, YM.rows) for a, b in zip(ra, rb)):
-                yield "inner product of two random elements"
-        rep.check("cube.product_oracle", "coordinate products match dense matrix products on random elements", N, product_oracle())
+    def product_oracle():
+        XM, YM = X.matrix(), Y.matrix()
+        if (X @ Y).matrix() != XM @ YM:
+            yield "product of two random elements"
+        if X.inner(Y) != sum(a * b for ra, rb in zip(XM.rows, YM.rows) for a, b in zip(ra, rb)):
+            yield "inner product of two random elements"
+    rep.check("cube.product_oracle", "coordinate products match dense matrix products on random elements", N, product_oracle(), skip=dense_cap)
 
     def wedderburn():
         ideals = alg.wedderburn()
@@ -618,15 +619,18 @@ def suite_cube(N, basepoint, rng) -> Report:
                     yield f"ideals {la} and {lb} are not orthogonal"
     rep.check("cube.wedderburn", "central idempotents cut out orthogonal ideals of dimension (N-2l+1)^2", N, wedderburn())
 
-    phi = alg.phi_central()
     Ae = alg.adjacency_elem()
     Ase = alg.dual_adjacency_elem()
-    rep.add("cube.phi_central", "the central element commutes with both generators", N, phi @ Ae == Ae @ phi and phi @ Ase == Ase @ phi)
 
-    ops = alg.t_module_ops()
+    def phi_central():
+        phi = alg.phi_central()
+        yield from (f"phi and {name}" for name, G in (("A", Ae), ("A*", Ase)) if phi @ G != G @ phi)
+    rep.check("cube.phi_central", "the central element commutes with both generators", N, phi_central())
+
     B = random_telem(alg, rng)
 
     def module_ops():
+        ops = alg.t_module_ops()
         forms = [
             (("A", 2), Ae @ B, "left multiplication form"),
             (("A", 3), B @ Ae, "right multiplication form"),
@@ -667,14 +671,13 @@ def suite_cube(N, basepoint, rng) -> Report:
                 yield f"triple {tuple(trip)}"
     rep.check("cube.intersection_identity", "k_h p^h_ij = N!/(r!s!t!u!)", N, intersection_identity())
 
-    if N <= 4 and basepoint == 0 and size > 1:
-
-        def basepoint_independence():
-            dims_other = [len(b) for _, _, b in cube.t_algebra(N, 1).wedderburn()]
-            dims_here = [len(b) for _, _, b in alg.wedderburn()]
-            if dims_other != dims_here:
-                yield f"ideal dimensions {dims_here} at basepoint {basepoint}, {dims_other} at basepoint 1"
-        rep.check("cube.basepoint_independence", "dimension profile is basepoint independent", N, basepoint_independence())
+    def basepoint_independence():
+        dims_other = [len(b) for _, _, b in cube.t_algebra(N, 1).wedderburn()]
+        dims_here = [len(b) for _, _, b in alg.wedderburn()]
+        if dims_other != dims_here:
+            yield f"ideal dimensions {dims_here} at basepoint {basepoint}, {dims_other} at basepoint 1"
+    second = _second_basepoint_skip(N, basepoint, 4)
+    rep.check("cube.basepoint_independence", "dimension profile is basepoint independent", N, basepoint_independence(), skip=second)
     return rep
 
 
@@ -686,6 +689,7 @@ def suite_cube(N, basepoint, rng) -> Report:
 def suite_tensor(N, basepoint, oracle_n_max, rng) -> Report:
     rep = Report()
     size = 1 << N
+    profiles = polyspace.enumerate_profiles(N)
 
     def profile_distances():
         c = cube.cube(N)
@@ -696,102 +700,95 @@ def suite_tensor(N, basepoint, oracle_n_max, rng) -> Report:
                 yield f"triple {(x, y, z)}"
     rep.check("tensor.profile_distances", "pair distances are the two-index sums of the profile", N, profile_distances())
 
-    if N <= 4:
-        profiles = polyspace.enumerate_profiles(N)
+    budget = "N > 4 (concrete-tensor budget)" if N > 4 else None
 
-        def orbit_sums():
+    def orbit_sums():
+        for p in profiles:
+            b = tensorspace.b_vector(N, p)
+            want = tensorspace.b_support_size(N, p)
+            if len(b.coeffs) != want or b.norm_sq() != want:
+                yield f"profile {tuple(p)}"
+            if not tensorspace.fix_membership(b):
+                yield f"orbit sum at {tuple(p)} not fixed"
+    rep.check("tensor.orbit_sums", "orbit sums have support and square norm N! 2^N / (r!s!t!u!)", N, orbit_sums(), skip=budget)
+
+    def duality():
+        for p in profiles:
+            bt = FixVec.unit(N, TILDE, p).lift()
+            for q in profiles:
+                if tensorspace.b_vector(N, q).inner(bt) != (1 if p == q else 0):
+                    yield f"pair {tuple(p)},{tuple(q)}"
+    rep.check("tensor.duality", "orbit sums and their duals pair to the identity", N, duality(), skip=budget)
+
+    def spectral_sums():
+        valid = set(cube.valid_triples(N))
+        for h in range(N + 1):
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    q = tensorspace.q_vector(N, (h, i, j))
+                    if (h, i, j) not in valid:
+                        if not q.is_zero():
+                            yield f"nonzero spectral sum at invalid {(h, i, j)}"
+                        continue
+                    if q.norm_sq() != tensorspace.b_support_size(N, cube.profile_of_triple(N, (h, i, j))):
+                        yield f"spectral norm at {(h, i, j)}"
+                    if not tensorspace.fix_membership(q):
+                        yield f"spectral sum at {(h, i, j)} not fixed"
+    rep.check("tensor.spectral_sums", "spectral sums vanish exactly off the valid triples, with matching norms", N, spectral_sums(), skip=budget)
+
+    def diagonal_sum(summand, diagonal):
+        total = tensorspace.TripleTensor(N)
+        for p in profiles:
+            total.add_scaled(1, summand(N, p))
+        got, want = Fraction(1, 2**N) * total, diagonal(N, (N, 0, 0, 0))
+        if got != want:
+            yield f"triple {tensorspace.unpack(N, min((got - want).coeffs))}"
+    b, bstar = tensorspace.b_vector, tensorspace.bstar_vector
+    rep.check("tensor.diagonal_sum", "the diagonal orbit sum is 2^-N times the sum of all spectral sums", N, diagonal_sum(bstar, b), skip=budget)
+    rep.check(
+        "tensor.diagonal_sum_dual", "the diagonal spectral sum is 2^-N times the sum of all orbit sums", N, diagonal_sum(b, bstar), skip=budget
+    )
+
+    oracle = f"N > {oracle_n_max} (oracle cap)" if N > oracle_n_max else None
+
+    def tensor_oracle():
+        for tag in (TILDE, STAR_TILDE):
             for p in profiles:
-                b = tensorspace.b_vector(N, p)
-                want = tensorspace.b_support_size(N, p)
-                if len(b.coeffs) != want or b.norm_sq() != want:
-                    yield f"profile {tuple(p)}"
-                if not tensorspace.fix_membership(b):
-                    yield f"orbit sum at {tuple(p)} not fixed"
-        rep.check("tensor.orbit_sums", "orbit sums have support and square norm N! 2^N / (r!s!t!u!)", N, orbit_sums())
+                u = FixVec.unit(N, tag, p)
+                lifted = u.lift()
+                for kind in ("A", "Astar"):
+                    for k in (1, 2, 3):
+                        if tensorspace.act_abstract(k, kind, u).lift() != tensorspace.act_concrete(k, kind, lifted):
+                            yield f"{kind}^({k}) on {tag} {tuple(p)}"
+    rep.check("tensor.oracle", "abstract coordinate action equals the concrete slot-wise action", N, tensor_oracle(), skip=oracle)
 
-        def duality():
-            for p in profiles:
-                bt = FixVec.unit(N, TILDE, p).lift()
-                for q in profiles:
-                    if tensorspace.b_vector(N, q).inner(bt) != (1 if p == q else 0):
-                        yield f"pair {tuple(p)},{tuple(q)}"
-        rep.check("tensor.duality", "orbit sums and their duals pair to the identity", N, duality())
+    t = tensorspace.TripleTensor(N, {rng.randrange(size**3): Fraction(rng.randint(1, 5)) for _ in range(5)})
 
-        def spectral_sums():
-            valid = set(cube.valid_triples(N))
-            for h in range(N + 1):
-                for i in range(N + 1):
-                    for j in range(N + 1):
-                        q = tensorspace.q_vector(N, (h, i, j))
-                        if (h, i, j) not in valid:
-                            if not q.is_zero():
-                                yield f"nonzero spectral sum at invalid {(h, i, j)}"
-                            continue
-                        if q.norm_sq() != tensorspace.b_support_size(N, cube.profile_of_triple(N, (h, i, j))):
-                            yield f"spectral norm at {(h, i, j)}"
-                        if not tensorspace.fix_membership(q):
-                            yield f"spectral sum at {(h, i, j)} not fixed"
-        rep.check("tensor.spectral_sums", "spectral sums vanish exactly off the valid triples, with matching norms", N, spectral_sums())
+    def symmetry_commutes():
+        act, sym = tensorspace.act_concrete, tensorspace.apply_symmetry
+        for k in (1, 2, 3):
+            for perm, flip in tensorspace.symmetry_generators(N):
+                if sym(N, act(k, "Astar", t), perm, flip) != act(k, "Astar", sym(N, t, perm, flip)):
+                    yield f"operator {k}"
+    rep.check("tensor.symmetry_commutes", "the diagonal symmetries commute with the starred operators", N, symmetry_commutes(), skip=oracle)
 
-        for check_id, anchor, summand, diagonal in (
-            ("tensor.diagonal_sum", "the diagonal orbit sum is 2^-N times the sum of all spectral sums",
-             tensorspace.bstar_vector, tensorspace.b_vector),
-            ("tensor.diagonal_sum_dual", "the diagonal spectral sum is 2^-N times the sum of all orbit sums",
-             tensorspace.b_vector, tensorspace.bstar_vector),
-        ):
-            total = tensorspace.TripleTensor(N)
-            for p in profiles:
-                total.add_scaled(1, summand(N, p))
-            rep.add(check_id, anchor, N, Fraction(1, 2**N) * total == diagonal(N, (N, 0, 0, 0)))
-    else:
-        rep.skip("tensor.orbit_sums", "orbit and spectral sum certification", N, "above concrete-tensor budget")
+    def orbits_are_profiles():
+        group = tensorspace.full_group(N)
+        permute = tensorspace.permute_bits
+        orbit_of = {}
+        for x in range(size):
+            for y in range(size):
+                for z in range(size):
+                    rep_key = min(
+                        tensorspace.pack(N, permute(x, pm) ^ fl, permute(y, pm) ^ fl, permute(z, pm) ^ fl)
+                        for pm, fl in group
+                    )
+                    if orbit_of.setdefault(tensorspace.profile_of(N, x, y, z), rep_key) != rep_key:
+                        yield f"triple {(x, y, z)}"
+    rep.check("tensor.orbits_are_profiles", "two triples lie in one orbit exactly when their profiles agree", N, orbits_are_profiles(), skip=oracle)
 
-    if N <= oracle_n_max:
-        profiles = polyspace.enumerate_profiles(N)
-
-        def oracle():
-            for tag in (TILDE, STAR_TILDE):
-                for p in profiles:
-                    u = FixVec.unit(N, tag, p)
-                    lifted = u.lift()
-                    for kind in ("A", "Astar"):
-                        for k in (1, 2, 3):
-                            if tensorspace.act_abstract(k, kind, u).lift() != tensorspace.act_concrete(k, kind, lifted):
-                                yield f"{kind}^({k}) on {tag} {tuple(p)}"
-        rep.check("tensor.oracle", "abstract coordinate action equals the concrete slot-wise action", N, oracle())
-
-        t = tensorspace.TripleTensor(
-            N, {rng.randrange(size**3): Fraction(rng.randint(1, 5)) for _ in range(5)}
-        )
-
-        def symmetry_commutes():
-            act, sym = tensorspace.act_concrete, tensorspace.apply_symmetry
-            for k in (1, 2, 3):
-                for perm, flip in tensorspace.symmetry_generators(N):
-                    if sym(N, act(k, "Astar", t), perm, flip) != act(k, "Astar", sym(N, t, perm, flip)):
-                        yield f"operator {k}"
-        rep.check("tensor.symmetry_commutes", "the diagonal symmetries commute with the starred operators", N, symmetry_commutes())
-
-        def orbits_are_profiles():
-            group = tensorspace.full_group(N)
-            permute = tensorspace.permute_bits
-            orbit_of = {}
-            for x in range(size):
-                for y in range(size):
-                    for z in range(size):
-                        rep_key = min(
-                            tensorspace.pack(N, permute(x, pm) ^ fl, permute(y, pm) ^ fl, permute(z, pm) ^ fl)
-                            for pm, fl in group
-                        )
-                        if orbit_of.setdefault(tensorspace.profile_of(N, x, y, z), rep_key) != rep_key:
-                            yield f"triple {(x, y, z)}"
-        rep.check("tensor.orbits_are_profiles", "two triples lie in one orbit exactly when their profiles agree", N, orbits_are_profiles())
-
-        if N >= 2:
-            lone = tensorspace.TripleTensor.basis(N, 0, 1, 2 if size > 2 else 1)
-            rep.add("tensor.membership_negative", "a lone basis tensor is not fixed", N, not tensorspace.fix_membership(lone))
-    else:
-        rep.skip("tensor.oracle", "concrete tensor oracle", N, "above oracle cap")
+    negative = unless(lambda: not tensorspace.fix_membership(tensorspace.TripleTensor.basis(N, 0, 1, 2)), "the basis tensor at (0, 1, 2) is fixed")
+    rep.check("tensor.membership_negative", "a lone basis tensor is not fixed", N, negative, skip=oracle or ("N < 2" if N < 2 else None))
     return rep
 
 
@@ -808,17 +805,15 @@ def suite_correspond(N, basepoint, oracle_n_max, rng) -> Report:
     rep.extend(correspond.sigma_S_diagram(N, basepoint))
     rep.extend(correspond.check_c1_phi(N, basepoint))
     rep.extend(correspond.wedderburn_correspondence(N, basepoint))
-    if N <= 3 and basepoint == 0 and N >= 1:
+
+    def verbatim():
         sub = Report()
         sub.extend(correspond.check_theta(N, 1, oracle_n_max))
         sub.extend(correspond.wedderburn_correspondence(N, 1))
-        rep.add(
-            "correspond.basepoint_independence",
-            "the correspondences hold verbatim at a second basepoint",
-            N,
-            sub.passed,
-            "; ".join(c.id for c in sub.failures) or None,
-        )
+        if not sub.passed:
+            yield "; ".join(c.id for c in sub.failures)
+    second = _second_basepoint_skip(N, basepoint, 3)
+    rep.check("correspond.basepoint_independence", "the correspondences hold verbatim at a second basepoint", N, verbatim(), skip=second)
     return rep
 
 

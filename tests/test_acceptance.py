@@ -4,7 +4,9 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
 import random
+import re
 import time
+from collections import Counter, defaultdict
 
 from sl4cube import cli, specialfn, suites
 from sl4cube.cli import SuiteConfig
@@ -190,12 +192,33 @@ def test_criterion_8_negative_controls(monkeypatch):
     announce(8, "negative controls fail with witnesses", ok)
 
 
+def gaps(report, degrees):
+    """(suite, N, id, times seen) for every check id of a suite not reported
+    exactly once at every N, and (id, N, anchor) for every skip without a reason."""
+    counts = defaultdict(Counter)  # (suite, N) -> id -> rows
+    for c in report.checks:
+        counts[c.id.split(".")[0], c.n][c.id] += 1
+    ids = defaultdict(set)
+    for (suite, _), seen in counts.items():
+        ids[suite] |= set(seen)
+    out = []
+    for suite, suite_ids in ids.items():
+        ns = [None] if (suite, None) in counts else degrees
+        out += [(suite, n, i, counts[suite, n][i]) for n in ns for i in sorted(suite_ids) if counts[suite, n][i] != 1]
+    out += [(c.id, c.n, c.anchor) for c in report.checks if c.status not in ("pass", "fail", "skipped")]
+    out += [(c.id, c.n, c.anchor) for c in report.checks if c.status == "skipped" and not re.search(r" \[skipped: .+\]$", c.anchor)]
+    return out
+
+
 def test_full_default_suite_under_a_minute():
     t0 = time.time()
     report, status = cli.run(SuiteConfig())
     elapsed = time.time() - t0
-    ok = status == 0 and report.passed and elapsed < 60.0
+    missing = gaps(report, range(6))
+    ok = status == 0 and report.passed and not missing and elapsed < 60.0
     if not report.passed:
         print(failures(report))
+    if missing:
+        print("not reported exactly once, or skipped without a reason:", missing)
     print(f"ACCEPTANCE timing (full default suite): {elapsed:.1f}s: {'PASS' if ok else 'FAIL'}")
     assert ok

@@ -81,17 +81,23 @@ def test_report_determinism():
     assert buf1.getvalue() == buf2.getvalue()
 
 
+def _digest(report, cfg):
+    buf = io.StringIO()
+    cli.render_report(report, cfg, buf)
+    payload = buf.getvalue().encode()
+    return len(report.checks), len(payload), hashlib.sha256(payload).hexdigest()
+
+
 def test_report_digest_pinned():
     # a refactor must leave every check id, anchor, status and its order unchanged
     cfg = SuiteConfig(n_max=2, oracle_n_max=2, output="json")
     report, status = cli.run(cfg)
-    buf = io.StringIO()
-    cli.render_report(report, cfg, buf)
-    payload = buf.getvalue().encode()
-    assert status == 0 and len(report.checks) == 312 and len(payload) == 49554
-    assert hashlib.sha256(payload).hexdigest() == (
-        "2b94275c4214c11770cff999de596b5cf6c028baea8fcea79cbb4fe30f9fb1c9"
-    )
+    assert status == 0
+    assert _digest(report, cfg) == (323, 51660, "377f6a2faa4f7963e00cc4f18715982433f40529283c6490c27058994595db03")
+    # without its skip rows the report is the one pinned before skips were
+    # recorded for every check that does not apply
+    report.checks = [c for c in report.checks if c.status != "skipped"]
+    assert _digest(report, cfg) == (312, 49554, "2b94275c4214c11770cff999de596b5cf6c028baea8fcea79cbb4fe30f9fb1c9")
 
 
 def test_process_pool_gives_the_same_checks():
@@ -145,10 +151,10 @@ def test_submit_rank_on_the_measured_table():
 
 
 def test_crash_outside_checks_is_one_failing_check(monkeypatch):
-    def broken(self):
+    def broken(N, basepoint, rng):
         raise ArithmeticError("corrupted center")
 
-    monkeypatch.setattr(cube.TAlgebra, "phi_central", broken)
+    monkeypatch.setattr(suites, "suite_cube", broken)
     report, status = cli.run(SuiteConfig(n_min=1, n_max=1, suites=("sl4", "cube"), oracle_n_max=1))
     assert status == cli.VERIFY_FAILURE
     [failure] = report.failures
@@ -157,6 +163,22 @@ def test_crash_outside_checks_is_one_failing_check(monkeypatch):
     # the other suite keeps its checks and no completed row is added on passing jobs
     assert any(c.id.startswith("presentation.") for c in report.checks)
     assert not any(c.id.endswith(".completed") and c.status == "pass" for c in report.checks)
+
+
+def test_phi_central_raise_fails_its_check_and_keeps_the_job(monkeypatch):
+    # the central element is built inside the checks that use it, so a raise
+    # there fails those checks and every other check of the job still runs
+    job = ("cube", 2, (0, 2, 0))
+    clean = [c.id for c in cli._run_job(job)]
+
+    def broken(self):
+        raise ArithmeticError("corrupted center")
+
+    monkeypatch.setattr(cube.TAlgebra, "phi_central", broken)
+    checks = cli._run_job(job)
+    assert [c.id for c in checks] == clean
+    failed = {c.id: c.witness for c in checks if c.status == "fail"}
+    assert failed["cube.phi_central"] == "ArithmeticError: corrupted center"
 
 
 def test_env_overrides(monkeypatch, capsys):
@@ -195,6 +217,13 @@ def test_table_wedderburn(tmp_path):
     cli.emit_table("wedderburn", 4, str(out))
     lines = out.read_text().strip().splitlines()
     assert lines[1:] == ["0,12,25", "1,4,9", "2,0,1"]
+
+
+def test_table_wedderburn_above_cube_cap_is_a_usage_error(capsys):
+    # the table is read off the certified decomposition, which needs the cube
+    assert cli.main(["table", "--kind", "wedderburn", "--n", "9"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "cube cap 8" in captured.err and not captured.out
 
 
 def test_table_krawtchouk_json(tmp_path):

@@ -1,4 +1,4 @@
-from sl4cube.report import FAIL, PASS, Report
+from sl4cube.report import FAIL, PASS, SKIPPED, Report
 
 
 def test_report_check_first_witness_wins():
@@ -35,3 +35,27 @@ def test_report_check_stops_at_first_witness():
 
     Report().check("a", "anchor", 0, failures())
     assert drawn == [0, 1]
+
+
+def test_report_check_skip_never_runs_the_body():
+    ran = []
+
+    def failures():
+        ran.append(True)
+        raise ArithmeticError("must not run")
+        yield
+
+    rep = Report()
+    assert rep.check("a", "anchor", 4, failures(), skip="N > 3 (oracle cap)") is None
+    assert not ran
+    [row] = rep.checks
+    assert (row.status, row.witness) == (SKIPPED, None)
+    assert row.anchor == "anchor [skipped: N > 3 (oracle cap)]"
+    assert rep.passed and not rep.failures
+
+
+def test_report_check_skip_none_is_the_plain_check():
+    plain, explicit = Report(), Report()
+    assert plain.check("a", "anchor", 1, iter(["w"])) is explicit.check("a", "anchor", 1, iter(["w"]), skip=None) is False
+    assert plain.check("b", "anchor", 1, []) is explicit.check("b", "anchor", 1, [], skip=None) is True
+    assert plain.checks == explicit.checks

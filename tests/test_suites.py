@@ -22,6 +22,25 @@ def test_krawtchouk_raise_is_a_failing_check(monkeypatch, run):
     assert any(c.witness.startswith("ArithmeticError:") for c in rep.failures)
 
 
+@pytest.mark.parametrize(
+    "module, name, job, dependents",
+    [
+        (sl4core, "basis15", ("sl4", None, (0, 2, 0)), ("sl4.basis15.rank", "sl4.basis15.trace", "sl4.tau_lie_map")),
+        (specialfn, "krawtchouk", ("special", 2, (0, 2, 0)), ("special.krawtchouk_family", "special.operator_recurrence")),
+    ],
+    ids=["basis15", "krawtchouk"],
+)
+def test_shared_input_raise_fails_its_dependents_and_keeps_the_job(monkeypatch, module, name, job, dependents):
+    # an input several checks share is built inside each of them, so a raise
+    # fails every one of them with the witness and the job reports every id
+    clean = [c.id for c in cli._run_job(job)]
+    monkeypatch.setattr(module, name, _raise)
+    checks = cli._run_job(job)
+    assert [c.id for c in checks] == clean
+    failed = {c.id: c.witness for c in checks if c.status == "fail"}
+    assert all(failed.get(i) == "ArithmeticError: corrupted table" for i in dependents)
+
+
 def test_idempotent_numerators_raise_is_a_failing_check(monkeypatch):
     monkeypatch.setattr(cube.Cube, "idempotent_numerators", _raise)
     rep = suites.suite_cube(1, 0, random.Random(0))
