@@ -2,8 +2,9 @@
 
 ``verify`` runs the selected check suites over a range of degrees and prints a
 machine-readable report; the exit status is 0 only when every check passes.
-``table`` writes exact-valued reference tables.  Options may also be supplied
-through SL4CUBE_-prefixed environment variables; explicit flags win.
+``table`` writes exact-valued reference tables.  Options of ``verify`` may
+also be supplied through SL4CUBE_-prefixed environment variables; explicit
+flags win, and a malformed value is a usage error naming its flag.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import specialfn, suites
-from .cube import DEFAULT_N_CAP, t_algebra
+from .cube import N_CAP, t_algebra
 from .exact import binomial
 from .report import Report
 
@@ -50,8 +51,8 @@ class SuiteConfig:
         if self.oracle_n_max > self.n_max:
             raise ValueError("oracle-n-max must not exceed n-max")
         capped = sorted({"cube", "tensor", "correspond"} & set(self.selected()))
-        if capped and self.n_max > DEFAULT_N_CAP:
-            raise ValueError(f"n-max {self.n_max} exceeds the cube cap {DEFAULT_N_CAP} of suites {', '.join(capped)}")
+        if capped and self.n_max > N_CAP:
+            raise ValueError(f"n-max {self.n_max} exceeds the cube cap {N_CAP} of suites {', '.join(capped)}")
         if self.output not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output!r}")
         unknown = set(self.suites) - set(suites.SUITES) - {"all"}
@@ -180,13 +181,10 @@ def table_rows(kind, N):
         rows = [(str(n), str(binomial(n + 3, 3))) for n in range(N + 1)]
     elif kind == "transition":
         header = ("N", "s", "t", "u", "S", "T", "U", "P_value_num", "P_value_den")
-        rows = []
-        for lam in specialfn.tails(N):
-            for mu in specialfn.tails(N):
-                val = Fraction(specialfn.calP_sum(N, lam, mu))
-                rows.append(
-                    tuple(str(v) for v in (N, *lam, *mu, val.numerator, val.denominator))
-                )
+        rows = [
+            tuple(str(v) for v in (N, *lam, *mu, val.numerator, val.denominator))
+            for (lam, mu), val in specialfn.transition_table(N).items()
+        ]
     elif kind == "krawtchouk":
         header = ("N", "n", "power", "coeff_num", "coeff_den")
         fam = specialfn.krawtchouk(N)
@@ -220,14 +218,10 @@ def emit_table(kind, N, path, fmt="csv"):
             fh.write(text)
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(USAGE_ERROR)
+def _env_default(name, fallback):
+    # the raw string: argparse converts a string default through the option's
+    # type only when verify is parsed without that flag, and reports a bad one
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def build_parser():
@@ -235,8 +229,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites over a degree range")
-    v.add_argument("--n-min", type=int, default=_env_default("N_MIN", int, 0))
-    v.add_argument("--n-max", type=int, default=_env_default("N_MAX", int, 5))
+    v.add_argument("--n-min", type=int, default=_env_default("N_MIN", 0))
+    v.add_argument("--n-max", type=int, default=_env_default("N_MAX", 5))
     v.add_argument(
         "--suite",
         action="append",
@@ -247,13 +241,13 @@ def build_parser():
     v.add_argument(
         "--oracle-n-max",
         type=int,
-        default=_env_default("ORACLE_N_MAX", int, None),
+        default=_env_default("ORACLE_N_MAX", None),
         help="cap for brute-force tensor oracles (default min(3, n-max))",
     )
-    v.add_argument("--basepoint", type=int, default=_env_default("BASEPOINT", int, 0))
-    v.add_argument("--output", choices=("json", "csv", "text"), default=_env_default("OUTPUT", str, "text"))
-    v.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
-    v.add_argument("--jobs", type=int, default=_env_default("JOBS", int, 1))
+    v.add_argument("--basepoint", type=int, default=_env_default("BASEPOINT", 0))
+    v.add_argument("--output", choices=("json", "csv", "text"), default=_env_default("OUTPUT", "text"))
+    v.add_argument("--seed", type=int, default=_env_default("SEED", 0))
+    v.add_argument("--jobs", type=int, default=_env_default("JOBS", 1))
 
     t = sub.add_parser("table", help="emit an exact reference table")
     t.add_argument("--kind", required=True, choices=("transition", "krawtchouk", "dims", "wedderburn"))
@@ -294,8 +288,8 @@ def main(argv=None):
         if args.n < 0:
             print("error: n must be >= 0", file=sys.stderr)
             return USAGE_ERROR
-        if args.kind == "wedderburn" and args.n > DEFAULT_N_CAP:
-            print(f"error: n {args.n} exceeds the cube cap {DEFAULT_N_CAP} of the wedderburn table", file=sys.stderr)
+        if args.kind == "wedderburn" and args.n > N_CAP:
+            print(f"error: n {args.n} exceeds the cube cap {N_CAP} of the wedderburn table", file=sys.stderr)
             return USAGE_ERROR
         try:
             emit_table(args.kind, args.n, args.out, args.format)

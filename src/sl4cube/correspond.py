@@ -10,7 +10,6 @@ outer indices reversed.
 """
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyspace, specialfn, tensorspace
@@ -21,15 +20,6 @@ from .polyspace import MONOMIAL, STARRED, PolyVec
 from .report import Report
 from .sl4core import GeneratorId
 from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor
-
-
-@dataclass(frozen=True)
-class ScaledMap:
-    """A rescaled intertwiner together with the square of its suppressed factor."""
-
-    name: str
-    scale_squared: Fraction
-    apply: callable
 
 
 def _ddag(v, basis, tag):
@@ -51,8 +41,9 @@ def ddag_scaled_starred(v: PolyVec) -> FixVec:
     return _ddag(v, STARRED, STAR_TILDE)
 
 
-def ddag_map(N) -> ScaledMap:
-    return ScaledMap("ddag", Fraction(factorial(N) * 2**N), ddag_scaled)
+def ddag_scale_squared(N):
+    """The square of the factor the rational fixed-space map suppresses."""
+    return factorial(N) * 2**N
 
 
 def eps_scaled_concrete(alg: TAlgebra, t: TripleTensor) -> Mat:
@@ -67,26 +58,29 @@ def eps_scaled_concrete(alg: TAlgebra, t: TripleTensor) -> Mat:
     return Mat(M)
 
 
+def _reversed_cell(p):
+    """The cell whose indicator a profile's basis vector goes to: its distance
+    triple with the outer indices reversed."""
+    h, i, j = triple_of_profile(p)
+    return TripleIndex(h, j, i)
+
+
 def eps_scaled_fix(alg: TAlgebra, v: FixVec) -> TElem:
     """The same map on the fixed subspace, through its action on the two dual bases."""
-    estar = alg.estar_basis()
-    ebas = alg.e_basis()
     N, tag = v.space
     w = Fraction(1, factorial(N) * 2**N)
+    if tag == TILDE:
+        return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq * w for p, c in v.coeffs.items()})
+    ebas = alg.e_basis()
     out = alg.zero()
     for p, c in v.coeffs.items():
-        h, i, j = triple_of_profile(p)
-        scale = c * p.norm_sq * w
-        if tag == TILDE:
-            out.add_scaled(scale, estar[TripleIndex(h, j, i)])
-        else:
-            out.add_scaled(scale, ebas[TripleIndex(h, i, j)])
+        out.add_scaled(c * p.norm_sq * w, ebas[triple_of_profile(p)])
     return out
 
 
-def eps_map(N, basepoint=0) -> ScaledMap:
-    alg = t_algebra(N, basepoint)
-    return ScaledMap("eps", Fraction(1, 2**N), lambda v: eps_scaled_fix(alg, v))
+def eps_scale_squared(N):
+    """The square of the factor the rational flattening suppresses."""
+    return Fraction(1, 2**N)
 
 
 def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
@@ -95,17 +89,12 @@ def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
     v.degree()
     if v.basis != MONOMIAL:
         return alg._e_combination({triple_of_profile(p): c * p.norm_sq for p, c in v.items()})
-    out = alg.zero()
-    estar = alg.estar_basis()
-    for p, c in v.items():
-        h, i, j = triple_of_profile(p)
-        out.add_scaled(c * p.norm_sq, estar[TripleIndex(h, j, i)])
-    return out
+    return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq for p, c in v.items()})
 
 
-def theta_map(N, basepoint=0) -> ScaledMap:
-    alg = t_algebra(N, basepoint)
-    return ScaledMap("theta", Fraction(factorial(N)), lambda v: theta_scaled(alg, v))
+def theta_scale_squared(N):
+    """The square of the factor theta suppresses: ddag's times eps's."""
+    return factorial(N)
 
 
 _GENS = [GeneratorId(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3)]
@@ -115,7 +104,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
     """Intertwining and form scaling for the polynomial-to-fixed-space map."""
     rep = Report()
     profiles = polyspace.enumerate_profiles(N)
-    scale_sq = ddag_map(N).scale_squared
+    scale_sq = ddag_scale_squared(N)
     unit = PolyVec.unit
     oracle = f"N > {oracle_cap} (oracle cap)" if N > oracle_cap else None
 
@@ -184,7 +173,7 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
     rep = Report()
     alg = t_algebra(N, basepoint)
     profiles = polyspace.enumerate_profiles(N)
-    scale_sq = eps_map(N, basepoint).scale_squared
+    scale_sq = eps_scale_squared(N)
     units = {tag: {p: FixVec.unit(N, tag, p) for p in profiles} for tag in (TILDE, STAR_TILDE)}
 
     def routes():
@@ -227,7 +216,7 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
     alg = t_algebra(N, basepoint)
     profiles = polyspace.enumerate_profiles(N)
     theta = lambda v: theta_scaled(alg, v)
-    scale_sq = theta_map(N, basepoint).scale_squared
+    scale_sq = theta_scale_squared(N)
     units = {tag: {p: PolyVec.unit(tag, p) for p in profiles} for tag in (MONOMIAL, STARRED)}
 
     def intertwine():

@@ -47,15 +47,15 @@ def profile_of_triple(N, trip):
     return Profile((2 * N - h - i - j) // 2, (i + j - h) // 2, (j + h - i) // 2, (h + i - j) // 2)
 
 
-DEFAULT_N_CAP = 8  # standard-module work is dense in 2^N; guard against accidents
+N_CAP = 8  # standard-module work is dense in 2^N; guard against accidents
 
 
 class Cube:
     """The hypercube on 2^N vertices with its exact spectral data."""
 
-    def __init__(self, N, cap=DEFAULT_N_CAP):
-        if N > cap:
-            raise ValueError(f"N={N} exceeds the standard-module cap {cap}; pass cap=N to override")
+    def __init__(self, N):
+        if N > N_CAP:
+            raise ValueError(f"N={N} exceeds the standard-module cap {N_CAP}")
         self.N = N
         self.size = 1 << N
         self.pc = [bin(v).count("1") for v in range(self.size)]
@@ -167,9 +167,6 @@ class TElem(SparseVec):
         n = self.alg.cube.size
         return Mat([[self.entry(x, y) for y in range(n)] for x in range(n)])
 
-    def transpose(self):
-        return TElem(self.alg, {(h, j, i): v for (h, i, j), v in self.coords.items()})
-
     def inner(self, other):
         """Entrywise form; the cell indicator basis is orthogonal with norms the cell sizes."""
         return SparseVec.inner(self, other, self.space.cell_sizes.__getitem__)
@@ -236,17 +233,20 @@ class TAlgebra:
     def zero(self):
         return TElem(self, {})
 
+    def _at_reps(self, entry):
+        """The element whose value on each cell is entry(x, y) at the cell's
+        representative pair, the rule products are evaluated by."""
+        return TElem._of(self, {t: v for t, (x, y) in self.cell_reps.items() if (v := entry(x, y))})
+
     def identity(self):
-        return TElem(self, {(0, i, i): 1 for i in range(self.N + 1) if (0, i, i) in self.cell_sizes})
+        return self._at_reps(lambda x, y: 1 if x == y else 0)
 
     def adjacency_elem(self):
-        return TElem(self, {t: 1 for t in self.triples if t.h == 1})
+        pc = self.cube.pc
+        return self._at_reps(lambda x, y: 1 if pc[x ^ y] == 1 else 0)
 
     def dual_adjacency_elem(self):
-        return TElem(
-            self,
-            {(0, i, i): self.cube.theta(i) for i in range(self.N + 1) if (0, i, i) in self.cell_sizes},
-        )
+        return self._at_reps(lambda x, y: self.cube.theta(self.dist_to_base[x]) if x == y else 0)
 
     def dual_distance_diag(self, h):
         """Diagonal entries of the h-th dual distance operator: column of K_h at the basepoint."""
@@ -255,22 +255,12 @@ class TAlgebra:
 
     def dual_distance_elem(self, h):
         diag = self.dual_distance_diag(h)
-        out = {}
-        for i in range(self.N + 1):
-            if (0, i, i) in self.cell_sizes:
-                x, _ = self.cell_reps[TripleIndex(0, i, i)]
-                out[(0, i, i)] = diag[x]
-        return TElem(self, out)
+        return self._at_reps(lambda x, y: diag[x] if x == y else 0)
 
     def idempotent_elem_raw(self, i):
         """2^N E_i as an integer-coordinate algebra element."""
         K = self.cube.idempotent_numerators()[i]
-        out = {}
-        for trip, (x, y) in self.cell_reps.items():
-            v = K[x, y]
-            if v:
-                out[trip] = v
-        return TElem(self, out)
+        return self._at_reps(lambda x, y: K[x, y])
 
     # -- matrix-level counterparts (small N oracles) ---------------------
 

@@ -352,12 +352,11 @@ def kernel_L_basis(i, N):
 def graded_decomposition(i, N):
     """Split the degree-N slice into raised kernel summands.
 
-    Returns [(l, {(j, k): vector})] for l = 0 .. floor(N/2).  Certifies the
-    dimension count, mutual orthogonality of everything, and the Casimir
-    eigenvalue (N-2l)(N-2l+2)/2 on each summand; any violation raises.
+    Returns [(l, {(j, k): vector})] for l = 0 .. floor(N/2).  Certifies
+    mutual orthogonality of everything and the Casimir eigenvalue
+    (N-2l)(N-2l+2)/2 on each summand; any violation raises.
     """
     summands = []
-    total = 0
     for ell in range(N // 2 + 1):
         base = kernel_L_basis(i, N - 2 * ell)
         vecs = {}
@@ -367,15 +366,12 @@ def graded_decomposition(i, N):
                 w = apply_R(i, w)
             vecs[key] = w
         summands.append((ell, vecs))
-        total += len(vecs)
         lam = Fraction((N - 2 * ell) * (N - 2 * ell + 2), 2)
         for key, w in vecs.items():
             if apply_C(i, w) != lam * w:
                 raise ArithmeticError(
                     f"C_{i} eigenvalue violation at N={N}, l={ell}, word={key}"
                 )
-    if total != binomial(N + 3, 3):
-        raise ArithmeticError(f"graded dimensions sum to {total} != C({N}+3,3)")
     flat = [w for _, vecs in summands for w in vecs.values()]
     for p in range(len(flat)):
         for q in range(p + 1, len(flat)):
@@ -439,13 +435,14 @@ def weight_decomposition(N):
     return out
 
 
-def operator_matrix(apply_fn, N, basis=MONOMIAL):
-    """Dense matrix of a degree-preserving operator in lexicographic profile order."""
+def operator_matrix(apply_fn, N):
+    """Dense matrix of a degree-preserving operator on the monomial basis, in
+    lexicographic profile order."""
     profiles = enumerate_profiles(N)
     index = {p: k for k, p in enumerate(profiles)}
     cols = []
     for p in profiles:
-        img = apply_fn(PolyVec.unit(basis, p))
+        img = apply_fn(PolyVec.unit(MONOMIAL, p))
         col = [0] * len(profiles)
         for q, c in img.items():
             col[index[q]] = c
@@ -465,9 +462,8 @@ def eigenspace_dims(i, which, N):
     The operator matrix is taken in the monomial basis and each eigenspace
     dimension is the exact kernel dimension of (Op - lambda I).
     """
-    kind = "A" if which == "A" else "Astar"
-    gid = GeneratorId(kind, i)
-    op = operator_matrix(lambda v: act_generator(gid, v), N, MONOMIAL)
+    gid = GeneratorId(which, i)
+    op = operator_matrix(lambda v: act_generator(gid, v), N)
     dims = {}
     eye = Mat.identity(op.nrows)
     for n in range(N + 1):

@@ -196,6 +196,17 @@ def test_env_overrides(monkeypatch, capsys):
     assert payload["config"]["n_max"] == 0
 
 
+def test_malformed_env_value_is_a_verify_usage_error(monkeypatch, capsys):
+    # a command that reads no such option runs; verify names the flag
+    monkeypatch.setenv("SL4CUBE_N_MAX", "x")
+    assert cli.main(["table", "--kind", "dims", "--n", "1"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == cli.USAGE_ERROR
+    assert "argument --n-max: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_table_dims(tmp_path):
     out = tmp_path / "dims.csv"
     cli.emit_table("dims", 5, str(out))

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 from sl4cube import correspond as co, polyspace as ps, tensorspace as tsp
-from sl4cube.cube import TripleIndex, t_algebra
+from sl4cube.cube import TripleIndex, t_algebra, triple_of_profile
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
 from sl4cube.tensorspace import TILDE, FixVec
 
@@ -63,10 +64,32 @@ def test_theta_rules_small():
 
 def test_scale_squared_bookkeeping():
     N = 3
-    assert co.ddag_map(N).scale_squared == factorial(N) * 2**N
-    assert co.eps_map(N).scale_squared == Fraction(1, 2**N)
-    assert co.theta_map(N).scale_squared == factorial(N)
-    assert co.ddag_map(N).scale_squared * co.eps_map(N).scale_squared == co.theta_map(N).scale_squared
+    assert co.ddag_scale_squared(N) == factorial(N) * 2**N
+    assert co.eps_scale_squared(N) == Fraction(1, 2**N)
+    assert co.theta_scale_squared(N) == factorial(N)
+    assert co.ddag_scale_squared(N) * co.eps_scale_squared(N) == co.theta_scale_squared(N)
+
+
+def test_cell_indicator_rules_match_estar_sums():
+    # each profile's basis vector goes to the indicator of its distance triple
+    # with the outer indices reversed, weighted by the profile factorials
+    rng = random.Random(5)
+    for N in range(4):
+        for basepoint in (0, 2**N - 1):
+            alg = t_algebra(N, basepoint)
+            estar = alg.estar_basis()
+            profiles = ps.enumerate_profiles(N)
+            coeffs = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for p in profiles}
+            want = alg.zero()
+            for p, c in coeffs.items():
+                h, i, j = triple_of_profile(p)
+                want.add_scaled(c * p.norm_sq, estar[TripleIndex(h, j, i)])
+            assert co.theta_scaled(alg, PolyVec(MONOMIAL, coeffs)) == want
+            want = alg.zero()
+            for p, c in coeffs.items():
+                h, i, j = triple_of_profile(p)
+                want.add_scaled(Fraction(c * p.norm_sq, factorial(N) * 2**N), estar[TripleIndex(h, j, i)])
+            assert co.eps_scaled_fix(alg, FixVec(N, TILDE, coeffs)) == want
 
 
 def test_sigma_s_diagram_explicit():

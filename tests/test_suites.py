@@ -113,6 +113,22 @@ def test_kernel_mutant_fails_its_guard(monkeypatch, fresh_expansion_caches, part
     assert failed.get(check_id)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_zero_kernel_word_fails_graded_dimension(monkeypatch, N):
+    # a zero word keeps the word count, the Casimir and ladder eigenvalues and
+    # the orthogonality, so only the rank of each level can catch it
+    real = polyspace.kernel_L_basis
+
+    def mutant(i, n):
+        basis = real(i, n)
+        basis[(0, 0)] = polyspace.PolyVec.zero(polyspace.MONOMIAL)
+        return basis
+
+    monkeypatch.setattr(polyspace, "kernel_L_basis", mutant)
+    failed = {c.id: c.witness for c in suites.suite_poly(N, random.Random(0)).failures}
+    assert failed["poly.graded_decomposition"] == "dimension at level 0"
+
+
 def test_tau_as_transpose_fails_bracket_compatibility(monkeypatch):
     # transposition is an involution but reverses brackets
     monkeypatch.setattr(sl4core, "tau", lambda m: m.transpose())
