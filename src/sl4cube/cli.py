@@ -112,9 +112,9 @@ def _run_job(job):
 # not listed took under 0.25 s. A larger oracle-n-max adds work that these
 # figures do not count.
 _JOB_SECONDS = {
-    ("correspond", 5): 4.3, ("tensor", 4): 4.2, ("poly", 5): 2.7, ("tensor", 3): 1.9,
-    ("special", 5): 1.7, ("cube", 5): 1.3, ("correspond", 3): 0.9, ("correspond", 4): 0.8,
-    ("poly", 4): 0.55, ("special", 4): 0.55, ("special", 3): 0.4, ("cube", 4): 0.25,
+    ("tensor", 4): 2.6, ("correspond", 5): 1.6, ("cube", 5): 1.5, ("tensor", 3): 0.86,
+    ("poly", 5): 0.75, ("correspond", 4): 0.55, ("correspond", 3): 0.46, ("special", 5): 0.43,
+    ("special", 3): 0.41, ("poly", 4): 0.33, ("special", 4): 0.31, ("cube", 4): 0.31,
 }
 _MEASURED_N_MAX = 5
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import polyspace, specialfn, tensorspace
 from .cube import TAlgebra, TElem, TripleIndex, t_algebra, triple_of_profile
 from .exact import factorial
-from .linalg import Mat, rank, spans_match
+from .linalg import Mat, gram, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec
 from .report import Report
 from .sl4core import GeneratorId
@@ -44,6 +44,12 @@ def ddag_scaled_starred(v: PolyVec) -> FixVec:
 def ddag_scale_squared(N):
     """The square of the factor the rational fixed-space map suppresses."""
     return factorial(N) * 2**N
+
+
+def _fix_weight(N):
+    """The weight of the fixed-space form on profile coordinates, as in FixVec.inner."""
+    den = factorial(N) * 2**N
+    return lambda p: Fraction(p.norm_sq, den)
 
 
 def eps_scaled_concrete(alg: TAlgebra, t: TripleTensor) -> Mat:
@@ -120,14 +126,17 @@ def check_ddag(N, oracle_cap=3) -> Report:
     units = {p: unit(MONOMIAL, p) for p in profiles}
     images = functools.cache(lambda: {p: ddag_scaled(v) for p, v in units.items()})
     lifted = functools.cache(lambda: {p: v.lift() for p, v in images().items()})
+    # the Hermitian form of the monomial units, whose own basis is the monomial one
+    poly_gram = functools.cache(lambda: gram([units[p].coeffs for p in profiles], weight=polyspace._norm_sq))
 
-    def form(vectors, name):
+    def form(vectors, weight, name):
         vectors = vectors()
-        for p in profiles:
-            for q in profiles:
-                if vectors[p].inner(vectors[q]) != scale_sq * polyspace.hermitian(units[p], units[q]):
+        got = gram([vectors[p].coeffs for p in profiles], weight=weight)
+        for p, got_row, want_row in zip(profiles, got, poly_gram()):
+            for q, value, want in zip(profiles, got_row, want_row):
+                if value != scale_sq * want:
                     yield f"{name} pair {tuple(p)},{tuple(q)}"
-    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, "form"))
+    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, _fix_weight(N), "form"))
 
     def concrete():
         for gid in _GENS:
@@ -136,7 +145,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
                 if lhs != ddag_scaled(polyspace.act_generator(gid, units[p])).lift():
                     yield f"{gid} on unit {tuple(p)}"
     rep.check("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, concrete(), skip=oracle)
-    rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, "concrete form"), skip=oracle)
+    rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, None, "concrete form"), skip=oracle)
 
     def consistency():
         for p in profiles:
@@ -148,10 +157,11 @@ def check_ddag(N, oracle_cap=3) -> Report:
     )
 
     def cross_form():
-        starred = {q: ddag_scaled_starred(unit(STARRED, q)).lift() for q in profiles}
-        for p in profiles:
-            for q in profiles:
-                if lifted()[p].inner(starred[q]) != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
+        starred = (ddag_scaled_starred(unit(STARRED, q)).lift().coeffs for q in profiles)
+        got = gram([lifted()[p].coeffs for p in profiles], starred)
+        for p, row in zip(profiles, got):
+            for q, value in zip(profiles, row):
+                if value != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
                     yield f"cross pair {tuple(p)},{tuple(q)}"
     rep.check("correspond.ddag.cross_form", "<image(x^p), image(x*^q)> = (N!)^2 * transition coefficient", N, cross_form(), skip=oracle)
 
@@ -195,10 +205,11 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
 
     def form():
         for tag, vecs in units.items():
-            images = {p: eps_scaled_fix(alg, u) for p, u in vecs.items()}
-            for p in profiles:
-                for q in profiles:
-                    if images[p].inner(images[q]) != scale_sq * vecs[p].inner(vecs[q]):
+            got = gram((eps_scaled_fix(alg, vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
+            want = gram([vecs[p].coeffs for p in profiles], weight=_fix_weight(N))
+            for p, got_row, want_row in zip(profiles, got, want):
+                for q, value, w in zip(profiles, got_row, want_row):
+                    if value != scale_sq * w:
                         yield f"{tag} pair {tuple(p)},{tuple(q)}"
     rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, form())
 
@@ -245,11 +256,12 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
 
     def form():
         for tag, vecs in units.items():
-            images = {p: theta(v) for p, v in vecs.items()}
-            converted = {p: polyspace.convert_basis(v, MONOMIAL) for p, v in vecs.items()}
-            for p in profiles:
-                for q in profiles:
-                    if images[p].inner(images[q]) != scale_sq * polyspace.hermitian(converted[p], converted[q]):
+            got = gram((theta(vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
+            # the Hermitian form, on each vector converted to the monomial basis once
+            want = gram((polyspace.convert_basis(vecs[p], MONOMIAL).coeffs for p in profiles), weight=polyspace._norm_sq)
+            for p, got_row, want_row in zip(profiles, got, want):
+                for q, value, w in zip(profiles, got_row, want_row):
+                    if value != scale_sq * w:
                         yield f"{tag} pair {tuple(p)},{tuple(q)}"
     rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, form())
 

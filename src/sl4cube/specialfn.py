@@ -10,6 +10,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import factorial, pochhammer
+from .linalg import gram
 from . import polyspace
 from .polyspace import MONOMIAL, STARRED, PolyVec, Profile
 from .report import Report
@@ -111,11 +112,10 @@ def check_orthogonality(N, table=None) -> Report:
     nfact_sq = factorial(N) ** 2
 
     def failures():
-        for lam in ts:
-            for lam2 in ts:
-                total = Fraction(0)
-                for mu in ts:
-                    total += Fraction(table[(lam, mu)] * table[(lam2, mu)], Profile(N - sum(mu), *mu).norm_sq)
+        rows = ({mu: table[(lam, mu)] for mu in ts if table[(lam, mu)]} for lam in ts)
+        sums = gram(rows, weight=lambda mu: Fraction(1, Profile(N - sum(mu), *mu).norm_sq))
+        for lam, row in zip(ts, sums):
+            for lam2, total in zip(ts, row):
                 expected = Fraction(4**N * Profile(N - sum(lam), *lam).norm_sq, nfact_sq) if lam == lam2 else 0
                 if total != expected:
                     yield f"N={N} lam={lam} lam'={lam2}: got {total}, want {expected}"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import correspond, cube, polyspace, specialfn, tensorspace
 from . import sl4core
 from .exact import binomial, factorial
-from .linalg import Mat, rank
+from .linalg import Mat, gram, rank
 from .polyspace import MONOMIAL, STARRED, PolyVec
 from .report import Report, unless
 from .sl4core import GeneratorId
@@ -248,9 +248,11 @@ def suite_poly(N, rng) -> Report:
     rep.check("poly.tau_conjugation", "swapped generator action = sigma . action . sigma", N, tau_conjugation())
 
     def starred_norms():
-        for p in profiles:
-            for q in profiles:
-                if herm(unit(STARRED, p), unit(STARRED, q)) != (p.norm_sq if p == q else 0):
+        # the Hermitian form, on each starred unit converted to the monomial basis once
+        converted = (polyspace.convert_basis(unit(STARRED, p), MONOMIAL).coeffs for p in profiles)
+        for p, row in zip(profiles, gram(converted, weight=polyspace._norm_sq)):
+            for q, value in zip(profiles, row):
+                if value != (p.norm_sq if p == q else 0):
                     yield f"pair {tuple(p)},{tuple(q)}"
     rep.check("poly.starred_norms", "starred monomials are orthogonal with square norms r!s!t!u!", N, starred_norms())
 

@@ -7,12 +7,14 @@ either the orbit-sum dual basis or the spectral dual basis, and the abstract
 operator tables are validated against the concrete slot-wise action.
 """
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
+from operator import mul
 
 from .cube import cube, triple_of_profile
-from .exact import factorial
+from .exact import clear_denominators, factorial
 from .polyspace import Profile, _act_profiles, _norm_sq, enumerate_profiles
 from .sparse import SparseVec
 
@@ -85,24 +87,57 @@ def b_support_size(N, p):
     return Fraction(factorial(N) * 2**N, factorial(r) * factorial(s) * factorial(t) * factorial(u))
 
 
-def q_vector(N, trip) -> TripleTensor:
-    """Spectral triple sum for a distance triple; zero exactly off the valid set."""
+def _compact(ints):
+    """The ints as an array of 2-byte C ints, or of 4-byte ones when they do not fit;
+    OverflowError past that."""
+    try:
+        return array("h", ints)
+    except OverflowError:
+        return array("i", ints)
+
+
+@lru_cache(maxsize=1)  # one N at a time: the N = 4 sums alone take 0.4 MB
+def _spectral_table(N):
+    """trip -> (keys, numerators) of the spectral sums of one N, filled on demand."""
+    return {}
+
+
+def _spectral_numerators(N, trip):
+    """The nonzero entries of one spectral sum times 4^N, as (keys, numerators),
+    computed once per (N, triple) while N is the last N asked for.
+
+    The entry at (a, b, c) is the sum over x of K_h[a, x] K_i[b, x] K_j[c, x],
+    with K the integer idempotent numerators.  Both are ``_compact`` arrays:
+    keys have 3N bits (at most 24 up to the cube cap), and a numerator is at
+    most 2^N C(N, N/2)^3 in size, below 2^31 up to the cube cap.
+    """
+    table = _spectral_table(N)
+    if trip in table:
+        return table[trip]
     h, i, j = trip
     Ks = cube(N).idempotent_numerators()
-    size = 1 << N
-    scale = Fraction(1, 4**N)
-    out = {}
-    Kh, Ki, Kj = Ks[h], Ks[i], Ks[j]
-    for a in range(size):
-        ra = Kh.rows[a]
-        for b in range(size):
-            rb = Ki.rows[b]
-            for c in range(size):
-                rc = Kj.rows[c]
-                total = sum(ra[x] * rb[x] * rc[x] for x in range(size))
+    Ki, Kj = Ks[i].rows, Ks[j].rows
+    keys, nums = [], []
+    for a, ra in enumerate(Ks[h].rows):
+        for b, rb in enumerate(Ki):
+            rab = list(map(mul, ra, rb))
+            if not any(rab):
+                continue
+            base = pack(N, a, b, 0)
+            for c, rc in enumerate(Kj):
+                total = sum(map(mul, rab, rc))
                 if total:
-                    out[pack(N, a, b, c)] = total * scale
-    return TripleTensor(N, out)
+                    keys.append(base | c)
+                    nums.append(total)
+    table[trip] = out = _compact(keys), _compact(nums)
+    return out
+
+
+def q_vector(N, trip) -> TripleTensor:
+    """Spectral triple sum for a distance triple; zero exactly off the valid set."""
+    keys, nums = _spectral_numerators(N, tuple(trip))
+    den = 4**N
+    return TripleTensor._of(N, {k: Fraction(v, den) for k, v in zip(keys, nums)})
 
 
 def bstar_vector(N, p) -> TripleTensor:
@@ -138,13 +173,22 @@ class FixVec(SparseVec):
         return cls(N, tag, {Profile(*profile): 1})
 
     def lift(self) -> TripleTensor:
-        """Concrete tensor represented by these coordinates."""
+        """Concrete tensor represented by these coordinates: the sum of
+        c p!/(N! 2^N) times the orbit sum (tilde) or spectral sum (star_tilde)
+        at each profile p, accumulated in integers, one Fraction per key."""
         N, tag = self.space
-        out = TripleTensor(N)
-        base = b_vector if tag == TILDE else bstar_vector
-        for p, c in self.coeffs.items():
-            out.add_scaled(c * Fraction(p.norm_sq, factorial(N) * 2**N), base(N, p))
-        return out
+        star = tag == STAR_TILDE
+        ints, den = clear_denominators(c * p.norm_sq for p, c in self.coeffs.items())
+        den *= factorial(N) * 2**N * (4**N if star else 1)
+        acc = {}
+        for p, m in zip(self.coeffs, ints):
+            if star:
+                keys, nums = _spectral_numerators(N, triple_of_profile(p))
+            else:
+                keys, nums = _keys_by_profile(N)[p], repeat(1)
+            for k, v in zip(keys, nums):
+                acc[k] = acc.get(k, 0) + m * v
+        return TripleTensor._of(N, {k: Fraction(a, den) for k, a in acc.items() if a})
 
     def inner(self, other):
         """Form value via the certified norms of the underlying orthogonal sums:
@@ -199,14 +243,12 @@ def permute_bits(v, perm):
 
 def apply_symmetry(N, t: TripleTensor, perm, flip) -> TripleTensor:
     """Apply the cube symmetry (coordinate permutation then sign flips) diagonally."""
+    image = [permute_bits(x, perm) ^ flip for x in range(1 << N)]  # the vertex map, once
+    mask = (1 << N) - 1
     out = {}
     for key, c in t.coeffs.items():
-        x, y, z = unpack(N, key)
-        x = permute_bits(x, perm) ^ flip
-        y = permute_bits(y, perm) ^ flip
-        z = permute_bits(z, perm) ^ flip
-        out[pack(N, x, y, z)] = c
-    return TripleTensor(N, out)
+        out[(image[key >> (2 * N)] << (2 * N)) | (image[(key >> N) & mask] << N) | image[key & mask]] = c
+    return TripleTensor._of(N, out)
 
 
 def symmetry_generators(N):

@@ -100,6 +100,15 @@ def test_report_digest_pinned():
     assert _digest(report, cfg) == (312, 49554, "2b94275c4214c11770cff999de596b5cf6c028baea8fcea79cbb4fe30f9fb1c9")
 
 
+def test_report_digest_pinned_at_the_oracle_cap():
+    # N = 3 is the default oracle cap, where ddag.cross_form and concrete_form,
+    # eps.routes and tensor.oracle still run
+    cfg = SuiteConfig(n_max=3, oracle_n_max=3, output="json")
+    report, status = cli.run(cfg)
+    assert status == 0
+    assert _digest(report, cfg) == (417, 66723, "46688b2c6e4de39709cc185235a6dc9247a53e136b42aa1c2d51e112892d5c98")
+
+
 def test_process_pool_gives_the_same_checks():
     # --jobs 2 runs the (suite, N) jobs in worker processes; the report must
     # not depend on that
@@ -144,9 +153,10 @@ def _submit_order(n_max):
 
 
 def test_submit_rank_on_the_measured_table():
-    # tensor at N = 4 outweighs most N = 5 jobs; jobs above the measured N lead
+    # tensor at N = 4 is the costliest job of the default run, and tensor at
+    # N = 3 outweighs poly at N = 5; jobs above the measured N lead
     default = _submit_order(5)
-    assert default.index(("tensor", 4)) < default.index(("poly", 5))
+    assert default[:5] == [("tensor", 4), ("correspond", 5), ("cube", 5), ("tensor", 3), ("poly", 5)]
     assert _submit_order(6)[:5] == [(s, 6) for s in suites.SUITES[1:]]
 
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from sl4cube import correspond as co, polyspace as ps, tensorspace as tsp
+from sl4cube import correspond as co, polyspace as ps, specialfn, tensorspace as tsp
 from sl4cube.cube import TripleIndex, t_algebra, triple_of_profile
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
 from sl4cube.tensorspace import TILDE, FixVec
@@ -163,3 +163,27 @@ def test_crash_in_wedderburn_is_a_failing_check(monkeypatch):
     rep = suites.suite_correspond(2, 0, 2, random.Random(0))
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["correspond.wedderburn"].startswith("ArithmeticError: ")
+
+
+def test_theta_form_witness_is_the_first_pair(monkeypatch):
+    # every pair with a nonzero form value fails; the witness is the first
+    # in profile-major order
+    monkeypatch.setattr(co, "theta_scale_squared", lambda N: factorial(N) + 1)
+    failed = {c.id: c.witness for c in co.check_theta(2).failures}
+    assert failed == {"correspond.theta.form": "monomial pair (0, 0, 0, 2),(0, 0, 0, 2)"}
+
+
+def test_cross_form_witness_is_the_first_mismatching_pair(monkeypatch):
+    real = specialfn.calP_sum
+    corrupted = {((0, 1, 1), (1, 0, 1))}
+
+    def off_by_one(N, lam, mu):
+        return real(N, lam, mu) + ((tuple(lam), tuple(mu)) in corrupted)
+
+    monkeypatch.setattr(specialfn, "calP_sum", off_by_one)
+    failed = {c.id: c.witness for c in co.check_ddag(2).failures}
+    assert failed == {"correspond.ddag.cross_form": "cross pair (0, 0, 1, 1),(0, 1, 0, 1)"}
+    # a second bad pair, first in column-major order, leaves the row-major witness
+    corrupted.add(((0, 2, 0), (0, 0, 2)))
+    failed = {c.id: c.witness for c in co.check_ddag(2).failures}
+    assert failed == {"correspond.ddag.cross_form": "cross pair (0, 0, 1, 1),(0, 1, 0, 1)"}

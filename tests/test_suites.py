@@ -41,11 +41,32 @@ def test_shared_input_raise_fails_its_dependents_and_keeps_the_job(monkeypatch, 
     assert all(failed.get(i) == "ArithmeticError: corrupted table" for i in dependents)
 
 
-def test_idempotent_numerators_raise_is_a_failing_check(monkeypatch):
+def test_idempotent_numerators_raise_is_a_failing_check(fresh_spectral_numerators, monkeypatch):
     monkeypatch.setattr(cube.Cube, "idempotent_numerators", _raise)
     rep = suites.suite_cube(1, 0, random.Random(0))
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["cube.idempotents"].startswith("ArithmeticError:")
+    rep = suites.suite_tensor(1, 0, 1, random.Random(0))
+    failed = {c.id: c.witness for c in rep.failures}
+    assert failed["tensor.spectral_sums"].startswith("ArithmeticError:")
+
+
+def test_corrupted_idempotent_numerators_fail_the_spectral_sums(fresh_spectral_numerators, monkeypatch):
+    # the spectral sums are cached per (N, triple); the fixture empties that
+    # cache, so the sums are rebuilt from the patched numerators
+    real = cube.Cube.idempotent_numerators
+
+    def corrupted(self):
+        Ks = real(self)
+        K1 = Mat(Ks[1].rows)
+        K1.rows[0][1] += 1
+        return [Ks[0], K1] + Ks[2:]
+
+    monkeypatch.setattr(cube.Cube, "idempotent_numerators", corrupted)
+    rep = suites.suite_tensor(2, 0, 2, random.Random(0))
+    failed = {c.id: c.witness for c in rep.failures}
+    assert failed["tensor.spectral_sums"] == "nonzero spectral sum at invalid (0, 0, 1)"
+    assert failed["tensor.oracle"] == "Astar^(1) on star_tilde (0, 0, 0, 2)"  # lifts read the same sums
 
 
 @pytest.mark.parametrize("basepoint", [0, 3])

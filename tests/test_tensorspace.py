@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 from sl4cube import tensorspace as tsp
-from sl4cube.cube import TripleIndex
+from sl4cube.cube import TripleIndex, cube
 from sl4cube.polyspace import Profile, enumerate_profiles
 from sl4cube.tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor
 
@@ -31,6 +32,35 @@ def test_q_vector():
     assert tsp.q_vector(1, (1, 1, 1)).is_zero()  # odd triple is out of range
     assert tsp.q_vector(2, (1, 0, 0)).is_zero()
     assert not tsp.q_vector(2, (1, 1, 0)).is_zero()
+
+
+def test_spectral_sums_match_fraction_definition():
+    rng = random.Random(2)
+    for N in range(4):
+        Ks = cube(N).idempotent_numerators()
+        size = 1 << N
+        scale = Fraction(1, 4**N)
+        for h in range(N + 1):
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    want = {}
+                    for a in range(size):
+                        for b in range(size):
+                            for c in range(size):
+                                total = sum(Ks[h][a, x] * Ks[i][b, x] * Ks[j][c, x] for x in range(size))
+                                if total:
+                                    want[tsp.pack(N, a, b, c)] = total * scale
+                    assert tsp.q_vector(N, (h, i, j)) == TripleTensor(N, want)
+        # a lift is the weighted sum of the orbit or spectral sums it stands for
+        profiles = enumerate_profiles(N)
+        for tag, base in ((TILDE, tsp.b_vector), (STAR_TILDE, tsp.bstar_vector)):
+            for _ in range(6):
+                picked = rng.sample(profiles, rng.randint(1, len(profiles)))
+                coeffs = {p: rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))) for p in picked}
+                want = TripleTensor(N)
+                for p, c in coeffs.items():
+                    want = want + c * Fraction(p.norm_sq, factorial(N) * 2**N) * base(N, p)
+                assert FixVec(N, tag, coeffs).lift() == want
 
 
 def test_spectral_diagonal_sum():
