@@ -109,12 +109,12 @@ def _run_job(job):
 
 # Seconds each job of the default run (N <= 5, oracle-n-max 3) took alone in a
 # fresh interpreter: median of three runs on a 2-core Xeon, Python 3.11. Jobs
-# not listed took under 0.25 s. A larger oracle-n-max adds work that these
+# not listed took under 0.15 s. A larger oracle-n-max adds work that these
 # figures do not count.
 _JOB_SECONDS = {
-    ("tensor", 4): 2.6, ("correspond", 5): 1.6, ("cube", 5): 1.5, ("tensor", 3): 0.86,
-    ("poly", 5): 0.75, ("correspond", 4): 0.55, ("correspond", 3): 0.46, ("special", 5): 0.43,
-    ("special", 3): 0.41, ("poly", 4): 0.33, ("special", 4): 0.31, ("cube", 4): 0.31,
+    ("cube", 5): 1.2, ("correspond", 5): 0.88, ("tensor", 4): 0.72, ("poly", 5): 0.54,
+    ("special", 5): 0.37, ("correspond", 4): 0.26, ("special", 4): 0.26, ("correspond", 3): 0.22,
+    ("poly", 4): 0.20, ("cube", 4): 0.19, ("special", 3): 0.19, ("tensor", 3): 0.17,
 }
 _MEASURED_N_MAX = 5
 
@@ -141,9 +141,10 @@ def run(cfg: SuiteConfig):
     report = Report()
     if cfg.jobs > 1:
         # submit the longest jobs first so no worker starts one near the end;
-        # the report keeps the canonical job order
+        # the report keeps the canonical job order.  Under fork the pool starts
+        # all its workers up front, so it gets no more than there are jobs.
         order = sorted(range(len(jobs)), key=lambda k: _submit_rank(jobs[k]))
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
             results = dict(zip(order, pool.map(_run_job, [jobs[k] for k in order])))
         for k in range(len(jobs)):
             report.checks.extend(results[k])

@@ -27,7 +27,7 @@ def _ddag(v, basis, tag):
         raise ValueError(f"expected a {basis}-tagged vector")
     N = v.degree() or 0  # raises if mixed
     w = factorial(N) * 2**N
-    return FixVec(N, tag, {p: w * c for p, c in v.items()})
+    return FixVec._of((N, tag), {p: w * c for p, c in v.nums.items()}, v.den)
 
 
 def ddag_scaled(v: PolyVec) -> FixVec:
@@ -74,12 +74,13 @@ def _reversed_cell(p):
 def eps_scaled_fix(alg: TAlgebra, v: FixVec) -> TElem:
     """The same map on the fixed subspace, through its action on the two dual bases."""
     N, tag = v.space
-    w = Fraction(1, factorial(N) * 2**N)
+    scale = factorial(N) * 2**N
     if tag == TILDE:
-        return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq * w for p, c in v.coeffs.items()})
+        return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq for p, c in v.nums.items()}, v.den * scale)
+    w = Fraction(1, scale)
     ebas = alg.e_basis()
     out = alg.zero()
-    for p, c in v.coeffs.items():
+    for p, c in v.items():
         out.add_scaled(c * p.norm_sq * w, ebas[triple_of_profile(p)])
     return out
 
@@ -95,7 +96,7 @@ def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
     v.degree()
     if v.basis != MONOMIAL:
         return alg._e_combination({triple_of_profile(p): c * p.norm_sq for p, c in v.items()})
-    return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq for p, c in v.items()})
+    return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq for p, c in v.nums.items()}, v.den)
 
 
 def theta_scale_squared(N):
@@ -167,10 +168,10 @@ def check_ddag(N, oracle_cap=3) -> Report:
 
     def injective():  # on the lifted tensors where the oracle runs, else on the coordinates
         if oracle:
-            rows = [[images()[p].coeffs.get(q, 0) for q in profiles] for p in profiles]
+            rows = [[c.get(q, 0) for q in profiles] for c in (images()[p].coeffs for p in profiles)]
         else:
-            keys = sorted({k for vec in lifted().values() for k in vec.coeffs})
-            rows = [[lifted()[p].coeffs.get(k, 0) for k in keys] for p in profiles]
+            keys = sorted({k for vec in lifted().values() for k in vec.nums})
+            rows = [[c.get(k, 0) for k in keys] for c in (lifted()[p].coeffs for p in profiles)]
         r = rank(rows)
         if r != len(profiles):
             yield f"rank {r} of {len(profiles)} rows"

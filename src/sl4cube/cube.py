@@ -10,6 +10,7 @@ inner products cheap to compute exactly once that fact has been certified.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
@@ -125,8 +126,7 @@ class TElem(SparseVec):
     __slots__ = ()
 
     def __init__(self, alg, coords):
-        self.space = alg
-        self.coeffs = {TripleIndex(*k): v for k, v in coords.items() if v}
+        self._set_values(alg, {TripleIndex(*k): v for k, v in coords.items() if v})
 
     @property
     def alg(self):
@@ -139,8 +139,8 @@ class TElem(SparseVec):
     def __matmul__(self, other):
         """Exact product, evaluated entrywise at one representative pair per cell."""
         alg = self.space
-        lc = self.coeffs.get
-        rc = other.coeffs.get
+        lc = self.nums.get
+        rc = other.nums.get
         pc = alg.cube.pc
         d = alg.dist_to_base
         out = {}
@@ -155,17 +155,18 @@ class TElem(SparseVec):
                         total += a * b
             if total:
                 out[trip] = total
-        return TElem._of(alg, out)
+        return TElem._of(alg, out, self.den * other.den)
 
     def entry(self, x, y):
-        alg = self.alg
-        return self.coords.get(
-            (alg.cube.pc[x ^ y], alg.dist_to_base[x], alg.dist_to_base[y]), 0
-        )
+        alg = self.space
+        a = self.nums.get((alg.cube.pc[x ^ y], alg.dist_to_base[x], alg.dist_to_base[y]), 0)
+        return a if self.den == 1 else Fraction(a, self.den)
 
     def matrix(self):
-        n = self.alg.cube.size
-        return Mat([[self.entry(x, y) for y in range(n)] for x in range(n)])
+        alg = self.space
+        coords, pc, d = self.coeffs, alg.cube.pc, alg.dist_to_base
+        n = alg.cube.size
+        return Mat([[coords.get((pc[x ^ y], d[x], d[y]), 0) for y in range(n)] for x in range(n)])
 
     def inner(self, other):
         """Entrywise form; the cell indicator basis is orthogonal with norms the cell sizes."""
@@ -173,12 +174,8 @@ class TElem(SparseVec):
 
     def coord_vector(self):
         """Coordinates against the cell indicator basis, in lexicographic triple order."""
-        return [self.coords.get(t, 0) for t in self.alg.triples]
-
-    def int_scaled(self):
-        """(integer-coordinate multiple, denominator): self = multiple / denominator."""
-        ints, den = clear_denominators(self.coeffs.values())
-        return TElem._of(self.space, dict(zip(self.coeffs, ints))), den
+        coords = self.coeffs
+        return [coords.get(t, 0) for t in self.space.triples]
 
 
 class TAlgebra:
@@ -290,29 +287,27 @@ class TAlgebra:
         den = self.e_den
         sizes = [self.cell_sizes[t] for t in self.triples]
         diags = {h: self.dual_distance_diag(h) for h in range(self.N + 1)}
-        shared = {}  # numerator -> (one int, one Fraction) reused across the basis
+        intern = {}.setdefault  # intern(a, a): one int object per numerator across the basis
         out, rows, norms = {}, {}, {}
         cols, cols_h = {}, None  # (j, y) -> column dh[k] * K_j[k, y] for the current h
+        reps = self.cell_reps.values()  # in self.triples order
         for trip in self.triples:
             h, i, j = trip
             if h != cols_h:  # triples come sorted by h, so each column is built once
                 cols, cols_h = {}, h
             Kirows, Kjrows, dh = Ks[i].rows, Ks[j].rows, diags[h]
-            coords = {}
             row = []
-            for target, (x, y) in self.cell_reps.items():
+            for x, y in reps:
                 col = cols.get((j, y))
                 if col is None:
                     col = cols[(j, y)] = [b * r[y] for b, r in zip(dh, Kjrows)]
-                total = sum(map(mul, Kirows[x], col))
-                if total:
-                    pair = shared.get(total)
-                    if pair is None:
-                        pair = shared[total] = (total, Fraction(total, den))
-                    total, coords[target] = pair
-                row.append(total)
-            out[trip] = TElem._of(self, coords)
-            rows[trip] = tuple(row)
+                row.append(sum(map(mul, Kirows[x], col)))
+            row = tuple(map(intern, row, row))
+            g = gcd(den, *row)
+            nums = row if g == 1 else [a // g for a in row]
+            coords = {t: a for t, a in zip(self.triples, map(intern, nums, nums)) if a}
+            out[trip] = TElem._of(self, coords, den // g)
+            rows[trip] = row
             norms[trip] = sum(map(mul, sizes, map(mul, row, row)))
         self._e_basis, self._e_rows, self._e_norms = out, rows, norms
         return out
@@ -345,9 +340,9 @@ class TAlgebra:
     def e_coords(self, B):
         """Coordinates of B against the orthogonal E_i A*_h E_j basis.
 
-        The coordinate at t is <B, e_t> / <e_t, e_t>; with B cleared to
-        integers over D and e_t the row r_t over e_den, that is
-        (sum over cells s of D B_s |s| r_t[s]) * e_den / (D * norm(r_t)),
+        The coordinate at t is <B, e_t> / <e_t, e_t>; with B the numerators
+        b over D and e_t the row r_t over e_den, that is
+        (sum over cells s of b_s |s| r_t[s]) * e_den / (D * norm(r_t)),
         one integer dot product per triple.
         """
         if B.space is not self:
@@ -355,10 +350,9 @@ class TAlgebra:
         if self._e_rows is None:
             self.e_basis()
         rows, norms = self._e_rows, self._e_norms
-        ints, den = clear_denominators(B.coeffs.values())
-        slots = [self._cell_slot[s] for s in B.coeffs]
-        weights = [a * self.cell_sizes[s] for s, a in zip(B.coeffs, ints)]
-        scale = self.e_den
+        slots = [self._cell_slot[s] for s in B.nums]
+        weights = [a * self.cell_sizes[s] for s, a in B.nums.items()]
+        scale, den = self.e_den, B.den
         return {
             t: Fraction(sum(map(mul, weights, map(rows[t].__getitem__, slots))) * scale, den * norms[t])
             for t in self.triples
@@ -367,8 +361,7 @@ class TAlgebra:
     def _e_combination(self, coeffs, weights=None):
         """sum over t of coeffs[t] * weights[t] * e_t, for rational coefficients
         and integer weights keyed by triple (weights None means 1): the
-        numerator rows are combined in integers over one common denominator,
-        and each output coordinate becomes one Fraction."""
+        numerator rows are combined in integers over one common denominator."""
         if self._e_rows is None:
             self.e_basis()
         rows = self._e_rows
@@ -379,8 +372,7 @@ class TAlgebra:
                 m *= weights[t]
             if m:
                 acc = list(map(add, acc, map(m.__mul__, rows[t])))
-        den *= self.e_den
-        return TElem._of(self, {t: Fraction(a, den) for t, a in zip(self.triples, acc) if a})
+        return TElem._of(self, {t: a for t, a in zip(self.triples, acc) if a}, den * self.e_den)
 
     # -- center and Wedderburn decomposition ------------------------------
 
@@ -435,7 +427,7 @@ class TAlgebra:
         out = []
         total = 0
         for l, (lam, p) in enumerate(zip(eigs, idems)):
-            scaled, _ = p.int_scaled()  # spans are scale independent, integers multiply fast
+            scaled = TElem._of(self, p.nums)  # p times its denominator: spans are scale independent
             images = [scaled @ b for b in basis.values()]
             rows = [im.coord_vector() for im in images]
             keep = independent_rows(rows)
@@ -464,9 +456,7 @@ class TAlgebra:
             slot = {1: 0, 2: 2, 3: 1}[k]  # theta*_h, theta*_j, theta*_i
 
             def op(B):
-                return TElem(
-                    self, {t: (N - 2 * t[slot]) * v for t, v in B.coords.items()}
-                )
+                return TElem._of(self, {t: w * v for t, v in B.nums.items() if (w := N - 2 * t[slot])}, B.den)
 
             return op
         if kind == "A":

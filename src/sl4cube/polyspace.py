@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .exact import binomial, clear_denominators, factorial
+from .exact import binomial, factorial
 from .linalg import Mat, kernel_dim, rank
 from .sl4core import GeneratorId
 from .sparse import SparseVec, require_rational
@@ -67,15 +67,15 @@ class PolyVec(SparseVec):
     def __init__(self, basis, coeffs=None):
         if basis not in (MONOMIAL, STARRED):
             raise ValueError(f"unknown basis tag {basis!r}")
-        self.space = basis
-        self.coeffs = {}
+        values = {}
         if coeffs:
             for p, c in coeffs.items():
                 require_rational(c)
                 if min(p) < 0:
                     raise ValueError(f"negative exponent in profile {tuple(p)}")
                 if c:
-                    self.coeffs[Profile(*p)] = c
+                    values[Profile(*p)] = c
+        self._set_values(basis, values)
 
     @property
     def basis(self):
@@ -91,7 +91,7 @@ class PolyVec(SparseVec):
 
     def degree(self):
         """Common degree of a homogeneous vector; None for 0, error if mixed."""
-        degs = {p.degree for p in self.coeffs}
+        degs = {p.degree for p in self.nums}
         if not degs:
             return None
         if len(degs) > 1:
@@ -167,7 +167,7 @@ def act_generator(gid: GeneratorId, v: PolyVec) -> PolyVec:
     """Apply one of the six generators in the vector's own basis."""
     kind, index = gid
     four_term = (kind == "A") == (v.basis == MONOMIAL)
-    return PolyVec._of(v.basis, _act_profiles(four_term, index, v.coeffs))
+    return PolyVec._of(v.basis, _act_profiles(four_term, index, v.nums), v.den)
 
 
 @lru_cache(maxsize=None)
@@ -189,38 +189,39 @@ def convert_basis(v: PolyVec, target) -> PolyVec:
     """Exact change of basis; converting twice returns the original.
 
     Each profile p of degree N expands to _product_expansion(*p) / 2^N.  The
-    coefficients are cleared to integers over one denominator, the expansions
-    are summed in integers, and each output coefficient becomes one Fraction.
-    A vector already in the target basis is returned as it is, not copied:
+    integer numerators, brought to the one denominator den * 2^D with D the
+    top degree, weight the expansions, which are summed in integers.  A
+    vector already in the target basis is returned as it is, not copied:
     vectors are immutable by convention.
     """
     if v.basis == target:
         return v
-    ints, den = clear_denominators(v.coeffs.values())
+    top = max((p.degree for p in v.nums), default=0)
     acc = {}
-    for p, m in zip(v.coeffs, ints):
+    for p, m in v.nums.items():
+        m <<= top - p.degree
         for q, c in _product_expansion(*p).items():
             acc[q] = acc.get(q, 0) + m * c
-    return PolyVec._of(target, {q: Fraction(a, den << q.degree) for q, a in acc.items() if a})
+    return PolyVec._of(target, {q: a for q, a in acc.items() if a}, v.den << top)
 
 
 def sigma(v: PolyVec) -> PolyVec:
     """The involution swapping the two bases coordinate-wise."""
     other = STARRED if v.basis == MONOMIAL else MONOMIAL
-    return PolyVec._of(other, dict(v.coeffs))
+    return PolyVec._of(other, dict(v.nums), v.den)
 
 
 def apply_D(slot, v: PolyVec) -> PolyVec:
     """Partial derivative in the slot-th variable of the vector's own basis;
     lowers degree by one."""
     down = tuple(-d for d in _UNIT_SHIFTS[slot])
-    return PolyVec._of(v.basis, _apply_terms(((1, (slot,), down),), v.coeffs))
+    return PolyVec._of(v.basis, _apply_terms(((1, (slot,), down),), v.nums), v.den)
 
 
 def apply_M(slot, v: PolyVec) -> PolyVec:
     """Multiplication by the slot-th variable of the vector's own basis;
     raises degree by one."""
-    return PolyVec._of(v.basis, _apply_terms(((1, (), _UNIT_SHIFTS[slot]),), v.coeffs))
+    return PolyVec._of(v.basis, _apply_terms(((1, (), _UNIT_SHIFTS[slot]),), v.nums), v.den)
 
 
 # L_i: the difference of two second derivatives.
@@ -240,17 +241,17 @@ _R_TABLE = {
 
 def apply_L(i, v: PolyVec) -> PolyVec:
     """Lowering map: the difference of two second derivatives; degree -2."""
-    return PolyVec._of(v.basis, _apply_terms(_L_TABLE[i], v.coeffs))
+    return PolyVec._of(v.basis, _apply_terms(_L_TABLE[i], v.nums), v.den)
 
 
 def apply_R(i, v: PolyVec) -> PolyVec:
     """Raising map: multiplication by a difference of variable products; degree +2."""
-    return PolyVec._of(v.basis, _apply_terms(_R_TABLE[i], v.coeffs))
+    return PolyVec._of(v.basis, _apply_terms(_R_TABLE[i], v.nums), v.den)
 
 
 def apply_Omega(v: PolyVec) -> PolyVec:
     """Degree-grading operator: multiplies each homogeneous term by its degree."""
-    return PolyVec._of(v.basis, {p: c * p.degree for p, c in v.coeffs.items() if p.degree})
+    return PolyVec._of(v.basis, {p: c * p.degree for p, c in v.nums.items() if p.degree}, v.den)
 
 
 # C_i off the N(N+2)/2 diagonal: two moving terms and their zero-shift
@@ -263,13 +264,17 @@ _C_TABLE = {
 
 
 def apply_C(i, v: PolyVec) -> PolyVec:
-    """Casimir-type operator, by its three-term action on basis vectors."""
+    """Casimir-type operator, by its three-term action on basis vectors.
+
+    The diagonal N(N+2)/2 is a half-integer, so the numerators are doubled
+    over twice the denominator."""
     diag = {}
-    for p, c in v.coeffs.items():
+    for p, c in v.nums.items():
         N = p.degree
         if N:
-            diag[p] = Fraction(N * (N + 2), 2) * c
-    return PolyVec._of(v.basis, _apply_terms(_C_TABLE[i], v.coeffs, diag))
+            diag[p] = N * (N + 2) * c
+    doubled = {p: 2 * c for p, c in v.nums.items()}
+    return PolyVec._of(v.basis, _apply_terms(_C_TABLE[i], doubled, diag), 2 * v.den)
 
 
 def apply_C_via_ladder(i, v: PolyVec) -> PolyVec:
@@ -452,8 +457,8 @@ def operator_matrix(apply_fn, N):
 
 def vector_coords(v: PolyVec, N):
     """Coordinates of a degree-N vector in lexicographic profile order."""
-    profiles = enumerate_profiles(N)
-    return [v.coeffs.get(p, 0) for p in profiles]
+    coeffs = v.coeffs
+    return [coeffs.get(p, 0) for p in enumerate_profiles(N)]
 
 
 def eigenspace_dims(i, which, N):

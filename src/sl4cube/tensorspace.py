@@ -14,7 +14,7 @@ from itertools import permutations, repeat
 from operator import mul
 
 from .cube import cube, triple_of_profile
-from .exact import clear_denominators, factorial
+from .exact import factorial
 from .polyspace import Profile, _act_profiles, _norm_sq, enumerate_profiles
 from .sparse import SparseVec
 
@@ -37,8 +37,7 @@ class TripleTensor(SparseVec):
     __slots__ = ()
 
     def __init__(self, N, coeffs=None):
-        self.space = N
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v}
+        self._set_values(N, {k: v for k, v in (coeffs or {}).items() if v})
 
     @property
     def N(self):
@@ -79,7 +78,7 @@ def _keys_by_profile(N):
 def b_vector(N, p) -> TripleTensor:
     """Sum of all basis triples with the given profile."""
     keys = _keys_by_profile(N)[Profile(*p)]
-    return TripleTensor(N, {k: 1 for k in keys})
+    return TripleTensor._of(N, dict.fromkeys(keys, 1))
 
 
 def b_support_size(N, p):
@@ -136,8 +135,7 @@ def _spectral_numerators(N, trip):
 def q_vector(N, trip) -> TripleTensor:
     """Spectral triple sum for a distance triple; zero exactly off the valid set."""
     keys, nums = _spectral_numerators(N, tuple(trip))
-    den = 4**N
-    return TripleTensor._of(N, {k: Fraction(v, den) for k, v in zip(keys, nums)})
+    return TripleTensor._of(N, dict(zip(keys, nums)), 4**N)
 
 
 def bstar_vector(N, p) -> TripleTensor:
@@ -157,8 +155,7 @@ class FixVec(SparseVec):
     def __init__(self, N, tag, coeffs=None):
         if tag not in (TILDE, STAR_TILDE):
             raise ValueError(f"unknown tag {tag!r}")
-        self.space = (N, tag)
-        self.coeffs = {Profile(*p): c for p, c in (coeffs or {}).items() if c}
+        self._set_values((N, tag), {Profile(*p): c for p, c in (coeffs or {}).items() if c})
 
     @property
     def N(self):
@@ -175,20 +172,20 @@ class FixVec(SparseVec):
     def lift(self) -> TripleTensor:
         """Concrete tensor represented by these coordinates: the sum of
         c p!/(N! 2^N) times the orbit sum (tilde) or spectral sum (star_tilde)
-        at each profile p, accumulated in integers, one Fraction per key."""
+        at each profile p, accumulated in integers."""
         N, tag = self.space
         star = tag == STAR_TILDE
-        ints, den = clear_denominators(c * p.norm_sq for p, c in self.coeffs.items())
-        den *= factorial(N) * 2**N * (4**N if star else 1)
         acc = {}
-        for p, m in zip(self.coeffs, ints):
+        for p, c in self.nums.items():
+            m = c * p.norm_sq
             if star:
                 keys, nums = _spectral_numerators(N, triple_of_profile(p))
             else:
                 keys, nums = _keys_by_profile(N)[p], repeat(1)
             for k, v in zip(keys, nums):
                 acc[k] = acc.get(k, 0) + m * v
-        return TripleTensor._of(N, {k: Fraction(a, den) for k, a in acc.items() if a})
+        den = self.den * factorial(N) * 2**N * (4**N if star else 1)
+        return TripleTensor._of(N, {k: a for k, a in acc.items() if a}, den)
 
     def inner(self, other):
         """Form value via the certified norms of the underlying orthogonal sums:
@@ -200,7 +197,7 @@ class FixVec(SparseVec):
 def act_abstract(k, kind, v: FixVec) -> FixVec:
     """Stated coordinate action of the six operators on the fixed subspace."""
     four_term = (kind == "A") == (v.tag == TILDE)
-    return FixVec._of(v.space, _act_profiles(four_term, k, v.coeffs))
+    return FixVec._of(v.space, _act_profiles(four_term, k, v.nums), v.den)
 
 
 def act_concrete(k, kind, t: TripleTensor) -> TripleTensor:
@@ -209,7 +206,7 @@ def act_concrete(k, kind, t: TripleTensor) -> TripleTensor:
     out = {}
     if kind == "A":
         shift_bits = 2 * N if k == 1 else (N if k == 2 else 0)
-        for key, c in t.coeffs.items():
+        for key, c in t.nums.items():
             for bit in range(N):
                 nk = key ^ (1 << (bit + shift_bits))
                 nv = out.get(nk, 0) + c
@@ -219,7 +216,7 @@ def act_concrete(k, kind, t: TripleTensor) -> TripleTensor:
                     del out[nk]
     else:
         pc = cube(N).pc
-        for key, c in t.coeffs.items():
+        for key, c in t.nums.items():
             x, y, z = unpack(N, key)
             if k == 1:
                 d = pc[y ^ z]
@@ -230,7 +227,7 @@ def act_concrete(k, kind, t: TripleTensor) -> TripleTensor:
             w = N - 2 * d
             if w:
                 out[key] = c * w
-    return TripleTensor(N, out)
+    return TripleTensor._of(N, out, t.den)
 
 
 def permute_bits(v, perm):
@@ -246,9 +243,9 @@ def apply_symmetry(N, t: TripleTensor, perm, flip) -> TripleTensor:
     image = [permute_bits(x, perm) ^ flip for x in range(1 << N)]  # the vertex map, once
     mask = (1 << N) - 1
     out = {}
-    for key, c in t.coeffs.items():
+    for key, c in t.nums.items():
         out[(image[key >> (2 * N)] << (2 * N)) | (image[(key >> N) & mask] << N) | image[key & mask]] = c
-    return TripleTensor._of(N, out)
+    return TripleTensor._of(N, out, t.den)
 
 
 def symmetry_generators(N):

@@ -118,14 +118,14 @@ def test_process_pool_gives_the_same_checks():
     assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
 
 
-def test_pool_submits_longest_measured_first(monkeypatch):
-    # with --jobs the jobs go out by descending measured seconds, unlisted ones
-    # in canonical order; the report keeps the canonical order
-    submitted = []
+def _inline_pool(made):
+    """A ProcessPoolExecutor stand-in that runs the jobs in this process and
+    appends (max_workers, [(suite, n) in submit order]) to ``made``."""
 
     class InlinePool:
         def __init__(self, max_workers):
-            pass
+            self.submitted = []
+            made.append((max_workers, self.submitted))
 
         def __enter__(self):
             return self
@@ -134,17 +134,34 @@ def test_pool_submits_longest_measured_first(monkeypatch):
             return False
 
         def map(self, fn, jobs):
-            submitted.extend((suite, n) for suite, n, _ in jobs)
+            self.submitted.extend((suite, n) for suite, n, _ in jobs)
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_pool_submits_longest_measured_first(monkeypatch):
+    # with --jobs the jobs go out by descending measured seconds, unlisted ones
+    # in canonical order; the report keeps the canonical order
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(made))
     monkeypatch.setattr(cli, "_JOB_SECONDS", {("tensor", 1): 2.0, ("cube", 0): 1.0})
     serial, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1))
     pooled, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1, jobs=2))
     assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
     canonical = [("sl4", None)] + [(s, n) for s in suites.SUITES[1:] for n in (0, 1)]
     ranked = [("tensor", 1), ("cube", 0)]
+    [(_, submitted)] = made
     assert submitted == ranked + [j for j in canonical if j not in ranked]
+
+
+def test_pool_is_capped_at_the_job_count(monkeypatch):
+    # under fork a pool starts every worker up front: --jobs 10000 on the 11
+    # jobs of N <= 1 (sl4 plus five suites at two degrees) asks for 11
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(made))
+    _, status = cli.run(SuiteConfig(n_max=1, oracle_n_max=1, jobs=10_000))
+    assert [workers for workers, _ in made] == [11] and status == 0
 
 
 def _submit_order(n_max):
@@ -153,10 +170,10 @@ def _submit_order(n_max):
 
 
 def test_submit_rank_on_the_measured_table():
-    # tensor at N = 4 is the costliest job of the default run, and tensor at
-    # N = 3 outweighs poly at N = 5; jobs above the measured N lead
+    # cube at N = 5 is the costliest job of the default run and tensor at N = 4
+    # the costliest below N = 5; jobs above the measured N lead
     default = _submit_order(5)
-    assert default[:5] == [("tensor", 4), ("correspond", 5), ("cube", 5), ("tensor", 3), ("poly", 5)]
+    assert default[:5] == [("cube", 5), ("correspond", 5), ("tensor", 4), ("poly", 5), ("special", 5)]
     assert _submit_order(6)[:5] == [(s, 6) for s in suites.SUITES[1:]]
 
 
