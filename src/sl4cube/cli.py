@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -143,6 +142,10 @@ def run(cfg: SuiteConfig):
         # submit the longest jobs first so no worker starts one near the end;
         # the report keeps the canonical job order.  Under fork the pool starts
         # all its workers up front, so it gets no more than there are jobs.
+        # Imported here: the pool loads multiprocessing, which a serial run
+        # has no use for.
+        from concurrent.futures import ProcessPoolExecutor
+
         order = sorted(range(len(jobs)), key=lambda k: _submit_rank(jobs[k]))
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
             results = dict(zip(order, pool.map(_run_job, [jobs[k] for k in order])))

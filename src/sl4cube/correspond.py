@@ -95,7 +95,7 @@ def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
     basis, both weighted by the profile factorials."""
     v.degree()
     if v.basis != MONOMIAL:
-        return alg._e_combination({triple_of_profile(p): c * p.norm_sq for p, c in v.items()})
+        return alg._e_int_combination({triple_of_profile(p): a * p.norm_sq for p, a in v.nums.items()}, v.den)
     return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq for p, c in v.nums.items()}, v.den)
 
 

@@ -10,7 +10,7 @@ inner products cheap to compute exactly once that fact has been certified.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
@@ -61,6 +61,8 @@ class Cube:
         self.size = 1 << N
         self.pc = [bin(v).count("1") for v in range(self.size)]
         self._K = None
+        # value-keyed stores the algebras of this N share, one per kind of table
+        self._shared = {}
 
     def dist(self, x, y):
         return self.pc[x ^ y]
@@ -109,6 +111,17 @@ class Cube:
 
     def primitive_idempotent(self, i):
         return self.idempotent_numerators()[i].scale(Fraction(1, 2**self.N))
+
+    def shared(self, kind):
+        """The store of one kind of table shared by the algebras of this N.
+
+        Each algebra computes its tables itself, then keeps the stored object
+        equal to each one (``store.setdefault(key, value)``), so equal tables
+        are held once.  A key is the value itself or a hashable form of it,
+        never an input the value was computed from: an algebra whose inputs
+        differ computes different values and gets its own objects.
+        """
+        return self._shared.setdefault(kind, {})
 
 
 @lru_cache(maxsize=None)
@@ -202,6 +215,7 @@ class TAlgebra:
         # self.triples order, and the cell-size weighted sum of their squares
         self._e_rows = None
         self._e_norms = None
+        self._a_mats = None  # filled by _a_matrices on the first A-kind operator call
 
     # -- cell geometry -------------------------------------------------
 
@@ -280,6 +294,8 @@ class TAlgebra:
 
         Also fills the integer kernel (numerator rows and weighted norms) that
         e_coords, the A-kind module operators and _e_combination work in.
+        Every basepoint of one N gives equal rows, coordinate dicts and norms;
+        each algebra computes its own and keeps the objects stored on the cube.
         """
         if self._e_basis is not None:
             return self._e_basis
@@ -287,7 +303,10 @@ class TAlgebra:
         den = self.e_den
         sizes = [self.cell_sizes[t] for t in self.triples]
         diags = {h: self.dual_distance_diag(h) for h in range(self.N + 1)}
-        intern = {}.setdefault  # intern(a, a): one int object per numerator across the basis
+        shared = self.cube.shared
+        intern = shared("int").setdefault  # intern(a, a): one int object per numerator value
+        share_row = shared("row").setdefault
+        coord_dicts = shared("coords")  # reduced numerator tuple -> its dict of nonzero cells
         out, rows, norms = {}, {}, {}
         cols, cols_h = {}, None  # (j, y) -> column dh[k] * K_j[k, y] for the current h
         reps = self.cell_reps.values()  # in self.triples order
@@ -303,12 +322,16 @@ class TAlgebra:
                     col = cols[(j, y)] = [b * r[y] for b, r in zip(dh, Kjrows)]
                 row.append(sum(map(mul, Kirows[x], col)))
             row = tuple(map(intern, row, row))
+            row = share_row(row, row)
             g = gcd(den, *row)
-            nums = row if g == 1 else [a // g for a in row]
-            coords = {t: a for t, a in zip(self.triples, map(intern, nums, nums)) if a}
+            nums = row if g == 1 else tuple(a // g for a in row)
+            coords = coord_dicts.get(nums)
+            if coords is None:
+                coords = coord_dicts[nums] = {t: a for t, a in zip(self.triples, map(intern, nums, nums)) if a}
             out[trip] = TElem._of(self, coords, den // g)
             rows[trip] = row
-            norms[trip] = sum(map(mul, sizes, map(mul, row, row)))
+            norm = sum(map(mul, sizes, map(mul, row, row)))
+            norms[trip] = intern(norm, norm)
         self._e_basis, self._e_rows, self._e_norms = out, rows, norms
         return out
 
@@ -360,19 +383,52 @@ class TAlgebra:
 
     def _e_combination(self, coeffs, weights=None):
         """sum over t of coeffs[t] * weights[t] * e_t, for rational coefficients
-        and integer weights keyed by triple (weights None means 1): the
-        numerator rows are combined in integers over one common denominator."""
+        and integer weights keyed by triple (weights None means 1)."""
+        ints, den = clear_denominators(coeffs.values())
+        return self._e_int_combination(dict(zip(coeffs, ints)), den, weights)
+
+    def _e_int_combination(self, nums, den=1, weights=None):
+        """sum over t of nums[t] / den * weights[t] * e_t, for integer
+        numerators over one denominator: the numerator rows are combined in
+        integers over den * e_den."""
         if self._e_rows is None:
             self.e_basis()
         rows = self._e_rows
-        ints, den = clear_denominators(coeffs.values())
         acc = [0] * len(self.triples)
-        for t, m in zip(coeffs, ints):
+        for t, m in nums.items():
             if weights is not None:
                 m *= weights[t]
             if m:
                 acc = list(map(add, acc, map(m.__mul__, rows[t])))
         return TElem._of(self, {t: a for t, a in zip(self.triples, acc) if a}, den * self.e_den)
+
+    def _a_matrices(self):
+        """The A-kind operators A^(1), A^(2), A^(3) as sparse integer matrices
+        in cell coordinates, built on first use.
+
+        Slot k of the triple (theta_h, theta_i, theta_j) gives the pair
+        (cols, L): cols[s] lists the pairs (n, m), m / L being the coordinate
+        at self.triples[n] of the operator applied to the indicator of cell s.
+        Each column comes from the E-basis route, _e_combination of the
+        indicator's e_coords weighted by the eigenvalues; the pairs are stored
+        on the cube by value.
+        """
+        if self._a_mats is None:
+            units = [self.e_coords(e) for e in self.estar_basis().values()]  # in self.triples order
+            slot_of = self._cell_slot
+            store = self.cube.shared("a_matrix")
+            mats = []
+            for k in range(3):
+                theta = {t: self.N - 2 * t[k] for t in self.triples}
+                images = [self._e_combination(c, theta) for c in units]
+                L = lcm(*(im.den for im in images))
+                cols = tuple(tuple((slot_of[t], a * (L // im.den)) for t, a in im.nums.items()) for im in images)
+                mat = store.get((cols, L))
+                if mat is None:
+                    mat = store[(cols, L)] = (dict(zip(self.triples, cols)), L)
+                mats.append(mat)
+            self._a_mats = mats
+        return self._a_mats
 
     # -- center and Wedderburn decomposition ------------------------------
 
@@ -449,7 +505,8 @@ class TAlgebra:
         """The six module operators, diagonal on one of the two bases.
 
         Plain kind scales the E-basis coordinates by an eigenvalue read off the
-        triple; starred kind scales the cell coordinates.
+        triple, through the cached matrices of _a_matrices; starred kind scales
+        the cell coordinates.
         """
         N = self.N
         if kind == "Astar":
@@ -461,10 +518,17 @@ class TAlgebra:
             return op
         if kind == "A":
             slot = {1: 0, 2: 1, 3: 2}[k]  # theta_h, theta_i, theta_j
-            theta = {t: N - 2 * t[slot] for t in self.triples}
+            triples = self.triples
 
             def op(B):
-                return self._e_combination(self.e_coords(B), theta)
+                if B.space is not self:
+                    raise ValueError("mixing TElem tags; convert first")
+                cols, L = self._a_matrices()[slot]
+                acc = [0] * len(triples)
+                for s, b in B.nums.items():
+                    for n, m in cols[s]:
+                        acc[n] += b * m
+                return TElem._of(self, {t: a for t, a in zip(triples, acc) if a}, B.den * L)
 
             return op
         raise ValueError(f"unknown kind {kind!r}")
@@ -476,7 +540,7 @@ class TAlgebra:
     def s_antiautomorphism(self, B):
         """The basis-swapping antiautomorphism: cell indicator (h, i, j) goes to
         the E-basis element (h, j, i)."""
-        return self._e_combination({TripleIndex(h, j, i): v for (h, i, j), v in B.coeffs.items()})
+        return self._e_int_combination({TripleIndex(h, j, i): a for (h, i, j), a in B.nums.items()}, B.den)
 
 @lru_cache(maxsize=None)
 def t_algebra(N, basepoint=0) -> TAlgebra:

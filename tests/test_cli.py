@@ -1,6 +1,11 @@
+import concurrent.futures
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +123,15 @@ def test_process_pool_gives_the_same_checks():
     assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
 
 
+def test_serial_import_leaves_out_the_process_pool():
+    # the pool module loads multiprocessing; only a run with --jobs > 1 imports it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, sl4cube.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def _inline_pool(made):
     """A ProcessPoolExecutor stand-in that runs the jobs in this process and
     appends (max_workers, [(suite, n) in submit order]) to ``made``."""
@@ -144,7 +158,7 @@ def test_pool_submits_longest_measured_first(monkeypatch):
     # with --jobs the jobs go out by descending measured seconds, unlisted ones
     # in canonical order; the report keeps the canonical order
     made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(made))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(made))
     monkeypatch.setattr(cli, "_JOB_SECONDS", {("tensor", 1): 2.0, ("cube", 0): 1.0})
     serial, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1))
     pooled, _ = cli.run(SuiteConfig(n_max=1, oracle_n_max=1, jobs=2))
@@ -159,7 +173,7 @@ def test_pool_is_capped_at_the_job_count(monkeypatch):
     # under fork a pool starts every worker up front: --jobs 10000 on the 11
     # jobs of N <= 1 (sl4 plus five suites at two degrees) asks for 11
     made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(made))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(made))
     _, status = cli.run(SuiteConfig(n_max=1, oracle_n_max=1, jobs=10_000))
     assert [workers for workers, _ in made] == [11] and status == 0
 
