@@ -7,7 +7,6 @@ also be supplied through SL4CUBE_-prefixed environment variables; explicit
 flags win, and a malformed value is a usage error naming its flag.
 """
 
-import argparse
 import csv
 import json
 import os
@@ -229,6 +228,8 @@ def _env_default(name, fallback):
 
 
 def build_parser():
+    import argparse  # deferred: a library client that never parses arguments does not load it
+
     parser = argparse.ArgumentParser(prog="sl4cube", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

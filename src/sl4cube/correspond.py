@@ -16,7 +16,7 @@ from . import polyspace, specialfn, tensorspace
 from .cube import TAlgebra, TElem, TripleIndex, t_algebra, triple_of_profile
 from .exact import factorial
 from .linalg import Mat, gram, rank, spans_match
-from .polyspace import MONOMIAL, STARRED, PolyVec
+from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
 from .report import Report
 from .sl4core import GeneratorId
 from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor
@@ -49,7 +49,7 @@ def ddag_scale_squared(N):
 def _fix_weight(N):
     """The weight of the fixed-space form on profile coordinates, as in FixVec.inner."""
     den = factorial(N) * 2**N
-    return lambda p: Fraction(p.norm_sq, den)
+    return lambda p: Fraction(_norm_sq(p), den)
 
 
 def eps_scaled_concrete(alg: TAlgebra, t: TripleTensor) -> Mat:
@@ -76,12 +76,12 @@ def eps_scaled_fix(alg: TAlgebra, v: FixVec) -> TElem:
     N, tag = v.space
     scale = factorial(N) * 2**N
     if tag == TILDE:
-        return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq for p, c in v.nums.items()}, v.den * scale)
+        return TElem._of(alg, {_reversed_cell(p): c * _norm_sq(p) for p, c in v.nums.items()}, v.den * scale)
     w = Fraction(1, scale)
     ebas = alg.e_basis()
     out = alg.zero()
     for p, c in v.items():
-        out.add_scaled(c * p.norm_sq * w, ebas[triple_of_profile(p)])
+        out.add_scaled(c * _norm_sq(p) * w, ebas[triple_of_profile(p)])
     return out
 
 
@@ -95,8 +95,8 @@ def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
     basis, both weighted by the profile factorials."""
     v.degree()
     if v.basis != MONOMIAL:
-        return alg._e_int_combination({triple_of_profile(p): a * p.norm_sq for p, a in v.nums.items()}, v.den)
-    return TElem._of(alg, {_reversed_cell(p): c * p.norm_sq for p, c in v.nums.items()}, v.den)
+        return alg._e_int_combination({triple_of_profile(p): a * _norm_sq(p) for p, a in v.nums.items()}, v.den)
+    return TElem._of(alg, {_reversed_cell(p): c * _norm_sq(p) for p, c in v.nums.items()}, v.den)
 
 
 def theta_scale_squared(N):
@@ -128,7 +128,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
     images = functools.cache(lambda: {p: ddag_scaled(v) for p, v in units.items()})
     lifted = functools.cache(lambda: {p: v.lift() for p, v in images().items()})
     # the Hermitian form of the monomial units, whose own basis is the monomial one
-    poly_gram = functools.cache(lambda: gram([units[p].coeffs for p in profiles], weight=polyspace._norm_sq))
+    poly_gram = functools.cache(lambda: gram([units[p].coeffs for p in profiles], weight=_norm_sq))
 
     def form(vectors, weight, name):
         vectors = vectors()
@@ -259,7 +259,7 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
         for tag, vecs in units.items():
             got = gram((theta(vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
             # the Hermitian form, on each vector converted to the monomial basis once
-            want = gram((polyspace.convert_basis(vecs[p], MONOMIAL).coeffs for p in profiles), weight=polyspace._norm_sq)
+            want = gram((polyspace.convert_basis(vecs[p], MONOMIAL).coeffs for p in profiles), weight=_norm_sq)
             for p, got_row, want_row in zip(profiles, got, want):
                 for q, value, w in zip(profiles, got_row, want_row):
                     if value != scale_sq * w:

@@ -11,7 +11,7 @@ inner products cheap to compute exactly once that fact has been certified.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .exact import binomial, clear_denominators
@@ -286,7 +286,8 @@ class TAlgebra:
     def estar_basis(self):
         """E*_i A_h E*_j for valid (h, i, j): the cell indicator matrices."""
         if self._estar_basis is None:
-            self._estar_basis = {t: TElem._of(self, {t: 1}) for t in self.triples}
+            units = self.cube.shared("unit")  # triple -> the numerators {triple: 1}
+            self._estar_basis = {t: TElem._of(self, units.setdefault(t, {t: 1})) for t in self.triples}
         return self._estar_basis
 
     def e_basis(self):
@@ -394,13 +395,23 @@ class TAlgebra:
         if self._e_rows is None:
             self.e_basis()
         rows = self._e_rows
-        acc = [0] * len(self.triples)
+        acc = None
         for t, m in nums.items():
             if weights is not None:
                 m *= weights[t]
             if m:
-                acc = list(map(add, acc, map(m.__mul__, rows[t])))
-        return TElem._of(self, {t: a for t, a in zip(self.triples, acc) if a}, den * self.e_den)
+                row = rows[t]
+                acc = [m * r for r in row] if acc is None else [a + m * r for a, r in zip(acc, row)]
+        if acc is None:
+            return TElem._of(self, {})
+        return self._of_cell_list(acc, den * self.e_den)
+
+    def _of_cell_list(self, acc, den):
+        """The element with integer numerators acc, listed in self.triples
+        order, over den: reduced by one gcd on the list, so that the dict of
+        nonzero cells is built once, already in lowest terms."""
+        g = gcd(den, *acc)
+        return TElem._of(self, {t: a // g for t, a in zip(self.triples, acc) if a}, den // g)
 
     def _a_matrices(self):
         """The A-kind operators A^(1), A^(2), A^(3) as sparse integer matrices
@@ -518,17 +529,17 @@ class TAlgebra:
             return op
         if kind == "A":
             slot = {1: 0, 2: 1, 3: 2}[k]  # theta_h, theta_i, theta_j
-            triples = self.triples
+            size = len(self.triples)
 
             def op(B):
                 if B.space is not self:
                     raise ValueError("mixing TElem tags; convert first")
                 cols, L = self._a_matrices()[slot]
-                acc = [0] * len(triples)
+                acc = [0] * size
                 for s, b in B.nums.items():
                     for n, m in cols[s]:
                         acc[n] += b * m
-                return TElem._of(self, {t: a for t, a in zip(triples, acc) if a}, B.den * L)
+                return self._of_cell_list(acc, B.den * L)
 
             return op
         raise ValueError(f"unknown kind {kind!r}")

@@ -9,7 +9,7 @@ C(N+3, 3).
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from itertools import compress
 from typing import NamedTuple
 
 from .exact import binomial, factorial
@@ -45,7 +45,15 @@ class Profile(NamedTuple):
 
     @property
     def norm_sq(self):
-        return factorial(self.r) * factorial(self.s) * factorial(self.t) * factorial(self.u)
+        return _norm_sq(self)
+
+
+@lru_cache(maxsize=None)
+def _norm_sq(p):
+    """r!s!t!u!, the square norm of the profile's basis vector in either
+    basis; computed once per profile."""
+    r, s, t, u = p
+    return factorial(r) * factorial(s) * factorial(t) * factorial(u)
 
 
 def enumerate_profiles(N):
@@ -170,7 +178,6 @@ def act_generator(gid: GeneratorId, v: PolyVec) -> PolyVec:
     return PolyVec._of(v.basis, _act_profiles(four_term, index, v.nums), v.den)
 
 
-@lru_cache(maxsize=None)
 def _product_expansion(R, S, T, U):
     """Integer coefficients, keyed by profile in the other basis, of the
     product of the four signed linear forms (the rows of the sign table)
@@ -185,24 +192,50 @@ def _product_expansion(R, S, T, U):
     return poly
 
 
+@lru_cache(maxsize=None)
+def _conversion_rows(N):
+    """The degree-N profiles in enumerate_profiles order, and each one's
+    _product_expansion as a dense tuple of integers in that order: the one
+    kept form of the expansions."""
+    profiles = enumerate_profiles(N)
+    slot = {p: k for k, p in enumerate(profiles)}
+    rows = {}
+    for p in profiles:
+        row = [0] * len(profiles)
+        for q, c in _product_expansion(*p).items():
+            row[slot[q]] = c
+        rows[p] = tuple(row)
+    return profiles, rows
+
+
 def convert_basis(v: PolyVec, target) -> PolyVec:
     """Exact change of basis; converting twice returns the original.
 
     Each profile p of degree N expands to _product_expansion(*p) / 2^N.  The
     integer numerators, brought to the one denominator den * 2^D with D the
-    top degree, weight the expansions, which are summed in integers.  A
-    vector already in the target basis is returned as it is, not copied:
-    vectors are immutable by convention.
+    top degree, weight the dense expansion rows of their degree, which are
+    summed as integer lists, one per degree.  A vector already in the target
+    basis is returned as it is, not copied: vectors are immutable by
+    convention.  Raises ValueError on a profile with a negative exponent.
     """
     if v.basis == target:
         return v
-    top = max((p.degree for p in v.nums), default=0)
-    acc = {}
-    for p, m in v.nums.items():
-        m <<= top - p.degree
-        for q, c in _product_expansion(*p).items():
-            acc[q] = acc.get(q, 0) + m * c
-    return PolyVec._of(target, {q: a for q, a in acc.items() if a}, v.den << top)
+    nums = v.nums
+    top = max(map(sum, nums), default=0)
+    accs = {}  # degree -> numerators in enumerate_profiles order
+    for p, m in nums.items():
+        N = sum(p)
+        try:
+            row = _conversion_rows(N)[1][p]
+        except KeyError:
+            raise ValueError(f"negative exponent in profile {tuple(p)}") from None
+        m <<= top - N
+        acc = accs.get(N)
+        accs[N] = [m * r for r in row] if acc is None else [a + m * r for a, r in zip(acc, row)]
+    out = {}
+    for N, acc in accs.items():
+        out.update(zip(compress(_conversion_rows(N)[0], acc), compress(acc, acc)))
+    return PolyVec._of(target, out, v.den << top)
 
 
 def sigma(v: PolyVec) -> PolyVec:
@@ -303,16 +336,16 @@ def apply_C_via_generators(i, v: PolyVec, swapped=False) -> PolyVec:
     return Fraction(1, 8) * out
 
 
-_norm_sq = attrgetter("norm_sq")
-
-
 def hermitian(v: PolyVec, w: PolyVec):
     """The form making each basis orthogonal with square norms r!s!t!u!.
 
-    Both arguments are converted to the monomial basis; coefficients here are
-    always rational, so the form reduces to a bilinear sum.
+    Both arguments are converted to the monomial basis, w only when it is
+    not v itself; coefficients here are always rational, so the form reduces
+    to a bilinear sum.
     """
-    return SparseVec.inner(convert_basis(v, MONOMIAL), convert_basis(w, MONOMIAL), _norm_sq)
+    mv = convert_basis(v, MONOMIAL)
+    mw = mv if w is v else convert_basis(w, MONOMIAL)
+    return SparseVec.inner(mv, mw, _norm_sq)
 
 
 def norm_sq(v: PolyVec):

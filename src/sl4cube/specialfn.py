@@ -79,7 +79,8 @@ def calP_genfunc(N, lam, mu):
     R = N - S - T - U
     if r < 0 or R < 0:
         raise ValueError("tails exceed degree")
-    coeff = polyspace._product_expansion(R, S, T, U).get(Profile(r, s, t, u), 0)
+    profiles, rows = polyspace._conversion_rows(N)
+    coeff = rows[Profile(R, S, T, U)][profiles.index(Profile(r, s, t, u))]
     return Fraction(
         factorial(r) * factorial(s) * factorial(t) * factorial(u) * coeff, factorial(N)
     )

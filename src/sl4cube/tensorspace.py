@@ -177,7 +177,7 @@ class FixVec(SparseVec):
         star = tag == STAR_TILDE
         acc = {}
         for p, c in self.nums.items():
-            m = c * p.norm_sq
+            m = c * _norm_sq(p)
             if star:
                 keys, nums = _spectral_numerators(N, triple_of_profile(p))
             else:

@@ -132,6 +132,15 @@ def test_serial_import_leaves_out_the_process_pool():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_out_argparse():
+    # only the command line parses arguments; a library import does not load argparse
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, sl4cube.cli; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def _inline_pool(made):
     """A ProcessPoolExecutor stand-in that runs the jobs in this process and
     appends (max_workers, [(suite, n) in submit order]) to ``made``."""

@@ -117,10 +117,12 @@ def test_cached_a_ops_match_the_e_basis_route(N, b):
 def test_basepoints_share_e_basis_storage_by_value():
     a, b = t_algebra(3, 0), t_algebra(3, 5)
     ea, eb = a.e_basis(), b.e_basis()
+    sa, sb = a.estar_basis(), b.estar_basis()
     for t in a.triples:
         assert ea[t].nums is eb[t].nums and ea[t].den == eb[t].den
         assert a._e_rows[t] is b._e_rows[t]
         assert ea[t] != eb[t]  # elements of different algebras
+        assert sa[t].nums is sb[t].nums == {t: 1} and sa[t] != sb[t]
     assert all(ma is mb for ma, mb in zip(a._a_matrices(), b._a_matrices()))
 
 

@@ -84,11 +84,11 @@ def test_dual_distance_elem_corruption_fails_pointwise(monkeypatch, basepoint):
 
 @pytest.fixture
 def fresh_expansion_caches():
-    # the cached basis-change expansions are built through the operator
-    # kernel; start and end empty so no corrupted value outlives its test
-    polyspace._product_expansion.cache_clear()
+    # the cached basis-change rows are built through the operator kernel;
+    # start and end empty so no corrupted value outlives its test
+    polyspace._conversion_rows.cache_clear()
     yield
-    polyspace._product_expansion.cache_clear()
+    polyspace._conversion_rows.cache_clear()
 
 
 def test_casimir_table_corruption_keeps_every_poly_check(monkeypatch, fresh_expansion_caches):
