@@ -105,27 +105,6 @@ def _run_job(job):
         return rep.checks
 
 
-# Seconds each job of the default run (N <= 5, oracle-n-max 3) took alone in a
-# fresh interpreter: median of three runs on a 2-core Xeon, Python 3.11. Jobs
-# not listed took under 0.15 s. A larger oracle-n-max adds work that these
-# figures do not count.
-_JOB_SECONDS = {
-    ("cube", 5): 1.2, ("correspond", 5): 0.88, ("tensor", 4): 0.72, ("poly", 5): 0.54,
-    ("special", 5): 0.37, ("correspond", 4): 0.26, ("special", 4): 0.26, ("correspond", 3): 0.22,
-    ("poly", 4): 0.20, ("cube", 4): 0.19, ("special", 3): 0.19, ("tensor", 3): 0.17,
-}
-_MEASURED_N_MAX = 5
-
-
-def _submit_rank(job):
-    """Sort key for the pool: jobs above the measured N first, higher N first
-    (at N = 6 every suite but tensor, which is cheap above N = 4, takes longer
-    than any N = 5 job), then the rest by descending measured seconds."""
-    suite, n, _ = job
-    beyond = n if n is not None and n > _MEASURED_N_MAX else 0
-    return (-beyond, -_JOB_SECONDS.get((suite, n), 0))
-
-
 def run(cfg: SuiteConfig):
     """Execute the configured suites; returns (report, exit_status)."""
     cfg.validate()
@@ -138,14 +117,15 @@ def run(cfg: SuiteConfig):
                 jobs.append((suite, n, (cfg.seed, cfg.oracle_n_max, cfg.basepoint)))
     report = Report()
     if cfg.jobs > 1:
-        # submit the longest jobs first so no worker starts one near the end;
-        # the report keeps the canonical job order.  Under fork the pool starts
-        # all its workers up front, so it gets no more than there are jobs.
-        # Imported here: the pool loads multiprocessing, which a serial run
-        # has no use for.
+        # submit by descending N, then in canonical order (sl4 counting as
+        # N = 0): a job's cost grows with N, so no worker starts a long one
+        # near the end.  The report keeps the canonical job order.  Under fork
+        # the pool starts all its workers up front, so it gets no more than
+        # there are jobs.  Imported here: the pool loads multiprocessing,
+        # which a serial run has no use for.
         from concurrent.futures import ProcessPoolExecutor
 
-        order = sorted(range(len(jobs)), key=lambda k: _submit_rank(jobs[k]))
+        order = sorted(range(len(jobs)), key=lambda k: -(jobs[k][1] or 0))
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(jobs))) as pool:
             results = dict(zip(order, pool.map(_run_job, [jobs[k] for k in order])))
         for k in range(len(jobs)):

@@ -18,7 +18,7 @@ from .exact import factorial
 from .linalg import Mat, gram, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
 from .report import Report
-from .sl4core import GeneratorId
+from .sl4core import GENERATORS
 from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor
 
 
@@ -104,9 +104,6 @@ def theta_scale_squared(N):
     return factorial(N)
 
 
-_GENS = [GeneratorId(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3)]
-
-
 def check_ddag(N, oracle_cap=3) -> Report:
     """Intertwining and form scaling for the polynomial-to-fixed-space map."""
     rep = Report()
@@ -117,7 +114,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
 
     def intertwine():
         for tag, fwd in ((MONOMIAL, ddag_scaled), (STARRED, ddag_scaled_starred)):
-            for gid in _GENS:
+            for gid in GENERATORS:
                 for p in profiles:
                     e = unit(tag, p)
                     if fwd(polyspace.act_generator(gid, e)) != tensorspace.act_abstract(gid.index, gid.kind, fwd(e)):
@@ -140,7 +137,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
     rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, _fix_weight(N), "form"))
 
     def concrete():
-        for gid in _GENS:
+        for gid in GENERATORS:
             for p in profiles:
                 lhs = tensorspace.act_concrete(gid.index, gid.kind, images()[p].lift())
                 if lhs != ddag_scaled(polyspace.act_generator(gid, units[p])).lift():
@@ -234,9 +231,9 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
     def intertwine():
         ops = alg.t_module_ops()
         for tag, vecs in units.items():
-            for gid in _GENS:
+            for gid in GENERATORS:
                 for p, e in vecs.items():
-                    if theta(polyspace.act_generator(gid, e)) != ops[(gid.kind, gid.index)](theta(e)):
+                    if theta(polyspace.act_generator(gid, e)) != ops[gid](theta(e)):
                         yield f"{gid} on {tag} unit {tuple(p)}"
     rep.check("correspond.theta.intertwine", "theta carries generator action to the module operators", N, intertwine())
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .exact import binomial, clear_denominators
 from .linalg import Mat, independent_rows
+from .sl4core import GENERATORS
 from .sparse import SparseVec
 
 
@@ -60,6 +61,10 @@ class Cube:
         self.N = N
         self.size = 1 << N
         self.pc = [bin(v).count("1") for v in range(self.size)]
+        # the cells of every basepoint's algebra, in lexicographic triple
+        # order, and each triple's position in that order
+        self.triples = valid_triples(N)
+        self.cell_slot = {t: n for n, t in enumerate(self.triples)}
         self._K = None
         # value-keyed stores the algebras of this N share, one per kind of table
         self._shared = {}
@@ -142,10 +147,6 @@ class TElem(SparseVec):
         self._set_values(alg, {TripleIndex(*k): v for k, v in coords.items() if v})
 
     @property
-    def alg(self):
-        return self.space
-
-    @property
     def coords(self):
         return self.coeffs
 
@@ -169,11 +170,6 @@ class TElem(SparseVec):
             if total:
                 out[trip] = total
         return TElem._of(alg, out, self.den * other.den)
-
-    def entry(self, x, y):
-        alg = self.space
-        a = self.nums.get((alg.cube.pc[x ^ y], alg.dist_to_base[x], alg.dist_to_base[y]), 0)
-        return a if self.den == 1 else Fraction(a, self.den)
 
     def matrix(self):
         alg = self.space
@@ -201,10 +197,10 @@ class TAlgebra:
         self.N = N
         self.basepoint = basepoint
         self.dist_to_base = [self.cube.dist(x, basepoint) for x in range(self.cube.size)]
-        self.triples = valid_triples(N)
+        self.triples = self.cube.triples
         self.cell_reps = {t: self._make_rep(t) for t in self.triples}
-        self._cell_slot = {t: n for n, t in enumerate(self.triples)}
-        self.cell_sizes = self._count_cells()
+        sizes = self._count_cells()  # equal for every basepoint, held once
+        self.cell_sizes = self.cube.shared("sizes").setdefault(tuple(sizes.values()), sizes)
         # E_i = K_i / 2^N with K_i integral, so every E_i A*_h E_j coordinate
         # is an integer over this one denominator
         self.e_den = 4**N
@@ -374,7 +370,7 @@ class TAlgebra:
         if self._e_rows is None:
             self.e_basis()
         rows, norms = self._e_rows, self._e_norms
-        slots = [self._cell_slot[s] for s in B.nums]
+        slots = [self.cube.cell_slot[s] for s in B.nums]
         weights = [a * self.cell_sizes[s] for s, a in B.nums.items()]
         scale, den = self.e_den, B.den
         return {
@@ -426,7 +422,7 @@ class TAlgebra:
         """
         if self._a_mats is None:
             units = [self.e_coords(e) for e in self.estar_basis().values()]  # in self.triples order
-            slot_of = self._cell_slot
+            slot_of = self.cube.cell_slot
             store = self.cube.shared("a_matrix")
             mats = []
             for k in range(3):
@@ -545,8 +541,9 @@ class TAlgebra:
         raise ValueError(f"unknown kind {kind!r}")
 
     def t_module_ops(self):
-        """All six module operators, keyed by (kind, index)."""
-        return {(kind, k): self.module_op(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3)}
+        """All six module operators, keyed by GeneratorId, which equals its
+        (kind, index) pair."""
+        return {gid: self.module_op(*gid) for gid in GENERATORS}
 
     def s_antiautomorphism(self, B):
         """The basis-swapping antiautomorphism: cell indicator (h, i, j) goes to

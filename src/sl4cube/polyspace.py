@@ -14,21 +14,12 @@ from typing import NamedTuple
 
 from .exact import binomial, factorial
 from .linalg import Mat, kernel_dim, rank
+from . import sl4core
 from .sl4core import GeneratorId
 from .sparse import SparseVec, require_rational
 
 MONOMIAL = "monomial"
 STARRED = "starred"
-
-# Signs of the degree-1 change of variables: row i gives the expansion of the
-# i-th variable of one basis in the other, divided by 2.  The matrix is its own
-# inverse up to that factor of 2.
-_SIGNS = (
-    (1, 1, 1, 1),
-    (1, 1, -1, -1),
-    (1, -1, 1, -1),
-    (1, -1, -1, 1),
-)
 
 _UNIT_SHIFTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -180,12 +171,16 @@ def act_generator(gid: GeneratorId, v: PolyVec) -> PolyVec:
 
 def _product_expansion(R, S, T, U):
     """Integer coefficients, keyed by profile in the other basis, of the
-    product of the four signed linear forms (the rows of the sign table)
-    raised to the powers R, S, T, U.  Raises ValueError on a negative power."""
+    product of the four signed linear forms raised to the powers R, S, T, U.
+
+    Row i of the Hadamard matrix sl4core._H, read at call time, gives the
+    i-th variable of one basis in the other, times 2; H^2 = 4 I makes the
+    change its own inverse up to that factor.  Raises ValueError on a
+    negative power."""
     if min(R, S, T, U) < 0:
         raise ValueError(f"negative power in ({R}, {S}, {T}, {U})")
     poly = {Profile(0, 0, 0, 0): 1}
-    for signs, power in zip(_SIGNS, (R, S, T, U)):
+    for signs, power in zip(sl4core._H.rows, (R, S, T, U)):
         terms = tuple((sign, (), unit) for sign, unit in zip(signs, _UNIT_SHIFTS))
         for _ in range(power):
             poly = _apply_terms(terms, poly)
@@ -317,14 +312,20 @@ def apply_C_via_ladder(i, v: PolyVec) -> PolyVec:
     return Fraction(1, 2) * w - apply_L(i, apply_R(i, v)) - apply_R(i, apply_L(i, v))
 
 
+def complementary_pair(i):
+    """The two generator indices other than i, as its cyclic successors:
+    (2, 3), (3, 1), (1, 2) for i = 1, 2, 3."""
+    j = i % 3 + 1
+    return j, j % 3 + 1
+
+
 def apply_C_via_generators(i, v: PolyVec, swapped=False) -> PolyVec:
     """Defining expression (4 X^2 + 4 Y^2 - (XY - YX)^2)/8 for the generator pair.
 
-    For index i the pair (X, Y) is (A_j, A*_k) with (j, k) the cyclic successors
-    of i, or (A*_j, A_k) when ``swapped``.
+    For index i the pair (X, Y) is (A_j, A*_k) with (j, k) the complementary
+    pair of i, or (A*_j, A_k) when ``swapped``.
     """
-    j = i % 3 + 1
-    k = j % 3 + 1
+    j, k = complementary_pair(i)
     if not swapped:
         gx, gy = GeneratorId("A", j), GeneratorId("Astar", k)
     else:
@@ -361,9 +362,6 @@ def apply_op_poly(coeffs, apply_op, v: PolyVec) -> PolyVec:
     return res
 
 
-_KERNEL_GEN_PAIRS = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-
-
 def kernel_L_basis(i, N):
     """Orthogonal basis of Ker(L_i) on the degree-N slice.
 
@@ -372,7 +370,7 @@ def kernel_L_basis(i, N):
     """
     from . import specialfn  # deferred: specialfn builds vectors through this module
 
-    a, b = _KERNEL_GEN_PAIRS[i]
+    a, b = complementary_pair(i)
     fam = specialfn.krawtchouk(N)
     ga = GeneratorId("A", a)
     gb = GeneratorId("A", b)

@@ -20,6 +20,9 @@ class GeneratorId(NamedTuple):
     index: int  # 1, 2, or 3
 
 
+# The six generators, plain triple first: the one list the package iterates.
+GENERATORS = tuple(GeneratorId(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3))
+
 _A = {
     1: Mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
     2: Mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
@@ -33,6 +36,9 @@ _ASTAR = {
 }
 
 # The +-1 Hadamard matrix H; Upsilon = H/2, and H is symmetric with H^2 = 4 I.
+# Its rows also give the change of variables between the two polynomial bases
+# (polyspace._product_expansion), and tau through it the derivation forms of
+# the generators in the starred basis.
 _H = Mat(
     [
         [1, 1, 1, 1],

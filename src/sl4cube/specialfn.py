@@ -81,9 +81,7 @@ def calP_genfunc(N, lam, mu):
         raise ValueError("tails exceed degree")
     profiles, rows = polyspace._conversion_rows(N)
     coeff = rows[Profile(R, S, T, U)][profiles.index(Profile(r, s, t, u))]
-    return Fraction(
-        factorial(r) * factorial(s) * factorial(t) * factorial(u) * coeff, factorial(N)
-    )
+    return Fraction(polyspace._norm_sq(Profile(r, s, t, u)) * coeff, factorial(N))
 
 
 def calP_vee(N, lam, weights):
@@ -153,6 +151,12 @@ def _recurrence_rhs(N, which, lam, value):
 EXHAUSTIVE_N_MAX = 3
 
 
+def _recurrence_fails(N, which, lam, mu, table):
+    """Whether recurrence ``which`` fails at the key (lam, mu) of the table."""
+    lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
+    return lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)])
+
+
 def check_recurrences(N, table=None) -> Report:
     """The three contiguous recurrences, exhaustively over degree-N tail pairs;
     skipped above EXHAUSTIVE_N_MAX."""
@@ -163,8 +167,7 @@ def check_recurrences(N, table=None) -> Report:
     def failures(which):
         for lam in ts:
             for mu in ts:
-                lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
-                if lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)]):
+                if _recurrence_fails(N, which, lam, mu, table):
                     yield f"recurrence {which} at N={N} lam={lam} mu={mu}"
     above = f"N > {EXHAUSTIVE_N_MAX} (exhaustive range)" if N > EXHAUSTIVE_N_MAX else None
     for which in (1, 2, 3):
@@ -183,8 +186,7 @@ def check_recurrences_sampled(N, table, rng, count) -> Report:
             lam = ts[rng.randrange(len(ts))]
             mu = ts[rng.randrange(len(ts))]
             for which in (1, 2, 3):
-                lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
-                if lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)]):
+                if _recurrence_fails(N, which, lam, mu, table):
                     yield f"recurrence {which} at lam={lam} mu={mu}"
     within = f"N <= {EXHAUSTIVE_N_MAX} (checked exhaustively)" if N <= EXHAUSTIVE_N_MAX else None
     rep.check("special.recurrence.sampled", "weighted transition recurrences on sampled keys", N, failures(), skip=within)

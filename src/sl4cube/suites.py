@@ -17,10 +17,8 @@ from .exact import binomial, factorial
 from .linalg import Mat, gram, rank
 from .polyspace import MONOMIAL, STARRED, PolyVec
 from .report import Report, unless
-from .sl4core import GeneratorId
+from .sl4core import GENERATORS, GeneratorId
 from .tensorspace import STAR_TILDE, TILDE, FixVec
-
-ALL_GENS = [GeneratorId(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3)]
 
 
 def random_polyvec(rng, N, basis):
@@ -103,25 +101,21 @@ def suite_sl4(rng) -> Report:
 # polynomial module
 # ---------------------------------------------------------------------------
 
-_DM_FACTORIZATION = {
-    # generator index -> (M slot, D slot) summands, in the vector's own basis
-    1: ((1, 0), (0, 1), (3, 2), (2, 3)),
-    2: ((2, 0), (3, 1), (0, 2), (1, 3)),
-    3: ((3, 0), (2, 1), (1, 2), (0, 3)),
-}
+def _dm_terms(gid, basis):
+    """The derivation sum over a, b of X[b][a] M_b D_a of the generator's
+    matrix X, as (coefficient, M slot, D slot) terms: X = sl4core.generator(gid)
+    in the monomial basis, its tau image in the starred one."""
+    X = sl4core.generator(gid)
+    if basis == STARRED:
+        X = sl4core.tau(X)
+    return [(X[b, a], b, a) for a in range(4) for b in range(4) if X[b, a]]
 
-_DIAG_SIGNS = {1: (1, 1, -1, -1), 2: (1, -1, 1, -1), 3: (1, -1, -1, 1)}
 
-
-def _apply_dm_factorization(gid, v):
-    """The derivative/multiplication form of a generator, in either basis."""
+def _apply_dm_factorization(terms, v):
+    """The derivative/multiplication form given by _dm_terms, applied to v."""
     out = PolyVec.zero(v.basis)
-    if (gid.kind == "A") == (v.basis == MONOMIAL):
-        terms = [(1, m, d) for m, d in _DM_FACTORIZATION[gid.index]]
-    else:
-        terms = [(sign, k, k) for k, sign in enumerate(_DIAG_SIGNS[gid.index])]
-    for sign, m, d in terms:
-        out.add_scaled(sign, polyspace.apply_M(m, polyspace.apply_D(d, v)))
+    for c, m, d in terms:
+        out.add_scaled(c, polyspace.apply_M(m, polyspace.apply_D(d, v)))
     return out
 
 
@@ -136,9 +130,11 @@ def suite_poly(N, rng) -> Report:
 
     def tables_vs_dm():
         for basis in (MONOMIAL, STARRED):
-            for gid in ALL_GENS:
+            for gid in GENERATORS:
+                terms = _dm_terms(gid, basis)
                 for p in profiles:
-                    if act(gid, unit(basis, p)) != _apply_dm_factorization(gid, unit(basis, p)):
+                    e = unit(basis, p)
+                    if act(gid, e) != _apply_dm_factorization(terms, e):
                         yield f"{gid} on {basis} unit {tuple(p)}"
     rep.check("poly.tables_vs_dm", "generator tables match their derivative/multiplication factorizations", N, tables_vs_dm())
 
@@ -154,7 +150,7 @@ def suite_poly(N, rng) -> Report:
     rep.check("poly.weyl", "[D_a, M_b] = delta_ab I in both variable systems", N, weyl())
 
     def adjoint_generators():
-        for gid in ALL_GENS:
+        for gid in GENERATORS:
             images = {p: act(gid, unit(MONOMIAL, p)) for p in profiles}
             for p in profiles:
                 for q in profiles:
@@ -188,7 +184,7 @@ def suite_poly(N, rng) -> Report:
 
     def ladder_commutes():
         for i in (1, 2, 3):
-            for gid in (g for g in ALL_GENS if g.index != i):
+            for gid in (g for g in GENERATORS if g.index != i):
                 for p in profiles:
                     e = unit(MONOMIAL, p)
                     ge = act(gid, e)

@@ -82,8 +82,7 @@ def b_vector(N, p) -> TripleTensor:
 
 
 def b_support_size(N, p):
-    r, s, t, u = p
-    return Fraction(factorial(N) * 2**N, factorial(r) * factorial(s) * factorial(t) * factorial(u))
+    return Fraction(factorial(N) * 2**N, _norm_sq(Profile(*p)))
 
 
 def _compact(ints):

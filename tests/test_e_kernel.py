@@ -14,7 +14,7 @@ from math import factorial
 import pytest
 
 from sl4cube.correspond import theta_scaled
-from sl4cube.cube import Cube, TAlgebra, TElem, t_algebra
+from sl4cube.cube import Cube, TAlgebra, TElem, t_algebra, valid_triples
 from sl4cube.linalg import Mat
 from sl4cube.polyspace import STARRED, PolyVec, enumerate_profiles
 
@@ -124,6 +124,9 @@ def test_basepoints_share_e_basis_storage_by_value():
         assert ea[t] != eb[t]  # elements of different algebras
         assert sa[t].nums is sb[t].nums == {t: 1} and sa[t] != sb[t]
     assert all(ma is mb for ma, mb in zip(a._a_matrices(), b._a_matrices()))
+    # the cells and their sizes are the same for every basepoint, held once
+    assert a.triples is b.triples == valid_triples(3)
+    assert a.cell_sizes is b.cell_sizes
 
 
 def test_patched_numerators_get_their_own_storage(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -59,6 +60,20 @@ def test_recurrences():
     for N in range(4):
         assert sf.check_recurrences(N).passed
         assert sf.check_weight_recurrences(N).passed
+
+
+def test_recurrence_witnesses_on_a_corrupted_table():
+    # the exhaustive and the sampled check share one comparison and keep
+    # their own witness formats
+    def corrupted(N):
+        table = dict(sf.transition_table(N))
+        table[((0, 0, 0), (0, 0, 0))] += 1
+        return table
+
+    exhaustive = [c.witness for c in sf.check_recurrences(2, corrupted(2)).checks]
+    assert exhaustive == [f"recurrence {k} at N=2 lam=(0, 0, 0) mu=(0, 0, 0)" for k in (1, 2, 3)]
+    [sampled] = sf.check_recurrences_sampled(4, corrupted(4), random.Random(0), 200).checks
+    assert sampled.witness == "recurrence 1 at lam=(0, 0, 0) mu=(0, 0, 0)"
 
 
 def test_krawtchouk_family():

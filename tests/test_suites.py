@@ -4,6 +4,7 @@ import pytest
 
 from sl4cube import cli, cube, polyspace, sl4core, specialfn, suites
 from sl4cube.linalg import Mat
+from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
 
 
 def _raise(*args):
@@ -158,12 +159,52 @@ def test_tau_as_transpose_fails_bracket_compatibility(monkeypatch):
 
 
 @pytest.mark.parametrize("row, col", [(r, c) for r in range(4) for c in range(4)])
-def test_hadamard_sign_flip_breaks_tau(monkeypatch, row, col):
+def test_hadamard_sign_flip_breaks_tau(monkeypatch, fresh_expansion_caches, row, col):
     # tau reads the integer table _H directly; a flipped entry there, with
-    # UPSILON left intact, must show in the tau checks
+    # UPSILON left intact, must show in the tau checks.  _H also gives the
+    # starred derivation forms (through tau) and the change of variables,
+    # whose rows are rebuilt from the flipped table in the emptied cache.
     rows = [list(r) for r in sl4core._H.rows]
     rows[row][col] *= -1
     monkeypatch.setattr(sl4core, "_H", Mat(rows))
     failed = {c.id for c in suites.suite_sl4(random.Random(0)).failures}
     assert "sl4.upsilon_involution" not in failed
     assert {"sl4.tau_swaps", "sl4.tau_lie_map"} <= failed
+    failed = {c.id for c in suites.suite_poly(2, random.Random(0)).failures}
+    assert {"poly.tables_vs_dm", "poly.conversion_roundtrip", "poly.starred_norms"} <= failed
+
+
+# The derivation forms as they were written by hand before being derived from
+# sl4core's matrices: per generator index, the (M slot, D slot) summands of the
+# permuting kind and the signs of the diagonal kind, in the vector's own basis.
+_HAND_DM = {1: ((1, 0), (0, 1), (3, 2), (2, 3)), 2: ((2, 0), (3, 1), (0, 2), (1, 3)), 3: ((3, 0), (2, 1), (1, 2), (0, 3))}
+_HAND_DIAG = {1: (1, 1, -1, -1), 2: (1, -1, 1, -1), 3: (1, -1, -1, 1)}
+
+
+def _hand_dm_form(gid, v):
+    if (gid.kind == "A") == (v.basis == MONOMIAL):
+        terms = [(1, m, d) for m, d in _HAND_DM[gid.index]]
+    else:
+        terms = [(sign, k, k) for k, sign in enumerate(_HAND_DIAG[gid.index])]
+    out = PolyVec.zero(v.basis)
+    for c, m, d in terms:
+        out.add_scaled(c, polyspace.apply_M(m, polyspace.apply_D(d, v)))
+    return out
+
+
+@pytest.mark.parametrize("N", range(5))
+def test_derived_dm_form_matches_the_hand_tables(N):
+    for basis in (MONOMIAL, STARRED):
+        for gid in sl4core.GENERATORS:
+            terms = suites._dm_terms(gid, basis)
+            for p in polyspace.enumerate_profiles(N):
+                e = PolyVec.unit(basis, p)
+                assert suites._apply_dm_factorization(terms, e) == _hand_dm_form(gid, e), (gid, basis, p)
+
+
+def test_corrupted_generator_matrix_fails_tables_vs_dm(monkeypatch):
+    # the derivation forms are read from sl4core's matrices, and the
+    # generator action from the four-term tables, so they must disagree
+    monkeypatch.setitem(sl4core._A, 1, sl4core._A[2])
+    failed = {c.id: c.witness for c in suites.suite_poly(1, random.Random(0)).failures}
+    assert failed["poly.tables_vs_dm"] == "GeneratorId(kind='A', index=1) on monomial unit (0, 0, 0, 1)"
