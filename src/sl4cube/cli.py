@@ -25,6 +25,10 @@ ENV_PREFIX = "SL4CUBE_"
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
+# the brute-force oracles grow steeply with N: they take seconds at N = 4 and
+# do not finish in minutes at N = 5
+ORACLE_N_CEILING = 4
+
 
 @dataclass
 class SuiteConfig:
@@ -48,6 +52,8 @@ class SuiteConfig:
             raise ValueError("need 0 <= n-min <= n-max")
         if self.oracle_n_max > self.n_max:
             raise ValueError("oracle-n-max must not exceed n-max")
+        if self.oracle_n_max > ORACLE_N_CEILING:
+            raise ValueError(f"oracle-n-max {self.oracle_n_max} exceeds the oracle ceiling {ORACLE_N_CEILING}")
         capped = sorted({"cube", "tensor", "correspond"} & set(self.selected()))
         if capped and self.n_max > N_CAP:
             raise ValueError(f"n-max {self.n_max} exceeds the cube cap {N_CAP} of suites {', '.join(capped)}")
@@ -227,7 +233,7 @@ def build_parser():
         "--oracle-n-max",
         type=int,
         default=_env_default("ORACLE_N_MAX", None),
-        help="cap for brute-force tensor oracles (default min(3, n-max))",
+        help=f"cap for brute-force tensor oracles, at most {ORACLE_N_CEILING} (default min(3, n-max))",
     )
     v.add_argument("--basepoint", type=int, default=_env_default("BASEPOINT", 0))
     v.add_argument("--output", choices=("json", "csv", "text"), default=_env_default("OUTPUT", "text"))

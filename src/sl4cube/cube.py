@@ -8,6 +8,7 @@ exactly the space of matrices constant on those cells, which makes products and
 inner products cheap to compute exactly once that fact has been certified.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -229,11 +230,9 @@ class TAlgebra:
         return (x, y)
 
     def _count_cells(self):
-        sizes = {t: 0 for t in self.triples}
-        for x in range(self.cube.size):
-            for y in range(self.cube.size):
-                sizes[self.cell_of(x, y)] += 1
-        return sizes
+        pc, d = self.cube.pc, self.dist_to_base
+        counts = Counter((pc[x ^ y], dx, dy) for x, dx in enumerate(d) for y, dy in enumerate(d))
+        return {t: counts[t] for t in self.triples}
 
     # -- distinguished elements -----------------------------------------
 
@@ -292,39 +291,57 @@ class TAlgebra:
         Also fills the integer kernel (numerator rows and weighted norms) that
         e_coords, the A-kind module operators and _e_combination work in.
         Every basepoint of one N gives equal rows, coordinate dicts and norms;
-        each algebra computes its own and keeps the objects stored on the cube.
+        each algebra still computes its own from its own K_i, A*_h diagonal
+        and cell representatives, and keeps the objects stored on the cube.
+
+        Row (h, i, j) holds the value 4^N (E_i A*_h E_j)[x, y] at each
+        cell's representative pair (x, y).  The representatives have only
+        N + 1 distinct first vertices x, so the left factor (K_i A*_h)[x, .] is
+        formed once per (h, i, x); an entry is then its dot product with
+        K_j's column at y, which is K_j's row y since K_j is symmetric.  By
+        that symmetry (E_i A*_h E_j)^T = E_j A*_h E_i, so the row (h, j, i)
+        with i > j is row (h, i, j) read at the transposed cells, and a row
+        with i = j takes one cell of each transposed pair from the other.
+        The symmetry of the K_i is certified by the cube suite.
         """
         if self._e_basis is not None:
             return self._e_basis
-        Ks = self.cube.idempotent_numerators()
+        Ks = [K.rows for K in self.cube.idempotent_numerators()]
         den = self.e_den
-        sizes = [self.cell_sizes[t] for t in self.triples]
-        diags = {h: self.dual_distance_diag(h) for h in range(self.N + 1)}
+        triples = self.triples
+        sizes = [self.cell_sizes[t] for t in triples]
+        diags = [self.dual_distance_diag(h) for h in range(self.N + 1)]
+        # the slot of the transposed cell (h, j, i) of each cell (h, i, j);
+        # triples are in lexicographic order, so flip[n] < n exactly when i > j
+        slot_of = self.cube.cell_slot
+        flip = [slot_of[(h, j, i)] for h, i, j in triples]
+        reps = list(self.cell_reps.values())  # in self.triples order
+        firsts = {x for x, _ in reps}
         shared = self.cube.shared
         intern = shared("int").setdefault  # intern(a, a): one int object per numerator value
         share_row = shared("row").setdefault
         coord_dicts = shared("coords")  # reduced numerator tuple -> its dict of nonzero cells
         out, rows, norms = {}, {}, {}
-        cols, cols_h = {}, None  # (j, y) -> column dh[k] * K_j[k, y] for the current h
-        reps = self.cell_reps.values()  # in self.triples order
-        for trip in self.triples:
+        left, left_hi = None, None  # x -> (K_i A*_h)[x, .] for the current (h, i)
+        for trip in triples:
             h, i, j = trip
-            if h != cols_h:  # triples come sorted by h, so each column is built once
-                cols, cols_h = {}, h
-            Kirows, Kjrows, dh = Ks[i].rows, Ks[j].rows, diags[h]
-            row = []
-            for x, y in reps:
-                col = cols.get((j, y))
-                if col is None:
-                    col = cols[(j, y)] = [b * r[y] for b, r in zip(dh, Kjrows)]
-                row.append(sum(map(mul, Kirows[x], col)))
-            row = tuple(map(intern, row, row))
+            if i > j:  # its entries are interned already
+                row = tuple(map(rows[(h, j, i)].__getitem__, flip))
+            else:
+                if (h, i) != left_hi:  # triples come sorted by (h, i): each factor is built once
+                    dh, Ki = diags[h], Ks[i]
+                    left, left_hi = {x: list(map(mul, Ki[x], dh)) for x in firsts}, (h, i)
+                Kj = Ks[j]
+                row = []
+                for n, ((x, y), f) in enumerate(zip(reps, flip)):
+                    row.append(row[f] if i == j and f < n else sum(map(mul, left[x], Kj[y])))
+                row = tuple(map(intern, row, row))
             row = share_row(row, row)
             g = gcd(den, *row)
             nums = row if g == 1 else tuple(a // g for a in row)
             coords = coord_dicts.get(nums)
             if coords is None:
-                coords = coord_dicts[nums] = {t: a for t, a in zip(self.triples, map(intern, nums, nums)) if a}
+                coords = coord_dicts[nums] = {t: a for t, a in zip(triples, map(intern, nums, nums)) if a}
             out[trip] = TElem._of(self, coords, den // g)
             rows[trip] = row
             norm = sum(map(mul, sizes, map(mul, row, row)))

@@ -49,6 +49,19 @@ def test_n_max_above_cube_cap_is_a_usage_error(monkeypatch, capsys):
     SuiteConfig(n_min=9, n_max=9, suites=("poly", "special"), oracle_n_max=0).validate()  # no cap there
 
 
+def test_oracle_n_max_above_the_ceiling_is_a_usage_error(monkeypatch, capsys):
+    def no_job(job):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_run_job", no_job)
+    assert cli.main(["verify", "--n-max", "5", "--oracle-n-max", "5"]) == cli.USAGE_ERROR
+    assert "oracle ceiling 4" in capsys.readouterr().err
+    monkeypatch.setenv("SL4CUBE_ORACLE_N_MAX", "5")
+    assert cli.main(["verify", "--n-max", "6"]) == cli.USAGE_ERROR
+    assert "oracle ceiling 4" in capsys.readouterr().err
+    SuiteConfig(n_max=5, oracle_n_max=cli.ORACLE_N_CEILING).validate()
+
+
 def test_main_exit_codes(capsys):
     assert cli.main(["verify", "--n-max", "1", "--suite", "sl4", "--output", "text"]) == 0
     out = capsys.readouterr().out

@@ -71,9 +71,13 @@ def test_estar_basis_norms():
 
 
 def test_e_basis_matches_dense_products():
-    alg = t_algebra(2, 0)
-    for trip, elem in alg.e_basis().items():
-        assert elem.matrix() == alg.e_basis_product_matrix(trip)
+    # every N the dense-product check of the cube suite runs at and one past
+    # it, at the first, last and a middle vertex
+    for N in range(5):
+        for b in sorted({0, 5 % 2**N, 2**N - 1}):
+            alg = t_algebra(N, b)
+            for trip, elem in alg.e_basis().items():
+                assert elem.matrix() == alg.e_basis_product_matrix(trip), (N, b, trip)
 
 
 def test_telem_algebra():

@@ -2,17 +2,21 @@
 
 Each E-basis element e_t = E_i A*_h E_j is taken here from the dense matrix
 product (not from TAlgebra.e_basis, whose integers the kernel shares), and
-every sum below is written out over plain dicts of Fractions.  The cached
-A-kind operator matrices are also compared with the per-call route they are
-built from, and the tables shared across basepoints are checked by identity.
+every sum below is written out over plain dicts of Fractions.  The kernel
+itself is compared with the entrywise sum it computes with half the products,
+the cached A-kind operator matrices with the per-call route they are built
+from, and the tables shared across basepoints are checked by identity.
 """
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from operator import mul
 
 import pytest
 
+from sl4cube import cube as cube_module
+from sl4cube import suites
 from sl4cube.correspond import theta_scaled
 from sl4cube.cube import Cube, TAlgebra, TElem, t_algebra, valid_triples
 from sl4cube.linalg import Mat
@@ -21,6 +25,41 @@ from sl4cube.polyspace import STARRED, PolyVec, enumerate_profiles
 CASES = [(N, b) for N in (2, 3) for b in (0, 3)]
 # every N the default run checks, at the first, last and a middle vertex
 OP_CASES = sorted({(N, b % 2**N) for N in range(6) for b in (0, 5, 2**N - 1)})
+KERNEL_CASES = sorted({(N, b % 2**N) for N in range(7) for b in (0, 5, 2**N - 1)})
+
+
+def entrywise_e_kernel(alg):
+    """Per triple (h, i, j): the numerator row, its cell-size weighted norm,
+    and the element's reduced coordinate dict and denominator, each row
+    entry its own sum over k of K_i[x, k] A*_h[k, k] K_j[k, y] at the cell's
+    representative pair.  K_j is read by columns and no symmetry is used."""
+    Ks = alg.cube.idempotent_numerators()
+    sizes = [alg.cell_sizes[t] for t in alg.triples]
+    out = {}
+    for trip in alg.triples:
+        h, i, j = trip
+        dh, Ki, Kj = alg.dual_distance_diag(h), Ks[i], Ks[j]
+        cols = {}  # y -> the column A*_h K_j[., y]
+        row = []
+        for x, y in alg.cell_reps.values():
+            if y not in cols:
+                cols[y] = [dh[k] * Kj[k, y] for k in range(alg.cube.size)]
+            row.append(sum(map(mul, Ki.rows[x], cols[y])))
+        g = gcd(alg.e_den, *row)
+        coords = {t: a // g for t, a in zip(alg.triples, row) if a}
+        out[trip] = (tuple(row), sum(s * a * a for s, a in zip(sizes, row)), coords, alg.e_den // g)
+    return out
+
+
+@pytest.mark.parametrize("N,b", KERNEL_CASES)
+def test_e_kernel_matches_the_entrywise_sum(N, b):
+    alg = TAlgebra(N, b)
+    ebas = alg.e_basis()
+    want = entrywise_e_kernel(alg)
+    assert list(ebas) == list(want) == alg.triples
+    for t, (row, norm, coords, den) in want.items():
+        assert alg._e_rows[t] == row and alg._e_norms[t] == norm
+        assert list(ebas[t].nums.items()) == list(coords.items()) and ebas[t].den == den
 
 
 def dense_e_basis(alg):
@@ -161,3 +200,24 @@ def test_patched_numerators_get_their_own_storage(monkeypatch):
     fresh = TAlgebra(2, 0)
     assert [(dict(e.nums), e.den) for e in fresh.e_basis().values()] == list(before.values())
     assert fresh._a_matrices() == real_mats
+
+
+@pytest.mark.parametrize("N", (2, 3))
+def test_asymmetric_numerators_fail_their_checks(N, monkeypatch, fresh_spectral_numerators):
+    # e_basis reads K_j's columns as its rows and pairs transposed triples,
+    # both sound only because every K_i is symmetric; a K_1 with one
+    # asymmetric entry must fail the check that certifies the symmetry and
+    # the dense-product oracle of the E-basis
+    real = Cube.idempotent_numerators
+
+    def corrupted(self):
+        Ks = real(self)
+        K1 = Mat([list(r) for r in Ks[1].rows])
+        K1.rows[0][1] += 1
+        return [Ks[0], K1] + Ks[2:]
+
+    monkeypatch.setattr(Cube, "idempotent_numerators", corrupted)
+    monkeypatch.setattr(cube_module, "t_algebra", TAlgebra)  # an algebra of the patched numerators
+    checks = {c.id: c for c in suites.suite_cube(N, 0, random.Random(0)).checks}
+    for name in ("cube.idempotents", "cube.e_basis_dense_oracle"):
+        assert checks[name].status == "fail" and checks[name].witness, name
