@@ -12,8 +12,8 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import specialfn, suites
 from .cube import N_CAP, t_algebra
@@ -30,8 +30,7 @@ VERIFY_FAILURE = 1
 ORACLE_N_CEILING = 4
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     n_min: int = 0
     n_max: int = 5
     suites: tuple = ("all",)
@@ -68,7 +67,7 @@ class SuiteConfig:
             raise ValueError("jobs must be >= 1")
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _job_rng(seed, suite, n):

@@ -147,10 +147,6 @@ class TElem(SparseVec):
     def __init__(self, alg, coords):
         self._set_values(alg, {TripleIndex(*k): v for k, v in coords.items() if v})
 
-    @property
-    def coords(self):
-        return self.coeffs
-
     def __matmul__(self, other):
         """Exact product, evaluated entrywise at one representative pair per cell."""
         alg = self.space

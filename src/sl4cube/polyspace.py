@@ -420,27 +420,29 @@ def weight_triple(p):
     return (weight(1, p), weight(2, p), weight(3, p))
 
 
-def profile_from_weights(N, triple):
-    """Inverse of the weight map; raises when the triple is not a weight of degree N."""
-    lam, mu, nu = triple
-    comps = (N + lam + mu + nu, N + lam - mu - nu, N - lam + mu - nu, N - lam - mu + nu)
-    if any(c < 0 or c % 4 for c in comps):
-        raise ValueError(f"{triple} is not a degree-{N} weight triple")
-    return Profile(*(c // 4 for c in comps))
+def inverse_weight(i, degree, weights):
+    """Row i of the Hadamard matrix sl4core._H, read at call time, applied to
+    (degree, *weights): four times exponent i of the profile with that degree
+    and weight triple.  The degree and the three weights are H times the
+    profile, so H^2 = 4 I inverts them.  The entries may be numbers or
+    vectors, with the identity's image as the degree."""
+    h0, *hs = sl4core._H.rows[i]
+    out = h0 * degree
+    for h, w in zip(hs, weights):
+        out = out + h * w
+    return out
 
 
 def in_weight_set(N, triple):
     """Membership test for the degree-N weight triples."""
-    allowed = set(range(-N, N + 1, 2))
-    lam, mu, nu = triple
-    if not {lam, mu, nu} <= allowed:
-        return False
-    if (N + lam + mu + nu) % 4:
-        return False
-    return all(
-        c >= 0
-        for c in (N + lam + mu + nu, N + lam - mu - nu, N - lam + mu - nu, N - lam - mu + nu)
-    )
+    return all(not c % 4 and c >= 0 for c in (inverse_weight(i, N, triple) for i in range(4)))
+
+
+def profile_from_weights(N, triple):
+    """Inverse of the weight map; raises when the triple is not a weight of degree N."""
+    if not in_weight_set(N, triple):
+        raise ValueError(f"{triple} is not a degree-{N} weight triple")
+    return Profile(*(inverse_weight(i, N, triple) // 4 for i in range(4)))
 
 
 def enumerate_weight_triples(N):
@@ -529,62 +531,3 @@ def a_word_basis(N, starred=False):
     if rank(rows) != binomial(N + 3, 3):
         raise ArithmeticError(f"operator words fail to span the degree-{N} slice")
     return words
-
-
-def pvee_word(N, stu, starred=False):
-    """Apply the six-variable transition polynomial, with the three commuting
-    generators substituted in its second argument slot, to x^N (or the starred
-    mirror to x*^N)."""
-    from .exact import pochhammer
-
-    s, t, u = stu
-    kind = "Astar" if starred else "A"
-    seed = PolyVec.unit(STARRED if starred else MONOMIAL, (N, 0, 0, 0))
-    gens = [GeneratorId(kind, k) for k in (1, 2, 3)]
-
-    def gen_images(v):
-        return [act_generator(g, v) for g in gens]
-
-    def mu_op(k, v):
-        g1, g2, g3 = gen_images(v)
-        if k == 1:
-            w = N * v + g1 - g2 - g3
-        elif k == 2:
-            w = N * v - g1 + g2 - g3
-        else:
-            w = N * v - g1 - g2 + g3
-        return Fraction(1, 4) * w
-
-    def falling_op(k, m, v):
-        # (p I - mu'_k) for p = 0 .. m-1, i.e. the rising factorial (-mu'_k)_m
-        for p in range(m):
-            v = p * v - mu_op(k, v)
-        return v
-
-    total = PolyVec.zero(seed.basis)
-    for a in range(N + 1):
-        for b in range(N + 1 - a):
-            pl1 = pochhammer(-s, a + b)
-            if not pl1:
-                continue
-            for c in range(N + 1 - a - b):
-                for d in range(N + 1 - a - b - c):
-                    pl2 = pochhammer(-t, c + d)
-                    if not pl2:
-                        continue
-                    for e in range(N + 1 - a - b - c - d):
-                        for f in range(N + 1 - a - b - c - d - e):
-                            pl3 = pochhammer(-u, e + f)
-                            if not pl3:
-                                continue
-                            m = a + b + c + d + e + f
-                            scal = Fraction(pl1 * pl2 * pl3 * 2**m, pochhammer(-N, m))
-                            scal /= (
-                                factorial(a) * factorial(b) * factorial(c)
-                                * factorial(d) * factorial(e) * factorial(f)
-                            )
-                            vec = falling_op(1, c + e, seed)
-                            vec = falling_op(2, a + f, vec)
-                            vec = falling_op(3, b + d, vec)
-                            total.add_scaled(scal, vec)
-    return total

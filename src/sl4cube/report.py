@@ -1,6 +1,6 @@
 """Verification report plumbing shared by the check suites and the CLI."""
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 PASS = "pass"
@@ -10,8 +10,7 @@ SKIPPED = "skipped"
 _PASSED = object()
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """Outcome of one verified identity.
 
     ``anchor`` states the identity being checked in formula form; ``witness``
@@ -25,9 +24,9 @@ class Check:
     witness: str | None = None
 
     def as_dict(self):
-        d = {"id": self.id, "anchor": self.anchor, "n": self.n, "status": self.status}
-        if self.witness is not None:
-            d["witness"] = self.witness
+        d = self._asdict()
+        if self.witness is None:
+            del d["witness"]
         return d
 
 
@@ -37,9 +36,9 @@ def unless(holds, witness):
         yield witness
 
 
-@dataclass
 class Report:
-    checks: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = []
 
     def check(self, id, anchor, n, failures, skip=None):
         """Record one check from a lazy iterable of witness strings.

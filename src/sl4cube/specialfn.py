@@ -4,9 +4,14 @@ The transition coefficient has two independent evaluators: a terminating
 six-fold hypergeometric-style sum, and a brute-force generating-function
 expansion.  Their agreement on every key is one of the package's central
 checks; the recurrences and the orthogonality relation are checked separately.
+The sum is grouped once per first argument by its second-slot exponents, and
+the grouping serves both calP_sum and pvee_word, which substitutes operators
+in that slot.  The recurrences state that the coefficients intertwine A_i, so
+their terms are read from polyspace._FOUR_TERM.
 """
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .exact import factorial, pochhammer
@@ -14,6 +19,7 @@ from .linalg import gram
 from . import polyspace
 from .polyspace import MONOMIAL, STARRED, PolyVec, Profile
 from .report import Report
+from .sl4core import GeneratorId
 
 
 def tails(N):
@@ -26,20 +32,15 @@ def tails(N):
     ]
 
 
-def calP_sum(N, lam, mu):
-    """Six-fold terminating sum form of the transition coefficient.
-
-    Accepts rational arguments in either slot; integer tails terminate the
-    corresponding factors early.
-    """
-    l1, l2, l3 = lam
-    m1, m2, m3 = mu
-    # pochhammer tables up to length N for all six arguments
-    pl = [[pochhammer(-arg, k) for k in range(N + 1)] for arg in (l1, l2, l3)]
-    pm = [[pochhammer(-arg, k) for k in range(N + 1)] for arg in (m1, m2, m3)]
-    pn = [pochhammer(-N, k) for k in range(N + 1)]
-    fact = [factorial(k) for k in range(N + 1)]
-    total = Fraction(0)
+@cache
+def _mu_slot_weights(N, lam):
+    """The six-fold terminating sum grouped by its second-slot exponents
+    k = (c+e, a+f, b+d): the pairs (k, W_lam(k)), nonzero only.  Each k's
+    sum of multinomials m!/(a!...f!) times first-slot Pochhammers is an
+    integer for an integer lam, divided once by (-N)_m m!/2^m."""
+    pl = [[pochhammer(-arg, j) for j in range(N + 1)] for arg in lam]
+    fact = [factorial(j) for j in range(N + 1)]
+    grouped = {}
     for a in range(N + 1):
         for b in range(N + 1 - a):
             f1 = pl[0][a + b]
@@ -48,22 +49,31 @@ def calP_sum(N, lam, mu):
             for c in range(N + 1 - a - b):
                 for d in range(N + 1 - a - b - c):
                     f2 = pl[1][c + d]
-                    f6 = pm[2][b + d]
-                    if not (f2 and f6):
+                    if not f2:
                         continue
                     for e in range(N + 1 - a - b - c - d):
-                        f4 = pm[0][c + e]
-                        if not f4:
-                            continue
                         for f in range(N + 1 - a - b - c - d - e):
                             f3 = pl[2][e + f]
-                            f5 = pm[1][a + f]
-                            if not (f3 and f5):
+                            if not f3:
                                 continue
                             m = a + b + c + d + e + f
-                            num = f1 * f2 * f3 * f4 * f5 * f6 * 2**m
-                            den = pn[m] * fact[a] * fact[b] * fact[c] * fact[d] * fact[e] * fact[f]
-                            total += Fraction(num, den)
+                            k = (c + e, a + f, b + d)
+                            multinomial = fact[m] // (fact[a] * fact[b] * fact[c] * fact[d] * fact[e] * fact[f])
+                            grouped[k] = grouped.get(k, 0) + multinomial * f1 * f2 * f3
+    return tuple((k, Fraction(g * 2 ** sum(k), pochhammer(-N, sum(k)) * fact[sum(k)])) for k, g in grouped.items() if g)
+
+
+def calP_sum(N, lam, mu):
+    """Six-fold terminating sum form of the transition coefficient: the sum
+    of W_lam(k) (-mu_1)_k1 (-mu_2)_k2 (-mu_3)_k3.  Accepts rational arguments
+    in either slot; integer tails terminate the corresponding factors early.
+    """
+    pm = [[pochhammer(-arg, j) for j in range(N + 1)] for arg in mu]
+    total = Fraction(0)
+    for (k1, k2, k3), w in _mu_slot_weights(N, tuple(lam)):
+        f = pm[0][k1] * pm[1][k2] * pm[2][k3]
+        if f:
+            total += w * f
     return total
 
 
@@ -86,15 +96,30 @@ def calP_genfunc(N, lam, mu):
 
 def calP_vee(N, lam, weights):
     """Transition coefficient in weight coordinates: substitutes the inverse
-    weight combinations into the second argument slot."""
-    w1, w2, w3 = weights
-    mu = (
-        Fraction(N + w1 - w2 - w3, 4),
-        Fraction(N - w1 + w2 - w3, 4),
-        Fraction(N - w1 - w2 + w3, 4),
-    )
-    mu = tuple(int(m) if m.denominator == 1 else m for m in mu)
-    return calP_sum(N, lam, mu)
+    weight map into the second argument slot."""
+    quarters = (polyspace.inverse_weight(i, N, weights) for i in (1, 2, 3))
+    return calP_sum(N, lam, tuple(c // 4 if c % 4 == 0 else Fraction(c, 4) for c in quarters))
+
+
+def pvee_word(N, stu, starred=False):
+    """Apply the six-variable transition polynomial, with the three commuting
+    generators substituted in its second argument slot, to x^N (or the starred
+    mirror to x*^N).  The operator mu'_i is the inverse weight map with the
+    generators for the weights; each exponent triple k of the grouped sum
+    applies one chain of rising factorials (-mu'_i)_{k_i}."""
+    seed = PolyVec.unit(STARRED if starred else MONOMIAL, (N, 0, 0, 0))
+    gens = [GeneratorId("Astar" if starred else "A", k) for k in (1, 2, 3)]
+
+    def rising(i, m, v):  # (-mu'_i)_m applied to v
+        for p in range(m):
+            four_mu = polyspace.inverse_weight(i, N * v, [polyspace.act_generator(g, v) for g in gens])
+            v = p * v - Fraction(1, 4) * four_mu
+        return v
+
+    total = PolyVec.zero(seed.basis)
+    for (k1, k2, k3), w in _mu_slot_weights(N, tuple(stu)):
+        total.add_scaled(w, rising(3, k3, rising(2, k2, rising(1, k1, seed))))
+    return total
 
 
 def transition_table(N):
@@ -124,27 +149,17 @@ def check_orthogonality(N, table=None) -> Report:
     return rep
 
 
-def _recurrence_terms(which, s, t, u):
-    """Coefficient-and-shifted-tail terms of the three contiguous recurrences."""
-    r_shift = {
-        1: (((s + 1, t, u), "r"), ((s - 1, t, u), "s"), ((s, t - 1, u + 1), "t"), ((s, t + 1, u - 1), "u")),
-        2: (((s, t + 1, u), "r"), ((s - 1, t, u + 1), "s"), ((s, t - 1, u), "t"), ((s + 1, t, u - 1), "u")),
-        3: (((s, t, u + 1), "r"), ((s - 1, t + 1, u), "s"), ((s + 1, t - 1, u), "t"), ((s, t, u - 1), "u")),
-    }
-    return r_shift[which]
-
-
 def _recurrence_rhs(N, which, lam, value):
     """Right-hand side of recurrence ``which`` at the tail lam, reading each
     shifted coefficient through value(shifted tail).
 
-    Terms whose combinatorial coefficient vanishes are skipped before the
-    shifted coefficient is read, which is exactly when a shifted tail would
-    leave the valid range.
+    The terms are A_which on the monomial of tail lam, by the four-term table
+    polyspace._FOUR_TERM: the transition coefficients intertwine A_which,
+    four shifts in the first slot and its weight in the second.  Zero
+    coefficients, where a shifted tail would leave the range, are dropped.
     """
-    s, t, u = lam
-    coeff_of = {"r": N - s - t - u, "s": s, "t": t, "u": u}
-    return sum(coeff_of[name] * value(shifted) for shifted, name in _recurrence_terms(which, s, t, u) if coeff_of[name])
+    image = polyspace._act_profiles(True, which, {Profile(N - sum(lam), *lam): 1})
+    return sum(c * value(q[1:]) for q, c in image.items())
 
 
 # The recurrences are checked on every key up to this degree, on sampled keys above it.
@@ -199,13 +214,7 @@ def check_weight_recurrences(N) -> Report:
     rep = Report()
     triples = polyspace.enumerate_weight_triples(N)
     ts = tails(N)
-    cache = {}
-
-    def pv(lam, trip):
-        key = (lam, trip)
-        if key not in cache:
-            cache[key] = calP_vee(N, lam, trip)
-        return cache[key]
+    pv = cache(lambda lam, trip: calP_vee(N, lam, trip))
 
     def failures(which):
         for lam in ts:

@@ -426,9 +426,9 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
 
     def pvee_words():
         for p in polyspace.enumerate_profiles(N):
-            if polyspace.pvee_word(N, (p.s, p.t, p.u)) != PolyVec.unit(MONOMIAL, p):
+            if specialfn.pvee_word(N, (p.s, p.t, p.u)) != PolyVec.unit(MONOMIAL, p):
                 yield f"plain word {tuple(p)}"
-            if polyspace.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
+            if specialfn.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
                 yield f"starred word {tuple(p)}"
     oracle = f"N > {oracle_n_max} (oracle cap)" if N > oracle_n_max else None
     rep.check("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, pvee_words(), skip=oracle)

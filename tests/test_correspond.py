@@ -41,7 +41,7 @@ def test_eps_rules_small():
     got = co.eps_scaled_concrete(alg, tsp.b_vector(N, (1, 0, 0, 0)))
     assert alg.from_matrix(got) == alg.estar_basis()[TripleIndex(0, 0, 0)]
     # and the formula route agrees after the dual-coordinate rescaling
-    assert co.eps_scaled_fix(alg, b).coords == {
+    assert co.eps_scaled_fix(alg, b).coeffs == {
         TripleIndex(0, 0, 0): Fraction(1, factorial(N) * 2**N)
     }
     q = tsp.q_vector(N, (0, 0, 0))

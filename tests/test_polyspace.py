@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl4cube import polyspace as ps
+from sl4cube import polyspace as ps, specialfn as sf
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec, Profile
 from sl4cube.sl4core import GeneratorId
 
@@ -159,6 +159,33 @@ def test_weight_maps():
         ps.profile_from_weights(2, (1, 0, 0))
 
 
+# The inverse weight map as it was written by hand before being read from
+# the rows of sl4core._H: four times (r, s, t, u) from the degree and weights.
+def _hand_inverse_weights(N, triple):
+    lam, mu, nu = triple
+    return (N + lam + mu + nu, N + lam - mu - nu, N - lam + mu - nu, N - lam - mu + nu)
+
+
+def _hand_in_weight_set(N, triple):
+    if not set(triple) <= set(range(-N, N + 1, 2)):
+        return False
+    if (N + sum(triple)) % 4:
+        return False
+    return all(c >= 0 for c in _hand_inverse_weights(N, triple))
+
+
+@pytest.mark.parametrize("N", range(6))
+def test_inverse_weight_map_matches_the_hand_formula(N):
+    box = range(-N - 1, N + 2)
+    for triple in ((a, b, c) for a in box for b in box for c in box):
+        assert ps.in_weight_set(N, triple) == _hand_in_weight_set(N, triple), triple
+        if _hand_in_weight_set(N, triple):
+            assert ps.profile_from_weights(N, triple) == Profile(*(c // 4 for c in _hand_inverse_weights(N, triple)))
+        else:
+            with pytest.raises(ValueError):
+                ps.profile_from_weights(N, triple)
+
+
 def test_eigenspace_dims():
     assert ps.eigenspace_dims(1, "Astar", 2) == {2: 3, 0: 4, -2: 3}
     assert ps.eigenspace_dims(1, "Astar", 0) == {0: 1}
@@ -180,10 +207,10 @@ def test_word_bases():
 def test_pvee_word_identity():
     for N in (1, 2):
         for p in ps.enumerate_profiles(N):
-            assert ps.pvee_word(N, (p.s, p.t, p.u)) == unit(MONOMIAL, p)
-            assert ps.pvee_word(N, (p.s, p.t, p.u), starred=True) == unit(STARRED, p)
+            assert sf.pvee_word(N, (p.s, p.t, p.u)) == unit(MONOMIAL, p)
+            assert sf.pvee_word(N, (p.s, p.t, p.u), starred=True) == unit(STARRED, p)
     # a particular instance: the degree-2 word for (s,t,u) = (1,0,0) rebuilds x y
-    assert ps.pvee_word(2, (1, 0, 0)) == unit(MONOMIAL, (1, 1, 0, 0))
+    assert sf.pvee_word(2, (1, 0, 0)) == unit(MONOMIAL, (1, 1, 0, 0))
 
 
 def test_operator_matrix_matches_rule():

@@ -55,7 +55,7 @@ def test_add_scaled_in_place_and_cancelling():
 def test_inner_weights_each_key():
     alg = t_algebra(2, 0)
     A = alg.adjacency_elem()
-    assert A.inner(A) == sum(alg.cell_sizes[t] for t in A.coords)
+    assert A.inner(A) == sum(alg.cell_sizes[t] for t in A.coeffs)
     t = TripleTensor(1, {1: 2, 3: Fraction(1, 2)})
     assert t.inner(t) == t.norm_sq() == 4 + Fraction(1, 4)
 

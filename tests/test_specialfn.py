@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 from sl4cube import polyspace as ps, specialfn as sf
+from sl4cube.exact import pochhammer
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
 from sl4cube.sl4core import GeneratorId
 
@@ -135,3 +136,79 @@ def test_transition_expansion():
 def test_tails_count():
     for N in range(6):
         assert len(sf.tails(N)) == comb(N + 3, 3)
+
+
+# The six-fold terminating sum as it was written before the grouping by
+# second-slot exponents: one term per (a, b, c, d, e, f), with the factors of
+# both slots in each term.
+def _hand_six_fold_sum(N, lam, mu):
+    pl = [[pochhammer(-arg, k) for k in range(N + 1)] for arg in lam]
+    pm = [[pochhammer(-arg, k) for k in range(N + 1)] for arg in mu]
+    pn = [pochhammer(-N, k) for k in range(N + 1)]
+    fact = [factorial(k) for k in range(N + 1)]
+    total = Fraction(0)
+    for a in range(N + 1):
+        for b in range(N + 1 - a):
+            for c in range(N + 1 - a - b):
+                for d in range(N + 1 - a - b - c):
+                    for e in range(N + 1 - a - b - c - d):
+                        for f in range(N + 1 - a - b - c - d - e):
+                            m = a + b + c + d + e + f
+                            num = pl[0][a + b] * pl[1][c + d] * pl[2][e + f] * pm[0][c + e] * pm[1][a + f] * pm[2][b + d] * 2**m
+                            if num:
+                                total += Fraction(num, pn[m] * fact[a] * fact[b] * fact[c] * fact[d] * fact[e] * fact[f])
+    return total
+
+
+@pytest.mark.parametrize("N", range(5))
+def test_grouped_sum_matches_the_hand_six_fold_sum(N):
+    for lam in sf.tails(N):
+        for mu in sf.tails(N):
+            assert sf.calP_sum(N, lam, mu) == _hand_six_fold_sum(N, lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_weight_form_matches_the_hand_sum_at_rational_mu(N):
+    # every weight triple of degree N, and the same triple with its first
+    # weight moved by one, off the weight lattice, where mu has quarters
+    for lam in sf.tails(N):
+        for w1, w2, w3 in ps.enumerate_weight_triples(N):
+            for w in ((w1, w2, w3), (w1 + 1, w2, w3)):
+                mu = tuple(Fraction(c, 4) for c in (N + w[0] - w[1] - w[2], N - w[0] + w[1] - w[2], N - w[0] - w[1] + w[2]))
+                assert sf.calP_vee(N, lam, w) == _hand_six_fold_sum(N, lam, mu), (lam, w)
+
+
+# The three contiguous recurrences' terms as they were written by hand before
+# being read from polyspace._FOUR_TERM: (shifted tail, name of its coefficient).
+def _hand_recurrence_terms(which, s, t, u):
+    return {
+        1: (((s + 1, t, u), "r"), ((s - 1, t, u), "s"), ((s, t - 1, u + 1), "t"), ((s, t + 1, u - 1), "u")),
+        2: (((s, t + 1, u), "r"), ((s - 1, t, u + 1), "s"), ((s, t - 1, u), "t"), ((s + 1, t, u - 1), "u")),
+        3: (((s, t, u + 1), "r"), ((s - 1, t + 1, u), "s"), ((s + 1, t - 1, u), "t"), ((s, t, u - 1), "u")),
+    }[which]
+
+
+@pytest.mark.parametrize("N", range(6))
+def test_four_term_recurrences_match_the_hand_terms(N):
+    # value() gives every tail its own power of a base above any coefficient,
+    # so two right-hand sides agree only when their terms do
+    box = range(-1, N + 2)
+    index = {tail: k for k, tail in enumerate((s, t, u) for s in box for t in box for u in box)}
+    value = lambda tail: 100 ** index[tail]
+    for which in (1, 2, 3):
+        for s, t, u in sf.tails(N):
+            coeff_of = {"r": N - s - t - u, "s": s, "t": t, "u": u}
+            hand = sum(coeff_of[name] * value(shifted) for shifted, name in _hand_recurrence_terms(which, s, t, u) if coeff_of[name])
+            assert sf._recurrence_rhs(N, which, (s, t, u), value) == hand, (which, (s, t, u))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_swapped_four_term_shift_fails_its_recurrence(monkeypatch, k):
+    # the two middle terms of A_k trade shifts; the table now disagrees with
+    # the transition coefficients, which are built without it
+    first, second, third, fourth = ps._FOUR_TERM[k]
+    swapped = (first, (*second[:2], third[2]), (*third[:2], second[2]), fourth)
+    monkeypatch.setitem(ps._FOUR_TERM, k, swapped)
+    failed = {c.id: c.witness for c in sf.check_recurrences(2).failures}
+    assert set(failed) == {f"special.recurrence.{k}"}
+    assert failed[f"special.recurrence.{k}"]

@@ -162,8 +162,9 @@ def test_tau_as_transpose_fails_bracket_compatibility(monkeypatch):
 def test_hadamard_sign_flip_breaks_tau(monkeypatch, fresh_expansion_caches, row, col):
     # tau reads the integer table _H directly; a flipped entry there, with
     # UPSILON left intact, must show in the tau checks.  _H also gives the
-    # starred derivation forms (through tau) and the change of variables,
-    # whose rows are rebuilt from the flipped table in the emptied cache.
+    # starred derivation forms (through tau), the inverse weight map and the
+    # change of variables, whose rows are rebuilt from the flipped table in
+    # the emptied cache.
     rows = [list(r) for r in sl4core._H.rows]
     rows[row][col] *= -1
     monkeypatch.setattr(sl4core, "_H", Mat(rows))
@@ -172,6 +173,10 @@ def test_hadamard_sign_flip_breaks_tau(monkeypatch, fresh_expansion_caches, row,
     assert {"sl4.tau_swaps", "sl4.tau_lie_map"} <= failed
     failed = {c.id for c in suites.suite_poly(2, random.Random(0)).failures}
     assert {"poly.tables_vs_dm", "poly.conversion_roundtrip", "poly.starred_norms"} <= failed
+    # the inverse weight map reads _H too: a flipped entry moves one of the
+    # four components H (N, weights) by 2 N or 2 times a weight, and some
+    # degree-2 weight triple has that entry nonzero
+    assert "poly.weights" in failed
 
 
 # The derivation forms as they were written by hand before being derived from
