@@ -6,12 +6,16 @@ pairs (x, y) are partitioned into cells by the triple
 (dist(x, y), dist(x, base), dist(y, base)); the subconstituent algebra is
 exactly the space of matrices constant on those cells, which makes products and
 inner products cheap to compute exactly once that fact has been certified.
+Every vertex sum the algebra takes is one over its class counts, tables of N
+alone held on the Cube for every basepoint; dense 2^N x 2^N matrices are
+built only for the oracles that compare against them.
 """
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -43,6 +47,15 @@ def triple_of_profile(p):
     return TripleIndex(t + u, u + s, s + t)
 
 
+def _class_sizes(N, trip):
+    """The sizes of the coordinate classes of a cell's representative pair
+    (x, y) by their bits relative to the basepoint, the rule _make_rep builds
+    the pair by: set in neither, in x only, in both, in y only."""
+    h, i, j = trip
+    a = (i + j - h) // 2
+    return (N - i - j + a, i - a, a, j - a)
+
+
 def profile_of_triple(N, trip):
     from .polyspace import Profile
 
@@ -66,9 +79,11 @@ class Cube:
         # order, and each triple's position in that order
         self.triples = valid_triples(N)
         self.cell_slot = {t: n for n, t in enumerate(self.triples)}
+        # pairs per cell, the multinomial of its class sizes; cube.estar_basis counts them
+        self.cell_sizes = {t: factorial(N) // prod(map(factorial, _class_sizes(N, t))) for t in self.triples}
+        self.cell_units = {t: {t: 1} for t in self.triples}  # each cell indicator's numerators
         self._K = None
-        # value-keyed stores the algebras of this N share, one per kind of table
-        self._shared = {}
+        self.a_matrices = None  # filled by the first A-kind call of any algebra of this N
 
     def dist(self, x, y):
         return self.pc[x ^ y]
@@ -118,16 +133,66 @@ class Cube:
     def primitive_idempotent(self, i):
         return self.idempotent_numerators()[i].scale(Fraction(1, 2**self.N))
 
-    def shared(self, kind):
-        """The store of one kind of table shared by the algebras of this N.
+    # -- class counts: the per-N kernel of every sum over vertices ---------
 
-        Each algebra computes its tables itself, then keeps the stored object
-        equal to each one (``store.setdefault(key, value)``), so equal tables
-        are held once.  A key is the value itself or a hashable form of it,
-        never an input the value was computed from: an algebra whose inputs
-        differ computes different values and gets its own objects.
+    @cached_property
+    def class_counts(self):
+        """Per cell, in triple order, the vertices k at its representative pair
+        (x, y) as triples (cell of (x, k), cell of (k, y), m), m the number of
+        such k: the bits f_c that k flips in each class of _class_sizes fix the
+        three distances, and k stands for prod C(n_c, f_c) vertices."""
+        cell = dict(zip(self.triples, self.triples))  # one key object per cell
+        out = []
+        for trip in self.triples:
+            sizes = _class_sizes(self.N, trip)
+            _, i, j = trip
+            counts = Counter()
+            for f in product(*(range(n + 1) for n in sizes)):
+                f00, f10, f11, f01 = f
+                dists = (i - f10 - f11 + f00 + f01, f00 + f10 + f11 + f01, j - f11 - f01 + f00 + f10)
+                counts[dists] += prod(map(comb, sizes, f))
+            out.append(tuple((cell[(dxk, i, dk)], cell[(dky, dk, j)], m) for (dxk, dk, dky), m in counts.items()))
+        return out
+
+    @cached_property
+    def krawtchouk_values(self):
+        """K[m][d] = sum_s (-1)^s C(d, s) C(N-d, m-s), the entry of 2^N E_m at a
+        pair at distance d, in closed form."""
+        r = range(self.N + 1)
+        return [[sum((-1) ** s * comb(d, s) * comb(self.N - d, m - s) for s in range(m + 1)) for d in r] for m in r]
+
+    @cached_property
+    def e_kernel(self):
+        """E_i A*_h E_j in integers, for every basepoint: per triple, in triple
+        order, (row, norm, coords, den), the numerators over 4^N at the cells
+        in triple order, their cell-size weighted norm, and the element's
+        reduced numerators and denominator.
+
+        The row's entry at a cell is 4^N (E_i A*_h E_j)[x, y] at its
+        representative pair, sum m K_i(d(x, k)) K_h(d(k, base)) K_j(d(k, y))
+        over its class counts.  (E_i A*_h E_j)^T = E_j A*_h E_i, so row
+        (h, j, i) with i > j is row (h, i, j) read at the transposed cells.
         """
-        return self._shared.setdefault(kind, {})
+        triples, K = self.triples, self.krawtchouk_values
+        direct = {t: [] for t in triples if t.i <= t.j}
+        for terms in self.class_counts:
+            # per term of the cell: K_i(d(x, k)), m K_h(d(k, base)), K_j(d(k, y))
+            left = [[Ki[xk[0]] for xk, _, _ in terms] for Ki in K]
+            mid = [[m * Kh[xk[2]] for xk, _, m in terms] for Kh in K]
+            right = [[Kj[ky[0]] for _, ky, _ in terms] for Kj in K]
+            for (h, i, j), vals in direct.items():
+                vals.append(sum(map(mul, mid[h], map(mul, left[i], right[j]))))
+        flip = [self.cell_slot[(h, j, i)] for h, i, j in triples]
+        sizes = [self.cell_sizes[t] for t in triples]
+        den = 4**self.N
+        out = {}
+        for t in triples:
+            h, i, j = t
+            row = tuple(direct[t]) if i <= j else tuple(map(direct[(h, j, i)].__getitem__, flip))
+            g = gcd(den, *row)
+            coords = {s: a // g for s, a in zip(triples, row) if a}
+            out[t] = (row, sum(map(mul, sizes, map(mul, row, row))), coords, den // g)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -148,22 +213,19 @@ class TElem(SparseVec):
         self._set_values(alg, {TripleIndex(*k): v for k, v in coords.items() if v})
 
     def __matmul__(self, other):
-        """Exact product, evaluated entrywise at one representative pair per cell."""
+        """Exact product: at each cell, the sum over the class counts of its
+        representative pair (x, y) of m times the factors at (x, k) and (k, y)."""
         alg = self.space
-        lc = self.nums.get
-        rc = other.nums.get
-        pc = alg.cube.pc
-        d = alg.dist_to_base
+        lc, rc = self.nums.get, other.nums.get
         out = {}
-        for trip, (x, y) in alg.cell_reps.items():
-            dx = d[x]
+        for trip, terms in zip(alg.triples, alg.cube.class_counts):
             total = 0
-            for k in range(alg.cube.size):
-                a = lc((pc[x ^ k], dx, d[k]))
+            for xk, ky, m in terms:
+                a = lc(xk)
                 if a:
-                    b = rc((pc[k ^ y], d[k], d[y]))
+                    b = rc(ky)
                     if b:
-                        total += a * b
+                        total += m * a * b
             if total:
                 out[trip] = total
         return TElem._of(alg, out, self.den * other.den)
@@ -193,27 +255,24 @@ class TAlgebra:
             raise ValueError(f"basepoint {basepoint} is not a vertex of the {N}-cube")
         self.N = N
         self.basepoint = basepoint
-        self.dist_to_base = [self.cube.dist(x, basepoint) for x in range(self.cube.size)]
         self.triples = self.cube.triples
         self.cell_reps = {t: self._make_rep(t) for t in self.triples}
-        sizes = self._count_cells()  # equal for every basepoint, held once
-        self.cell_sizes = self.cube.shared("sizes").setdefault(tuple(sizes.values()), sizes)
+        self.cell_sizes = self.cube.cell_sizes  # equal for every basepoint
         # E_i = K_i / 2^N with K_i integral, so every E_i A*_h E_j coordinate
         # is an integer over this one denominator
         self.e_den = 4**N
         self._estar_basis = None
         self._e_basis = None
-        # the integer kernel behind the E-basis, filled by e_basis from the
-        # same integers: per triple, the tuple of numerators over e_den in
-        # self.triples order, and the cell-size weighted sum of their squares
-        self._e_rows = None
-        self._e_norms = None
-        self._a_mats = None  # filled by _a_matrices on the first A-kind operator call
+
+    @cached_property
+    def dist_to_base(self):  # for the dense forms
+        return [self.cube.dist(x, self.basepoint) for x in range(self.cube.size)]
 
     # -- cell geometry -------------------------------------------------
 
     def cell_of(self, x, y):
-        return TripleIndex(self.cube.pc[x ^ y], self.dist_to_base[x], self.dist_to_base[y])
+        pc, b = self.cube.pc, self.basepoint
+        return TripleIndex(pc[x ^ y], pc[x ^ b], pc[y ^ b])
 
     def _make_rep(self, trip):
         h, i, j = trip
@@ -224,11 +283,6 @@ class TAlgebra:
         y = y_pat ^ self.basepoint
         assert self.cell_of(x, y) == trip
         return (x, y)
-
-    def _count_cells(self):
-        pc, d = self.cube.pc, self.dist_to_base
-        counts = Counter((pc[x ^ y], dx, dy) for x, dx in enumerate(d) for y, dy in enumerate(d))
-        return {t: counts[t] for t in self.triples}
 
     # -- distinguished elements -----------------------------------------
 
@@ -248,7 +302,7 @@ class TAlgebra:
         return self._at_reps(lambda x, y: 1 if pc[x ^ y] == 1 else 0)
 
     def dual_adjacency_elem(self):
-        return self._at_reps(lambda x, y: self.cube.theta(self.dist_to_base[x]) if x == y else 0)
+        return self._at_reps(lambda x, y: self.cube.theta(self.cube.dist(x, self.basepoint)) if x == y else 0)
 
     def dual_distance_diag(self, h):
         """Diagonal entries of the h-th dual distance operator: column of K_h at the basepoint."""
@@ -277,73 +331,16 @@ class TAlgebra:
     def estar_basis(self):
         """E*_i A_h E*_j for valid (h, i, j): the cell indicator matrices."""
         if self._estar_basis is None:
-            units = self.cube.shared("unit")  # triple -> the numerators {triple: 1}
-            self._estar_basis = {t: TElem._of(self, units.setdefault(t, {t: 1})) for t in self.triples}
+            self._estar_basis = {t: TElem._of(self, u) for t, u in self.cube.cell_units.items()}
         return self._estar_basis
 
     def e_basis(self):
-        """E_i A*_h E_j for valid (h, i, j), through the integer idempotent numerators.
-
-        Also fills the integer kernel (numerator rows and weighted norms) that
-        e_coords, the A-kind module operators and _e_combination work in.
-        Every basepoint of one N gives equal rows, coordinate dicts and norms;
-        each algebra still computes its own from its own K_i, A*_h diagonal
-        and cell representatives, and keeps the objects stored on the cube.
-
-        Row (h, i, j) holds the value 4^N (E_i A*_h E_j)[x, y] at each
-        cell's representative pair (x, y).  The representatives have only
-        N + 1 distinct first vertices x, so the left factor (K_i A*_h)[x, .] is
-        formed once per (h, i, x); an entry is then its dot product with
-        K_j's column at y, which is K_j's row y since K_j is symmetric.  By
-        that symmetry (E_i A*_h E_j)^T = E_j A*_h E_i, so the row (h, j, i)
-        with i > j is row (h, i, j) read at the transposed cells, and a row
-        with i = j takes one cell of each transposed pair from the other.
-        The symmetry of the K_i is certified by the cube suite.
-        """
-        if self._e_basis is not None:
-            return self._e_basis
-        Ks = [K.rows for K in self.cube.idempotent_numerators()]
-        den = self.e_den
-        triples = self.triples
-        sizes = [self.cell_sizes[t] for t in triples]
-        diags = [self.dual_distance_diag(h) for h in range(self.N + 1)]
-        # the slot of the transposed cell (h, j, i) of each cell (h, i, j);
-        # triples are in lexicographic order, so flip[n] < n exactly when i > j
-        slot_of = self.cube.cell_slot
-        flip = [slot_of[(h, j, i)] for h, i, j in triples]
-        reps = list(self.cell_reps.values())  # in self.triples order
-        firsts = {x for x, _ in reps}
-        shared = self.cube.shared
-        intern = shared("int").setdefault  # intern(a, a): one int object per numerator value
-        share_row = shared("row").setdefault
-        coord_dicts = shared("coords")  # reduced numerator tuple -> its dict of nonzero cells
-        out, rows, norms = {}, {}, {}
-        left, left_hi = None, None  # x -> (K_i A*_h)[x, .] for the current (h, i)
-        for trip in triples:
-            h, i, j = trip
-            if i > j:  # its entries are interned already
-                row = tuple(map(rows[(h, j, i)].__getitem__, flip))
-            else:
-                if (h, i) != left_hi:  # triples come sorted by (h, i): each factor is built once
-                    dh, Ki = diags[h], Ks[i]
-                    left, left_hi = {x: list(map(mul, Ki[x], dh)) for x in firsts}, (h, i)
-                Kj = Ks[j]
-                row = []
-                for n, ((x, y), f) in enumerate(zip(reps, flip)):
-                    row.append(row[f] if i == j and f < n else sum(map(mul, left[x], Kj[y])))
-                row = tuple(map(intern, row, row))
-            row = share_row(row, row)
-            g = gcd(den, *row)
-            nums = row if g == 1 else tuple(a // g for a in row)
-            coords = coord_dicts.get(nums)
-            if coords is None:
-                coords = coord_dicts[nums] = {t: a for t, a in zip(triples, map(intern, nums, nums)) if a}
-            out[trip] = TElem._of(self, coords, den // g)
-            rows[trip] = row
-            norm = sum(map(mul, sizes, map(mul, row, row)))
-            norms[trip] = intern(norm, norm)
-        self._e_basis, self._e_rows, self._e_norms = out, rows, norms
-        return out
+        """E_i A*_h E_j for valid (h, i, j): the cube's e_kernel in this
+        algebra's elements.  The kernel reads the Krawtchouk values, not the
+        dense numerators the dense-product oracle compares it with."""
+        if self._e_basis is None:
+            self._e_basis = {t: TElem._of(self, coords, den) for t, (_, _, coords, den) in self.cube.e_kernel.items()}
+        return self._e_basis
 
     def e_basis_product_matrix(self, trip):
         """Direct dense product E_i A*_h E_j; the small-N oracle for e_basis."""
@@ -380,15 +377,12 @@ class TAlgebra:
         """
         if B.space is not self:
             raise ValueError("mixing TElem tags; convert first")
-        if self._e_rows is None:
-            self.e_basis()
-        rows, norms = self._e_rows, self._e_norms
         slots = [self.cube.cell_slot[s] for s in B.nums]
         weights = [a * self.cell_sizes[s] for s, a in B.nums.items()]
         scale, den = self.e_den, B.den
         return {
-            t: Fraction(sum(map(mul, weights, map(rows[t].__getitem__, slots))) * scale, den * norms[t])
-            for t in self.triples
+            t: Fraction(sum(map(mul, weights, map(row.__getitem__, slots))) * scale, den * norm)
+            for t, (row, norm, _, _) in self.cube.e_kernel.items()
         }
 
     def _e_combination(self, coeffs, weights=None):
@@ -401,15 +395,13 @@ class TAlgebra:
         """sum over t of nums[t] / den * weights[t] * e_t, for integer
         numerators over one denominator: the numerator rows are combined in
         integers over den * e_den."""
-        if self._e_rows is None:
-            self.e_basis()
-        rows = self._e_rows
+        kernel = self.cube.e_kernel
         acc = None
         for t, m in nums.items():
             if weights is not None:
                 m *= weights[t]
             if m:
-                row = rows[t]
+                row = kernel[t][0]
                 acc = [m * r for r in row] if acc is None else [a + m * r for a, r in zip(acc, row)]
         if acc is None:
             return TElem._of(self, {})
@@ -424,31 +416,27 @@ class TAlgebra:
 
     def _a_matrices(self):
         """The A-kind operators A^(1), A^(2), A^(3) as sparse integer matrices
-        in cell coordinates, built on first use.
+        in cell coordinates, built on the first A-kind call of any algebra of
+        this N and held on the cube.
 
         Slot k of the triple (theta_h, theta_i, theta_j) gives the pair
         (cols, L): cols[s] lists the pairs (n, m), m / L being the coordinate
         at self.triples[n] of the operator applied to the indicator of cell s.
         Each column comes from the E-basis route, _e_combination of the
-        indicator's e_coords weighted by the eigenvalues; the pairs are stored
-        on the cube by value.
+        indicator's e_coords weighted by the eigenvalues (per-N tables only).
         """
-        if self._a_mats is None:
+        if self.cube.a_matrices is None:
             units = [self.e_coords(e) for e in self.estar_basis().values()]  # in self.triples order
             slot_of = self.cube.cell_slot
-            store = self.cube.shared("a_matrix")
             mats = []
             for k in range(3):
                 theta = {t: self.N - 2 * t[k] for t in self.triples}
                 images = [self._e_combination(c, theta) for c in units]
                 L = lcm(*(im.den for im in images))
-                cols = tuple(tuple((slot_of[t], a * (L // im.den)) for t, a in im.nums.items()) for im in images)
-                mat = store.get((cols, L))
-                if mat is None:
-                    mat = store[(cols, L)] = (dict(zip(self.triples, cols)), L)
-                mats.append(mat)
-            self._a_mats = mats
-        return self._a_mats
+                cols = [tuple((slot_of[t], a * (L // im.den)) for t, a in im.nums.items()) for im in images]
+                mats.append((dict(zip(self.triples, cols)), L))
+            self.cube.a_matrices = mats
+        return self.cube.a_matrices
 
     # -- center and Wedderburn decomposition ------------------------------
 

@@ -167,9 +167,13 @@ EXHAUSTIVE_N_MAX = 3
 
 
 def _recurrence_fails(N, which, lam, mu, table):
-    """Whether recurrence ``which`` fails at the key (lam, mu) of the table."""
+    """Whether recurrence ``which`` fails at the key (lam, mu) of the table; a
+    correct four-term table drops every out-of-range shift, so a missing tail fails."""
     lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
-    return lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)])
+    try:
+        return lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)])
+    except KeyError:
+        return True
 
 
 def check_recurrences(N, table=None) -> Report:

@@ -543,9 +543,11 @@ def suite_cube(N, basepoint, rng) -> Report:
     def estar_basis():
         for trip in alg.triples:
             h, i, j = trip
-            if alg.dual_idempotent(i) @ c.distance_op(h) @ alg.dual_idempotent(j) != estar[trip].matrix():
+            dense = alg.dual_idempotent(i) @ c.distance_op(h) @ alg.dual_idempotent(j)
+            if dense != estar[trip].matrix():
                 yield f"triple {tuple(trip)}"
-            if estar[trip].norm_sq() != Fraction(factorial(N), cube.profile_of_triple(N, trip).norm_sq):
+            # the norm is the cell size: the formula, and the pairs counted off the dense product
+            if not estar[trip].norm_sq() == Fraction(factorial(N), cube.profile_of_triple(N, trip).norm_sq) == sum(r.count(1) for r in dense.rows):
                 yield f"norm at {tuple(trip)}"
     rep.check("cube.estar_basis", "E*_i A_h E*_j are the cell indicators with norms N!/(r!s!t!u!)", N, estar_basis())
 
