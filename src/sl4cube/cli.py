@@ -28,13 +28,19 @@ VERIFY_FAILURE = 1
 # the brute-force oracles grow steeply with N: they take seconds at N = 4 and
 # do not finish in minutes at N = 5
 ORACLE_N_CEILING = 4
+# the oracle cap when none is given: min(ORACLE_N_DEFAULT, n_max)
+ORACLE_N_DEFAULT = 3
 
 
 class SuiteConfig(NamedTuple):
+    """One verify run; each field's default here is the one default of the
+    library and of the command line.  oracle_n_max None means
+    min(ORACLE_N_DEFAULT, n_max), which validate() fills in."""
+
     n_min: int = 0
     n_max: int = 5
     suites: tuple = ("all",)
-    oracle_n_max: int = 3
+    oracle_n_max: int | None = None
     basepoint: int = 0
     output: str = "text"
     seed: int = 0
@@ -47,6 +53,9 @@ class SuiteConfig(NamedTuple):
         return [s for s in suites.SUITES if s in chosen]
 
     def validate(self):
+        """This config with oracle_n_max resolved; raises ValueError on a bad one."""
+        if self.oracle_n_max is None:
+            return self._replace(oracle_n_max=min(ORACLE_N_DEFAULT, self.n_max)).validate()
         if self.n_min < 0 or self.n_min > self.n_max:
             raise ValueError("need 0 <= n-min <= n-max")
         if self.oracle_n_max > self.n_max:
@@ -61,34 +70,17 @@ class SuiteConfig(NamedTuple):
         unknown = set(self.suites) - set(suites.SUITES) - {"all"}
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-        if not 0 <= self.basepoint:
-            raise ValueError("basepoint must be a vertex index")
+        # bit_length, not 2^n-min: no huge power is built for a huge n-min
+        if self.basepoint < 0 or self.basepoint.bit_length() > self.n_min:
+            raise ValueError(f"basepoint {self.basepoint} is not a vertex at N = {self.n_min}: need 0 <= basepoint < 2^n-min")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-
-    def as_dict(self):
-        return self._asdict()
+        return self
 
 
 def _job_rng(seed, suite, n):
     # string seeding hashes through sha512, so this is stable across processes
     return random.Random(f"{seed}:{suite}:{n}")
-
-
-def _suite_report(suite, n, rng, oracle_n_max, base):
-    if suite == "sl4":
-        return suites.suite_sl4(rng)
-    if suite == "poly":
-        return suites.suite_poly(n, rng)
-    if suite == "special":
-        return suites.suite_special(n, rng, oracle_n_max)
-    if suite == "cube":
-        return suites.suite_cube(n, base, rng)
-    if suite == "tensor":
-        return suites.suite_tensor(n, base, oracle_n_max, rng)
-    if suite == "correspond":
-        return suites.suite_correspond(n, base, oracle_n_max, rng)
-    raise ValueError(f"unknown suite {suite!r}")
 
 
 def _run_job(job):
@@ -98,12 +90,9 @@ def _run_job(job):
     replaces the job's checks by one failing check "<suite>.completed" with
     witness "<Type>: <message>", so the run still ends in a report.
     """
-    suite, n, cfg_tuple = job
-    seed, oracle_n_max, basepoint = cfg_tuple
-    rng = _job_rng(seed, suite, n)
-    base = basepoint % (1 << n) if n else 0
+    suite, n, (seed, oracle_n_max, basepoint) = job
     try:
-        return _suite_report(suite, n, rng, oracle_n_max, base).checks
+        return suites.SUITES[suite](n, _job_rng(seed, suite, n), basepoint, oracle_n_max).checks
     except Exception as e:
         rep = Report()
         rep.check(f"{suite}.completed", "the suite runs to its end", n, [f"{type(e).__name__}: {e}"])
@@ -112,14 +101,10 @@ def _run_job(job):
 
 def run(cfg: SuiteConfig):
     """Execute the configured suites; returns (report, exit_status)."""
-    cfg.validate()
-    jobs = []
-    for suite in cfg.selected():
-        if suite == "sl4":
-            jobs.append((suite, None, (cfg.seed, cfg.oracle_n_max, cfg.basepoint)))
-        else:
-            for n in range(cfg.n_min, cfg.n_max + 1):
-                jobs.append((suite, n, (cfg.seed, cfg.oracle_n_max, cfg.basepoint)))
+    cfg = cfg.validate()
+    shared = (cfg.seed, cfg.oracle_n_max, cfg.basepoint)
+    degrees = range(cfg.n_min, cfg.n_max + 1)
+    jobs = [(suite, n, shared) for suite in cfg.selected() for n in ((None,) if suite == "sl4" else degrees)]
     report = Report()
     if cfg.jobs > 1:
         # submit by descending N, then in canonical order (sl4 counting as
@@ -143,7 +128,7 @@ def run(cfg: SuiteConfig):
 
 def render_report(report: Report, cfg: SuiteConfig, stream):
     if cfg.output == "json":
-        payload = {"config": cfg.as_dict(), "checks": [c.as_dict() for c in report.checks]}
+        payload = {"config": cfg._asdict(), "checks": [c.as_dict() for c in report.checks]}
         json.dump(payload, stream, indent=2)
         stream.write("\n")
     elif cfg.output == "csv":
@@ -219,25 +204,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites over a degree range")
-    v.add_argument("--n-min", type=int, default=_env_default("N_MIN", 0))
-    v.add_argument("--n-max", type=int, default=_env_default("N_MAX", 5))
+    default = SuiteConfig._field_defaults
+    helps = {
+        "oracle_n_max": f"cap for brute-force tensor oracles, at most {ORACLE_N_CEILING} (default min({ORACLE_N_DEFAULT}, n-max))",
+        "basepoint": "index of the base vertex, below 2^n-min",
+    }
+    for name in ("n_min", "n_max", "oracle_n_max", "basepoint", "seed", "jobs"):
+        flag = "--" + name.replace("_", "-")
+        v.add_argument(flag, type=int, default=_env_default(name.upper(), default[name]), help=helps.get(name))
+    # the SL4CUBE_SUITE list is read in main: an appended option takes no string default
     v.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        choices=list(suites.SUITES) + ["all"],
-        help="suite to run (repeatable; default all)",
+        "--suite", dest="suites", action="append", choices=[*suites.SUITES, "all"], help="suite to run (repeatable; default all)"
     )
-    v.add_argument(
-        "--oracle-n-max",
-        type=int,
-        default=_env_default("ORACLE_N_MAX", None),
-        help=f"cap for brute-force tensor oracles, at most {ORACLE_N_CEILING} (default min(3, n-max))",
-    )
-    v.add_argument("--basepoint", type=int, default=_env_default("BASEPOINT", 0))
-    v.add_argument("--output", choices=("json", "csv", "text"), default=_env_default("OUTPUT", "text"))
-    v.add_argument("--seed", type=int, default=_env_default("SEED", 0))
-    v.add_argument("--jobs", type=int, default=_env_default("JOBS", 1))
+    v.add_argument("--output", choices=("json", "csv", "text"), default=_env_default("OUTPUT", default["output"]))
 
     t = sub.add_parser("table", help="emit an exact reference table")
     t.add_argument("--kind", required=True, choices=("transition", "krawtchouk", "dims", "wedderburn"))
@@ -250,24 +229,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "verify":
-        suite_list = tuple(args.suite) if args.suite else tuple(
-            os.environ.get(ENV_PREFIX + "SUITE", "all").split(",")
-        )
-        oracle = args.oracle_n_max
-        if oracle is None:
-            oracle = min(3, args.n_max)
-        cfg = SuiteConfig(
-            n_min=args.n_min,
-            n_max=args.n_max,
-            suites=suite_list,
-            oracle_n_max=oracle,
-            basepoint=args.basepoint,
-            output=args.output,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+        args.suites = tuple(args.suites or _env_default("SUITE", ",".join(SuiteConfig._field_defaults["suites"])).split(","))
         try:
-            cfg.validate()
+            cfg = SuiteConfig(**{name: getattr(args, name) for name in SuiteConfig._fields}).validate()
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return USAGE_ERROR

@@ -385,21 +385,18 @@ class TAlgebra:
             for t, (row, norm, _, _) in self.cube.e_kernel.items()
         }
 
-    def _e_combination(self, coeffs, weights=None):
-        """sum over t of coeffs[t] * weights[t] * e_t, for rational coefficients
-        and integer weights keyed by triple (weights None means 1)."""
+    def _e_combination(self, coeffs):
+        """sum over t of coeffs[t] * e_t, for rational coefficients keyed by triple."""
         ints, den = clear_denominators(coeffs.values())
-        return self._e_int_combination(dict(zip(coeffs, ints)), den, weights)
+        return self._e_int_combination(dict(zip(coeffs, ints)), den)
 
-    def _e_int_combination(self, nums, den=1, weights=None):
-        """sum over t of nums[t] / den * weights[t] * e_t, for integer
-        numerators over one denominator: the numerator rows are combined in
-        integers over den * e_den."""
+    def _e_int_combination(self, nums, den=1):
+        """sum over t of nums[t] / den * e_t, for integer numerators over one
+        denominator: the numerator rows are combined in integers over
+        den * e_den."""
         kernel = self.cube.e_kernel
         acc = None
         for t, m in nums.items():
-            if weights is not None:
-                m *= weights[t]
             if m:
                 row = kernel[t][0]
                 acc = [m * r for r in row] if acc is None else [a + m * r for a, r in zip(acc, row)]
@@ -423,7 +420,7 @@ class TAlgebra:
         (cols, L): cols[s] lists the pairs (n, m), m / L being the coordinate
         at self.triples[n] of the operator applied to the indicator of cell s.
         Each column comes from the E-basis route, _e_combination of the
-        indicator's e_coords weighted by the eigenvalues (per-N tables only).
+        indicator's e_coords times the eigenvalues (per-N tables only).
         """
         if self.cube.a_matrices is None:
             units = [self.e_coords(e) for e in self.estar_basis().values()]  # in self.triples order
@@ -431,7 +428,7 @@ class TAlgebra:
             mats = []
             for k in range(3):
                 theta = {t: self.N - 2 * t[k] for t in self.triples}
-                images = [self._e_combination(c, theta) for c in units]
+                images = [self._e_combination({t: theta[t] * a for t, a in c.items()}) for c in units]
                 L = lcm(*(im.den for im in images))
                 cols = [tuple((slot_of[t], a * (L // im.den)) for t, a in im.nums.items()) for im in images]
                 mats.append((dict(zip(self.triples, cols)), L))

@@ -1,10 +1,13 @@
 """Per-module verification suites: every identity the package certifies, as checks.
 
-Each suite returns a Report with every one of its check ids at every N: pass,
-fail with a witness, or skipped with the reason, such as the oracle cap, that
-the check does not apply.  Each check builds what it needs inside its own body
-(inputs shared by several checks once, through a cached local), so a raise
-while building fails those checks and the others still run.  Randomized spot
+Every suite takes (N, rng, basepoint, oracle_n_max), with N None for the
+degree-free sl4 suite, and is reached by name through SUITES, in report
+order; a suite ignores the arguments it has no use for.  Each returns a
+Report with every one of its check ids at every N: pass, fail with a
+witness, or skipped with the reason, such as the oracle cap, that the check
+does not apply.  Each check builds what it needs inside its own body (inputs
+shared by several checks once, through a cached local), so a raise while
+building fails those checks and the others still run.  Randomized spot
 checks draw from the caller's seeded PRNG so reports are reproducible.
 """
 
@@ -50,7 +53,7 @@ def random_telem(alg, rng):
 # ---------------------------------------------------------------------------
 
 
-def suite_sl4(rng) -> Report:
+def suite_sl4(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     rep.extend(sl4core.check_presentation())
     tau, bracket, U = sl4core.tau, sl4core.bracket, sl4core.UPSILON
@@ -119,7 +122,7 @@ def _apply_dm_factorization(terms, v):
     return out
 
 
-def suite_poly(N, rng) -> Report:
+def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     profiles = polyspace.enumerate_profiles(N)
     D, M, L, R, C = polyspace.apply_D, polyspace.apply_M, polyspace.apply_L, polyspace.apply_R, polyspace.apply_C
@@ -291,7 +294,7 @@ def suite_poly(N, rng) -> Report:
             for (j, k), v in polyspace.kernel_L_basis(i, N).items():
                 if not L(i, v).is_zero():
                     yield f"L_{i} fails to kill word ({j}, {k})"
-                if polyspace.norm_sq(v) != Fraction(factorial(N), binomial(N, j) * binomial(N, k)):
+                if v.norm_sq() != Fraction(factorial(N), binomial(N, j) * binomial(N, k)):
                     yield f"norm of word ({j}, {k}) for i={i}"
     rep.check("poly.kernel_basis", "Krawtchouk words span Ker L_i with norms N!/(C(N,j) C(N,k))", N, kernel_basis())
 
@@ -350,7 +353,7 @@ def suite_poly(N, rng) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def suite_special(N, rng, oracle_n_max=3) -> Report:
+def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     ts = specialfn.tails(N)
 
@@ -440,7 +443,7 @@ def suite_special(N, rng, oracle_n_max=3) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def suite_cube(N, basepoint, rng) -> Report:
+def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     c = cube.cube(N)
     alg = cube.t_algebra(N, basepoint)
@@ -686,7 +689,7 @@ def suite_cube(N, basepoint, rng) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def suite_tensor(N, basepoint, oracle_n_max, rng) -> Report:
+def suite_tensor(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     size = 1 << N
     profiles = polyspace.enumerate_profiles(N)
@@ -797,7 +800,7 @@ def suite_tensor(N, basepoint, oracle_n_max, rng) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def suite_correspond(N, basepoint, oracle_n_max, rng) -> Report:
+def suite_correspond(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     rep.extend(correspond.check_ddag(N, oracle_n_max))
     rep.extend(correspond.check_eps(N, basepoint, oracle_n_max))
@@ -817,4 +820,12 @@ def suite_correspond(N, basepoint, oracle_n_max, rng) -> Report:
     return rep
 
 
-SUITES = ("sl4", "poly", "special", "cube", "tensor", "correspond")
+# every suite by name, in report order
+SUITES = {
+    "sl4": suite_sl4,
+    "poly": suite_poly,
+    "special": suite_special,
+    "cube": suite_cube,
+    "tensor": suite_tensor,
+    "correspond": suite_correspond,
+}

@@ -23,7 +23,7 @@ def failures(report):
 
 def test_criterion_1_presentation():
     t0 = time.time()
-    rep = suites.suite_sl4(random.Random(0))
+    rep = suites.suite_sl4(None, random.Random(0), 0, 3)
     wanted = [c for c in rep.checks if c.id.startswith(("presentation.", "sl4.elementary", "sl4.basis15"))]
     elapsed = time.time() - t0
     ok = rep.passed and len(wanted) >= 35 and elapsed < 1.0
@@ -43,7 +43,7 @@ def test_criterion_2_polynomial_module():
     )
     ok = True
     for N in range(6):
-        rep = suites.suite_poly(N, random.Random(0))
+        rep = suites.suite_poly(N, random.Random(0), 0, 3)
         seen = {c.id for c in rep.checks}
         if not rep.passed or not all(i in seen for i in ids):
             ok = False
@@ -67,7 +67,7 @@ def test_criterion_3_transition_coefficients():
             if not specialfn.check_weight_recurrences(N).passed:
                 ok = False
     for N in range(4):
-        rep = suites.suite_special(N, random.Random(0), oracle_n_max=3)
+        rep = suites.suite_special(N, random.Random(0), 0, 3)
         if not rep.passed:
             ok = False
             print(f"N={N}:", failures(rep))
@@ -98,7 +98,7 @@ def test_criterion_4_decomposition():
                 ok = False
             kb = polyspace.kernel_L_basis(i, N)
             for (j, k), v in kb.items():
-                if polyspace.norm_sq(v) != Fraction(factorial(N), comb(N, j) * comb(N, k)):
+                if v.norm_sq() != Fraction(factorial(N), comb(N, j) * comb(N, k)):
                     ok = False
             gid = GeneratorId("A", i)
             for p in polyspace.enumerate_profiles(N):
@@ -115,7 +115,7 @@ def test_criterion_4_decomposition():
 def test_criterion_5_hypercube_algebra():
     ok = True
     for N in range(7):
-        rep = suites.suite_cube(N, 0, random.Random(0))
+        rep = suites.suite_cube(N, random.Random(0), 0, 3)
         if not rep.passed:
             ok = False
             print(f"N={N}:", failures(rep))
@@ -126,7 +126,7 @@ def test_criterion_5_hypercube_algebra():
 def test_criterion_6_fixed_space():
     ok = True
     for N in range(5):
-        rep = suites.suite_tensor(N, 0, 3, random.Random(0))
+        rep = suites.suite_tensor(N, random.Random(0), 0, 3)
         if not rep.passed:
             ok = False
             print(f"N={N}:", failures(rep))
@@ -137,7 +137,7 @@ def test_criterion_6_fixed_space():
 def test_criterion_7_correspondences():
     ok = True
     for N in range(6):
-        rep = suites.suite_correspond(N, 0, 3, random.Random(0))
+        rep = suites.suite_correspond(N, random.Random(0), 0, 3)
         if not rep.passed:
             ok = False
             print(f"N={N}:", failures(rep))
@@ -154,7 +154,7 @@ def test_criterion_8_negative_controls(monkeypatch):
     bad = Mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])
     with monkeypatch.context() as mp:
         mp.setitem(sl4core._A, 1, bad)
-        rep = suites.suite_sl4(random.Random(0))
+        rep = suites.suite_sl4(None, random.Random(0), 0, 3)
         if rep.passed or not all(c.witness for c in rep.failures):
             ok = False
             print("corrupted generator was not caught")
@@ -169,7 +169,7 @@ def test_criterion_8_negative_controls(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(specialfn, "calP_sum", corrupted_sum)
-        rep = suites.suite_special(1, random.Random(0))
+        rep = suites.suite_special(1, random.Random(0), 0, 3)
         if rep.passed or not all(c.witness for c in rep.failures):
             ok = False
             print("corrupted transition sign was not caught")
@@ -184,7 +184,7 @@ def test_criterion_8_negative_controls(monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(specialfn, "krawtchouk", corrupted_kraw)
-        rep = suites.suite_special(2, random.Random(0))
+        rep = suites.suite_special(2, random.Random(0), 0, 3)
         if rep.passed or not all(c.witness for c in rep.failures):
             ok = False
             print("corrupted Krawtchouk coefficient was not caught")

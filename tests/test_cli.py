@@ -62,6 +62,57 @@ def test_oracle_n_max_above_the_ceiling_is_a_usage_error(monkeypatch, capsys):
     SuiteConfig(n_max=5, oracle_n_max=cli.ORACLE_N_CEILING).validate()
 
 
+def test_library_default_oracle_cap_follows_n_max():
+    # oracle_n_max None means min(3, n_max): n_max = 2 runs as oracle_n_max = 2
+    assert SuiteConfig(n_max=2).validate() == SuiteConfig(n_max=2, oracle_n_max=2)
+    report, status = cli.run(SuiteConfig(n_max=2))
+    assert status == 0
+    pinned, _ = cli.run(SuiteConfig(n_max=2, oracle_n_max=2))
+    assert [c.as_dict() for c in report.checks] == [c.as_dict() for c in pinned.checks]
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["--n-min", "4", "--n-max", "4", "--basepoint", "16"], {}), (["--n-max", "0"], {"SL4CUBE_BASEPOINT": "1"})],
+    ids=["flag", "env"],
+)
+def test_basepoint_outside_the_smallest_cube_is_a_usage_error(monkeypatch, capsys, argv, env):
+    # a basepoint must be a vertex at every N of the range: below 2^n-min
+    def no_job(job):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_run_job", no_job)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(["verify", *argv]) == cli.USAGE_ERROR
+    assert "is not a vertex at N = " in capsys.readouterr().err
+
+
+def test_last_vertex_of_the_smallest_cube_runs(capsys):
+    argv = ["verify", "--n-min", "4", "--n-max", "4", "--suite", "cube", "--basepoint", "15", "--output", "json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["basepoint"] == 15 and payload["config"]["oracle_n_max"] == 3
+    assert "basepoint 15 (compared from basepoint 0 only)" in next(
+        c["anchor"] for c in payload["checks"] if c["id"] == "cube.basepoint_independence"
+    )
+
+
+def test_verify_without_flags_is_the_library_default(monkeypatch):
+    # every default is SuiteConfig's: the parsed command line adds none of its own
+    for key in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(key)
+    seen = []
+
+    def recorded_run(cfg):
+        seen.append(cfg)
+        return cli.Report(), 0
+
+    monkeypatch.setattr(cli, "run", recorded_run)
+    assert cli.main(["verify"]) == 0
+    assert seen == [SuiteConfig().validate()]
+
+
 def test_main_exit_codes(capsys):
     assert cli.main(["verify", "--n-max", "1", "--suite", "sl4", "--output", "text"]) == 0
     out = capsys.readouterr().out
@@ -187,7 +238,8 @@ def test_pool_submits_longest_measured_first(monkeypatch):
     pooled, _ = cli.run(SuiteConfig(n_max=2, oracle_n_max=1, jobs=2))
     assert [c.as_dict() for c in pooled.checks] == [c.as_dict() for c in serial.checks]
     [(_, submitted)] = made
-    assert submitted == [(s, n) for n in (2, 1) for s in suites.SUITES[1:]] + [("sl4", None)] + [(s, 0) for s in suites.SUITES[1:]]
+    graded = list(suites.SUITES)[1:]
+    assert submitted == [(s, n) for n in (2, 1) for s in graded] + [("sl4", None)] + [(s, 0) for s in graded]
 
 
 def test_pool_is_capped_at_the_job_count(monkeypatch):
@@ -233,10 +285,10 @@ def test_submit_rank_on_the_measured_table(monkeypatch):
 
 
 def test_crash_outside_checks_is_one_failing_check(monkeypatch):
-    def broken(N, basepoint, rng):
+    def broken(N, rng, basepoint, oracle_n_max):
         raise ArithmeticError("corrupted center")
 
-    monkeypatch.setattr(suites, "suite_cube", broken)
+    monkeypatch.setitem(suites.SUITES, "cube", broken)
     report, status = cli.run(SuiteConfig(n_min=1, n_max=1, suites=("sl4", "cube"), oracle_n_max=1))
     assert status == cli.VERIFY_FAILURE
     [failure] = report.failures

@@ -119,7 +119,7 @@ def test_hermitian_matches_fraction_sum(N):
         copy = PolyVec(v.basis, dict(v.coeffs))
         assert copy is not v
         want = fraction_hermitian(v, v)
-        assert ps.hermitian(v, v) == ps.hermitian(v, copy) == ps.hermitian(copy, v) == ps.norm_sq(v) == want
+        assert ps.hermitian(v, v) == ps.hermitian(v, copy) == ps.hermitian(copy, v) == v.norm_sq() == want
 
 
 def random_telem(alg, rng):

@@ -160,7 +160,7 @@ def test_crash_in_wedderburn_is_a_failing_check(monkeypatch):
 
     real = TAlgebra.phi_eigenvalues
     monkeypatch.setattr(TAlgebra, "phi_eigenvalues", lambda self: real(self)[::-1])
-    rep = suites.suite_correspond(2, 0, 2, random.Random(0))
+    rep = suites.suite_correspond(2, random.Random(0), 0, 2)
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["correspond.wedderburn"].startswith("ArithmeticError: ")
 

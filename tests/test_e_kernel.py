@@ -188,7 +188,7 @@ def test_s_antiautomorphism_matches_swapped_e_sum(N, b):
 
 @pytest.mark.parametrize("N,b", OP_CASES)
 def test_cached_a_ops_match_the_e_basis_route(N, b):
-    # the cached matrices give what _e_combination(e_coords(B), theta) gives,
+    # the cached matrices give what _e_combination of theta times e_coords(B) gives,
     # down to the order of the stored cells
     alg = t_algebra(N, b)
     rng = random.Random(50 * N + b)
@@ -197,7 +197,7 @@ def test_cached_a_ops_match_the_e_basis_route(N, b):
         theta = {t: N - 2 * t[slot] for t in alg.triples}
         op = alg.module_op("A", k)
         for B in elems:
-            got, want = op(B), alg._e_combination(alg.e_coords(B), theta)
+            got, want = op(B), alg._e_combination({t: theta[t] * a for t, a in alg.e_coords(B).items()})
             assert got == want and list(got.nums.items()) == list(want.nums.items())
         with pytest.raises(ValueError, match="mixing TElem tags"):
             op(random_telem(TAlgebra(N, b), rng))
@@ -250,7 +250,7 @@ def test_asymmetric_numerators_fail_their_checks(N, monkeypatch, fresh_spectral_
     # compares the class-count kernel with the patched Lagrange numerators
     monkeypatch.setattr(Cube, "idempotent_numerators", _asymmetric_numerators(Cube.idempotent_numerators))
     monkeypatch.setattr(cube_module, "t_algebra", TAlgebra)  # an algebra of the patched numerators
-    checks = {c.id: c for c in suites.suite_cube(N, 0, random.Random(0)).checks}
+    checks = {c.id: c for c in suites.suite_cube(N, random.Random(0), 0, 3).checks}
     for name in ("cube.idempotents", "cube.e_basis_dense_oracle"):
         assert checks[name].status == "fail" and checks[name].witness, name
 
@@ -260,7 +260,7 @@ def _cube_suite_on(monkeypatch, fresh):
     that no corrupted table is left on cube(N)."""
     monkeypatch.setattr(cube_module, "cube", lambda N: fresh)
     monkeypatch.setattr(cube_module, "t_algebra", TAlgebra)
-    return {c.id: c for c in suites.suite_cube(fresh.N, 0, random.Random(0)).checks}
+    return {c.id: c for c in suites.suite_cube(fresh.N, random.Random(0), 0, 3).checks}
 
 
 def _corrupt_krawtchouk(c):

@@ -135,7 +135,7 @@ def test_kernel_basis():
     assert vals[(0, 1)] == {(0, 0, 0, 1): 1}
     assert vals[(1, 1)] == {(0, 1, 0, 0): 1}
     kb2 = ps.kernel_L_basis(1, 2)
-    assert ps.norm_sq(kb2[(1, 1)]) == Fraction(1, 2)
+    assert kb2[(1, 1)].norm_sq() == Fraction(1, 2)
 
 
 def test_graded_decomposition_dimensions():

@@ -12,7 +12,7 @@ def _raise(*args):
 
 
 @pytest.mark.parametrize(
-    "run", [lambda: suites.suite_poly(1, random.Random(0)), lambda: suites.suite_cube(1, 0, random.Random(0))], ids=["poly", "cube"]
+    "run", [lambda: suites.suite_poly(1, random.Random(0), 0, 3), lambda: suites.suite_cube(1, random.Random(0), 0, 3)], ids=["poly", "cube"]
 )
 def test_krawtchouk_raise_is_a_failing_check(monkeypatch, run):
     # the family is built inside the checks that use it, so a raise there
@@ -44,10 +44,10 @@ def test_shared_input_raise_fails_its_dependents_and_keeps_the_job(monkeypatch, 
 
 def test_idempotent_numerators_raise_is_a_failing_check(fresh_spectral_numerators, monkeypatch):
     monkeypatch.setattr(cube.Cube, "idempotent_numerators", _raise)
-    rep = suites.suite_cube(1, 0, random.Random(0))
+    rep = suites.suite_cube(1, random.Random(0), 0, 3)
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["cube.idempotents"].startswith("ArithmeticError:")
-    rep = suites.suite_tensor(1, 0, 1, random.Random(0))
+    rep = suites.suite_tensor(1, random.Random(0), 0, 1)
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["tensor.spectral_sums"].startswith("ArithmeticError:")
 
@@ -64,7 +64,7 @@ def test_corrupted_idempotent_numerators_fail_the_spectral_sums(fresh_spectral_n
         return [Ks[0], K1] + Ks[2:]
 
     monkeypatch.setattr(cube.Cube, "idempotent_numerators", corrupted)
-    rep = suites.suite_tensor(2, 0, 2, random.Random(0))
+    rep = suites.suite_tensor(2, random.Random(0), 0, 2)
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["tensor.spectral_sums"] == "nonzero spectral sum at invalid (0, 0, 1)"
     assert failed["tensor.oracle"] == "Astar^(1) on star_tilde (0, 0, 0, 2)"  # lifts read the same sums
@@ -78,7 +78,7 @@ def test_dual_distance_elem_corruption_fails_pointwise(monkeypatch, basepoint):
         return real(self, h) + cube.TElem(self, {(0, 1, 1): 1})
 
     monkeypatch.setattr(cube.TAlgebra, "dual_distance_elem", corrupted)
-    rep = suites.suite_cube(2, basepoint, random.Random(0))
+    rep = suites.suite_cube(2, random.Random(0), basepoint, 3)
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["cube.dual_distance_pointwise"].startswith("grade 0 at vertex ")
 
@@ -122,8 +122,8 @@ def _kernel_ignoring(part):
 @pytest.mark.parametrize(
     "part, run, check_id",
     [
-        ("slots", lambda: suites.suite_tensor(2, 0, 2, random.Random(0)), "tensor.oracle"),
-        ("scale", lambda: suites.suite_poly(2, random.Random(0)), "poly.casimir_three_way"),
+        ("slots", lambda: suites.suite_tensor(2, random.Random(0), 0, 2), "tensor.oracle"),
+        ("scale", lambda: suites.suite_poly(2, random.Random(0), 0, 3), "poly.casimir_three_way"),
     ],
     ids=["slots", "scale"],
 )
@@ -147,14 +147,14 @@ def test_zero_kernel_word_fails_graded_dimension(monkeypatch, N):
         return basis
 
     monkeypatch.setattr(polyspace, "kernel_L_basis", mutant)
-    failed = {c.id: c.witness for c in suites.suite_poly(N, random.Random(0)).failures}
+    failed = {c.id: c.witness for c in suites.suite_poly(N, random.Random(0), 0, 3).failures}
     assert failed["poly.graded_decomposition"] == "dimension at level 0"
 
 
 def test_tau_as_transpose_fails_bracket_compatibility(monkeypatch):
     # transposition is an involution but reverses brackets
     monkeypatch.setattr(sl4core, "tau", lambda m: m.transpose())
-    failed = {c.id: c.witness for c in suites.suite_sl4(random.Random(0)).failures}
+    failed = {c.id: c.witness for c in suites.suite_sl4(None, random.Random(0), 0, 3).failures}
     assert failed["sl4.tau_lie_map"] == "bracket compatibility fails"
 
 
@@ -168,10 +168,10 @@ def test_hadamard_sign_flip_breaks_tau(monkeypatch, fresh_expansion_caches, row,
     rows = [list(r) for r in sl4core._H.rows]
     rows[row][col] *= -1
     monkeypatch.setattr(sl4core, "_H", Mat(rows))
-    failed = {c.id for c in suites.suite_sl4(random.Random(0)).failures}
+    failed = {c.id for c in suites.suite_sl4(None, random.Random(0), 0, 3).failures}
     assert "sl4.upsilon_involution" not in failed
     assert {"sl4.tau_swaps", "sl4.tau_lie_map"} <= failed
-    failed = {c.id for c in suites.suite_poly(2, random.Random(0)).failures}
+    failed = {c.id for c in suites.suite_poly(2, random.Random(0), 0, 3).failures}
     assert {"poly.tables_vs_dm", "poly.conversion_roundtrip", "poly.starred_norms"} <= failed
     # the inverse weight map reads _H too: a flipped entry moves one of the
     # four components H (N, weights) by 2 N or 2 times a weight, and some
@@ -211,5 +211,5 @@ def test_corrupted_generator_matrix_fails_tables_vs_dm(monkeypatch):
     # the derivation forms are read from sl4core's matrices, and the
     # generator action from the four-term tables, so they must disagree
     monkeypatch.setitem(sl4core._A, 1, sl4core._A[2])
-    failed = {c.id: c.witness for c in suites.suite_poly(1, random.Random(0)).failures}
+    failed = {c.id: c.witness for c in suites.suite_poly(1, random.Random(0), 0, 3).failures}
     assert failed["poly.tables_vs_dm"] == "GeneratorId(kind='A', index=1) on monomial unit (0, 0, 0, 1)"
