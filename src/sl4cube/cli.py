@@ -54,6 +54,8 @@ class SuiteConfig(NamedTuple):
 
     def validate(self):
         """This config with oracle_n_max resolved; raises ValueError on a bad one."""
+        if isinstance(self.suites, str):
+            raise ValueError(f"suites must be a tuple of names from {('all', *suites.SUITES)}, not the string {self.suites!r}")
         if self.oracle_n_max is None:
             return self._replace(oracle_n_max=min(ORACLE_N_DEFAULT, self.n_max)).validate()
         if self.n_min < 0 or self.n_min > self.n_max:

@@ -17,39 +17,23 @@ from .cube import TAlgebra, TElem, TripleIndex, t_algebra, triple_of_profile
 from .exact import factorial
 from .linalg import Mat, gram, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
-from .report import Report
+from .report import Report, above
 from .sl4core import GENERATORS
-from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor
-
-
-def _ddag(v, basis, tag):
-    if v.basis != basis:
-        raise ValueError(f"expected a {basis}-tagged vector")
-    N = v.degree() or 0  # raises if mixed
-    w = factorial(N) * 2**N
-    return FixVec._of((N, tag), {p: w * c for p, c in v.nums.items()}, v.den)
+from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor, fix_weight, group_order
 
 
 def ddag_scaled(v: PolyVec) -> FixVec:
-    """Monomial-basis vectors to the fixed subspace: unit profile p to p! times
-    the orbit sum over p, written in dual coordinates."""
-    return _ddag(v, MONOMIAL, TILDE)
-
-
-def ddag_scaled_starred(v: PolyVec) -> FixVec:
-    """Starred-basis vectors to the fixed subspace, landing on the spectral sums."""
-    return _ddag(v, STARRED, STAR_TILDE)
+    """The polynomial slice to the fixed subspace: unit profile p to p! times
+    the orbit sum over p from the monomial basis, or the spectral sum at p
+    from the starred basis, written in the matching dual coordinates."""
+    N = v.degree() or 0  # raises if mixed
+    w, tag = group_order(N), TILDE if v.basis == MONOMIAL else STAR_TILDE
+    return FixVec._of((N, tag), {p: w * c for p, c in v.nums.items()}, v.den)
 
 
 def ddag_scale_squared(N):
     """The square of the factor the rational fixed-space map suppresses."""
-    return factorial(N) * 2**N
-
-
-def _fix_weight(N):
-    """The weight of the fixed-space form on profile coordinates, as in FixVec.inner."""
-    den = factorial(N) * 2**N
-    return lambda p: Fraction(_norm_sq(p), den)
+    return group_order(N)
 
 
 def eps_scaled_concrete(alg: TAlgebra, t: TripleTensor) -> Mat:
@@ -74,15 +58,10 @@ def _reversed_cell(p):
 def eps_scaled_fix(alg: TAlgebra, v: FixVec) -> TElem:
     """The same map on the fixed subspace, through its action on the two dual bases."""
     N, tag = v.space
-    scale = factorial(N) * 2**N
+    den = v.den * group_order(N)
     if tag == TILDE:
-        return TElem._of(alg, {_reversed_cell(p): c * _norm_sq(p) for p, c in v.nums.items()}, v.den * scale)
-    w = Fraction(1, scale)
-    ebas = alg.e_basis()
-    out = alg.zero()
-    for p, c in v.items():
-        out.add_scaled(c * _norm_sq(p) * w, ebas[triple_of_profile(p)])
-    return out
+        return TElem._of(alg, {_reversed_cell(p): c * _norm_sq(p) for p, c in v.nums.items()}, den)
+    return alg._e_int_combination({triple_of_profile(p): c * _norm_sq(p) for p, c in v.nums.items()}, den)
 
 
 def eps_scale_squared(N):
@@ -104,20 +83,20 @@ def theta_scale_squared(N):
     return factorial(N)
 
 
-def check_ddag(N, oracle_cap=3) -> Report:
+def check_ddag(N, oracle_cap) -> Report:
     """Intertwining and form scaling for the polynomial-to-fixed-space map."""
     rep = Report()
     profiles = polyspace.enumerate_profiles(N)
     scale_sq = ddag_scale_squared(N)
     unit = PolyVec.unit
-    oracle = f"N > {oracle_cap} (oracle cap)" if N > oracle_cap else None
+    oracle = above(N, oracle_cap, "oracle cap")
 
     def intertwine():
-        for tag, fwd in ((MONOMIAL, ddag_scaled), (STARRED, ddag_scaled_starred)):
+        for tag in (MONOMIAL, STARRED):
             for gid in GENERATORS:
                 for p in profiles:
                     e = unit(tag, p)
-                    if fwd(polyspace.act_generator(gid, e)) != tensorspace.act_abstract(gid.index, gid.kind, fwd(e)):
+                    if ddag_scaled(polyspace.act_generator(gid, e)) != tensorspace.act_abstract(gid.index, gid.kind, ddag_scaled(e)):
                         yield f"{gid} on {tag} unit {tuple(p)}"
     rep.check("correspond.ddag.intertwine", "image of generator action = operator action of image", N, intertwine())
 
@@ -134,7 +113,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
             for q, value, want in zip(profiles, got_row, want_row):
                 if value != scale_sq * want:
                     yield f"{name} pair {tuple(p)},{tuple(q)}"
-    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, _fix_weight(N), "form"))
+    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, fix_weight(N), "form"))
 
     def concrete():
         for gid in GENERATORS:
@@ -148,14 +127,14 @@ def check_ddag(N, oracle_cap=3) -> Report:
     def consistency():
         for p in profiles:
             e = unit(STARRED, p)
-            if ddag_scaled_starred(e).lift() != ddag_scaled(polyspace.convert_basis(e, MONOMIAL)).lift():
+            if ddag_scaled(e).lift() != ddag_scaled(polyspace.convert_basis(e, MONOMIAL)).lift():
                 yield f"starred unit {tuple(p)}"
     rep.check(
         "correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, consistency(), skip=oracle
     )
 
     def cross_form():
-        starred = (ddag_scaled_starred(unit(STARRED, q)).lift().coeffs for q in profiles)
+        starred = (ddag_scaled(unit(STARRED, q)).lift().coeffs for q in profiles)
         got = gram([lifted()[p].coeffs for p in profiles], starred)
         for p, row in zip(profiles, got):
             for q, value in zip(profiles, row):
@@ -176,7 +155,7 @@ def check_ddag(N, oracle_cap=3) -> Report:
     return rep
 
 
-def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
+def check_eps(N, basepoint, oracle_cap) -> Report:
     """Route agreement, bijectivity, and form scaling for the flattening map."""
     rep = Report()
     alg = t_algebra(N, basepoint)
@@ -189,7 +168,7 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
             for p, u in vecs.items():
                 if alg.from_matrix(eps_scaled_concrete(alg, u.lift())) != eps_scaled_fix(alg, u):
                     yield f"{tag} unit {tuple(p)}"
-    oracle = f"N > {oracle_cap} (oracle cap)" if N > oracle_cap else None
+    oracle = above(N, oracle_cap, "oracle cap")
     rep.check("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, routes(), skip=oracle)
 
     def intertwine():
@@ -204,7 +183,7 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
     def form():
         for tag, vecs in units.items():
             got = gram((eps_scaled_fix(alg, vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
-            want = gram([vecs[p].coeffs for p in profiles], weight=_fix_weight(N))
+            want = gram([vecs[p].coeffs for p in profiles], weight=fix_weight(N))
             for p, got_row, want_row in zip(profiles, got, want):
                 for q, value, w in zip(profiles, got_row, want_row):
                     if value != scale_sq * w:
@@ -219,7 +198,7 @@ def check_eps(N, basepoint=0, oracle_cap=3) -> Report:
     return rep
 
 
-def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
+def check_theta(N, basepoint, oracle_cap) -> Report:
     """Intertwining, composition, form scaling, and the antiautomorphism square."""
     rep = Report()
     alg = t_algebra(N, basepoint)
@@ -238,9 +217,9 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
     rep.check("correspond.theta.intertwine", "theta carries generator action to the module operators", N, intertwine())
 
     def composite():
-        for tag, fwd in ((MONOMIAL, ddag_scaled), (STARRED, ddag_scaled_starred)):
-            for p, e in units[tag].items():
-                if eps_scaled_fix(alg, fwd(e)) != theta(e):
+        for tag, vecs in units.items():
+            for p, e in vecs.items():
+                if eps_scaled_fix(alg, ddag_scaled(e)) != theta(e):
                     yield f"{tag} unit {tuple(p)}"
     rep.check("correspond.theta.composite", "theta = flattening after the fixed-space map (scales N! 2^N * 2^-N = N!)", N, composite())
 
@@ -249,7 +228,7 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
         for p, e in units[MONOMIAL].items()
         if alg.from_matrix(eps_scaled_concrete(alg, ddag_scaled(e).lift())) != theta(e)
     )
-    oracle = f"N > {oracle_cap} (oracle cap)" if N > oracle_cap else None
+    oracle = above(N, oracle_cap, "oracle cap")
     rep.check("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, concrete, skip=oracle)
 
     def form():
@@ -271,7 +250,7 @@ def check_theta(N, basepoint=0, oracle_cap=3) -> Report:
     return rep
 
 
-def sigma_S_diagram(N, basepoint=0) -> Report:
+def sigma_S_diagram(N, basepoint) -> Report:
     """theta after the basis swap equals the antiautomorphism after theta."""
     rep = Report()
     alg = t_algebra(N, basepoint)
@@ -285,7 +264,7 @@ def sigma_S_diagram(N, basepoint=0) -> Report:
     return rep
 
 
-def check_c1_phi(N, basepoint=0) -> Report:
+def check_c1_phi(N, basepoint) -> Report:
     """theta conjugates the first Casimir-type operator into left multiplication
     by the central element."""
     rep = Report()
@@ -301,7 +280,7 @@ def check_c1_phi(N, basepoint=0) -> Report:
     return rep
 
 
-def wedderburn_correspondence(N, basepoint=0) -> Report:
+def wedderburn_correspondence(N, basepoint) -> Report:
     """theta maps the graded summands onto the central ideals, by exact mutual
     span containment for every level."""
     rep = Report()

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .exact import binomial, clear_denominators
 from .linalg import Mat, independent_rows
+from .polyspace import Profile
 from .sl4core import GENERATORS
 from .sparse import SparseVec
 
@@ -57,8 +58,6 @@ def _class_sizes(N, trip):
 
 
 def profile_of_triple(N, trip):
-    from .polyspace import Profile
-
     h, i, j = trip
     return Profile((2 * N - h - i - j) // 2, (i + j - h) // 2, (j + h - i) // 2, (h + i - j) // 2)
 
@@ -385,11 +384,6 @@ class TAlgebra:
             for t, (row, norm, _, _) in self.cube.e_kernel.items()
         }
 
-    def _e_combination(self, coeffs):
-        """sum over t of coeffs[t] * e_t, for rational coefficients keyed by triple."""
-        ints, den = clear_denominators(coeffs.values())
-        return self._e_int_combination(dict(zip(coeffs, ints)), den)
-
     def _e_int_combination(self, nums, den=1):
         """sum over t of nums[t] / den * e_t, for integer numerators over one
         denominator: the numerator rows are combined in integers over
@@ -419,8 +413,9 @@ class TAlgebra:
         Slot k of the triple (theta_h, theta_i, theta_j) gives the pair
         (cols, L): cols[s] lists the pairs (n, m), m / L being the coordinate
         at self.triples[n] of the operator applied to the indicator of cell s.
-        Each column comes from the E-basis route, _e_combination of the
-        indicator's e_coords times the eigenvalues (per-N tables only).
+        Each column comes from the E-basis route: the indicator's e_coords
+        times the eigenvalues, cleared to integers and combined by
+        _e_int_combination (per-N tables only).
         """
         if self.cube.a_matrices is None:
             units = [self.e_coords(e) for e in self.estar_basis().values()]  # in self.triples order
@@ -428,7 +423,10 @@ class TAlgebra:
             mats = []
             for k in range(3):
                 theta = {t: self.N - 2 * t[k] for t in self.triples}
-                images = [self._e_combination({t: theta[t] * a for t, a in c.items()}) for c in units]
+                images = []
+                for c in units:
+                    ints, den = clear_denominators(theta[t] * a for t, a in c.items())
+                    images.append(self._e_int_combination(dict(zip(c, ints)), den))
                 L = lcm(*(im.den for im in images))
                 cols = [tuple((slot_of[t], a * (L // im.den)) for t, a in im.nums.items()) for im in images]
                 mats.append((dict(zip(self.triples, cols)), L))

@@ -48,17 +48,13 @@ class Mat:
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
 
-    def __hash__(self):
-        raise TypeError("Mat is unhashable")
+    __hash__ = None
 
     def __add__(self, other):
         return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows])
 
     def scale(self, c):
         return Mat([[c * a for a in r] for r in self.rows])

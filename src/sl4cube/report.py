@@ -36,6 +36,11 @@ def unless(holds, witness):
         yield witness
 
 
+def above(N, bound, name):
+    """The skip reason "N > bound (name)" when N exceeds the named bound, else None."""
+    return f"N > {bound} ({name})" if N > bound else None
+
+
 class Report:
     def __init__(self):
         self.checks = []

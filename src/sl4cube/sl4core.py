@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import NamedTuple
 
-from .linalg import Mat
+from .linalg import Mat, rank
 from .report import Report, unless
 
 
@@ -90,8 +90,6 @@ def basis15():
         bracket(b2, bracket(b3, a1)),
         bracket(b3, bracket(b1, a2)),
     ]
-    from .linalg import rank
-
     if rank([m.flatten() for m in basis]) != 15:
         raise ArithmeticError("generator brackets do not span a 15-dimensional space")
     return basis

@@ -18,7 +18,7 @@ from .exact import factorial, pochhammer
 from .linalg import gram
 from . import polyspace
 from .polyspace import MONOMIAL, STARRED, PolyVec, Profile
-from .report import Report
+from .report import Report, above
 from .sl4core import GeneratorId
 
 
@@ -188,9 +188,9 @@ def check_recurrences(N, table=None) -> Report:
             for mu in ts:
                 if _recurrence_fails(N, which, lam, mu, table):
                     yield f"recurrence {which} at N={N} lam={lam} mu={mu}"
-    above = f"N > {EXHAUSTIVE_N_MAX} (exhaustive range)" if N > EXHAUSTIVE_N_MAX else None
+    beyond = above(N, EXHAUSTIVE_N_MAX, "exhaustive range")
     for which in (1, 2, 3):
-        rep.check(f"special.recurrence.{which}", f"weighted transition recurrence #{which} in the plain variables", N, failures(which), skip=above)
+        rep.check(f"special.recurrence.{which}", f"weighted transition recurrence #{which} in the plain variables", N, failures(which), skip=beyond)
     return rep
 
 
@@ -225,10 +225,10 @@ def check_weight_recurrences(N) -> Report:
             for trip in triples:
                 if trip[which - 1] * pv(lam, trip) != _recurrence_rhs(N, which, lam, lambda shifted: pv(shifted, trip)):
                     yield f"weight recurrence {which} at N={N} lam={lam} weights={trip}"
-    above = f"N > {EXHAUSTIVE_N_MAX} (exhaustive range)" if N > EXHAUSTIVE_N_MAX else None
+    beyond = above(N, EXHAUSTIVE_N_MAX, "exhaustive range")
     for which in (1, 2, 3):
         rep.check(
-            f"special.weight_recurrence.{which}", f"weighted transition recurrence #{which} in weight coordinates", N, failures(which), skip=above
+            f"special.weight_recurrence.{which}", f"weighted transition recurrence #{which} in weight coordinates", N, failures(which), skip=beyond
         )
     return rep
 

@@ -19,7 +19,7 @@ from . import sl4core
 from .exact import binomial, factorial
 from .linalg import Mat, gram, rank
 from .polyspace import MONOMIAL, STARRED, PolyVec
-from .report import Report, unless
+from .report import Report, above, unless
 from .sl4core import GENERATORS, GeneratorId
 from .tensorspace import STAR_TILDE, TILDE, FixVec
 
@@ -36,9 +36,9 @@ def _second_basepoint_skip(N, basepoint, n_max):
     """Why a comparison from basepoint 0 with basepoint 1 does not apply, or None."""
     if N == 0:
         return "N = 0 (one vertex)"
-    if N > n_max:
-        return f"N > {n_max} (second-basepoint bound)"
-    return f"basepoint {basepoint} (compared from basepoint 0 only)" if basepoint else None
+    return above(N, n_max, "second-basepoint bound") or (
+        f"basepoint {basepoint} (compared from basepoint 0 only)" if basepoint else None
+    )
 
 
 def random_telem(alg, rng):
@@ -285,7 +285,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
                 dims = polyspace.eigenspace_dims(i, which, N)
                 if dims != want_dims:
                     yield f"{which}_{i}: {dims}"
-    dense = "N > 5 (dense eigenspace bound)" if N > 5 else None
+    dense = above(N, 5, "dense eigenspace bound")
     rep.check("poly.eigenspace_dims", "generator eigenspace of N-2n has dimension (n+1)(N-n+1)", N, eigenspace_dims(), skip=dense)
 
     # decomposition machinery
@@ -358,10 +358,11 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
     ts = specialfn.tails(N)
 
     table = specialfn.transition_table(N)
-    if N <= 4:
-        keys = [(lam, mu) for lam in ts for mu in ts]
-    else:
+    every_key = above(N, 4, "all-keys bound")
+    if every_key:
         keys = [(ts[rng.randrange(len(ts))], ts[rng.randrange(len(ts))]) for _ in range(60)]
+    else:
+        keys = [(lam, mu) for lam in ts for mu in ts]
     dual = (f"key {lam};{mu}" for lam, mu in keys if table[(lam, mu)] != specialfn.calP_genfunc(N, lam, mu))
     rep.check("special.dual_evaluators", "sum form and generating-function form agree", N, dual)
     symmetry = (f"key {lam};{mu}" for lam, mu in keys[:200] if table[(lam, mu)] != table[(mu, lam)])
@@ -372,7 +373,7 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
     rep.extend(specialfn.check_weight_recurrences(N))
     rep.extend(specialfn.check_recurrences_sampled(N, table, rng, 40))
 
-    sample = keys if N <= 4 else keys[:40]
+    sample = keys[:40] if every_key else keys
 
     def weight_form():
         for lam, mu in sample:
@@ -395,7 +396,6 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
             for q, c in polyspace.convert_basis(PolyVec.unit(MONOMIAL, p), STARRED).items():
                 if c != nfact * table[((p.s, p.t, p.u), (q.s, q.t, q.u))] / q.norm_sq:
                     yield f"{tuple(p)} -> {tuple(q)}"
-    every_key = "N > 4 (all-keys bound)" if N > 4 else None
     rep.check("special.transition_expansion", "basis conversion reproduces the transition coefficients", N, transition_expansion(), skip=every_key)
 
     fam = functools.cache(lambda: specialfn.krawtchouk(N))  # certifies its closed form by raising
@@ -433,7 +433,7 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
                 yield f"plain word {tuple(p)}"
             if specialfn.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
                 yield f"starred word {tuple(p)}"
-    oracle = f"N > {oracle_n_max} (oracle cap)" if N > oracle_n_max else None
+    oracle = above(N, oracle_n_max, "oracle cap")
     rep.check("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, pvee_words(), skip=oracle)
     return rep
 
@@ -451,14 +451,14 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     eye = Mat.identity(size)
     twoN = 2**N
 
-    A = c.adjacency()
-    Astar = alg.dual_adjacency()
+    A = functools.cache(c.adjacency)
     br = lambda X, Y: X @ Y - Y @ X
 
     def presentation():
-        if br(A, br(A, Astar)) != Astar.scale(4):
+        Astar = alg.dual_adjacency()
+        if br(A(), br(A(), Astar)) != Astar.scale(4):
             yield "[A, [A, A*]] != 4 A*"
-        if br(Astar, br(Astar, A)) != A.scale(4):
+        if br(Astar, br(Astar, A())) != A().scale(4):
             yield "[A*, [A*, A]] != 4 A"
     rep.check("cube.presentation", "[A, [A, A*]] = 4 A* and [A*, [A*, A]] = 4 A on the standard module", N, presentation())
 
@@ -469,13 +469,13 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
         for i, K in enumerate(Ks):
             total = total + K
             recon = recon + K.scale(c.theta(i))
-            if A @ K != K.scale(c.theta(i)):
+            if A() @ K != K.scale(c.theta(i)):
                 yield f"eigenvector property of E_{i}"
             if K.transpose() != K:
                 yield f"symmetry of E_{i}"
         if total != eye.scale(twoN):
             yield "sum of idempotents"
-        if recon != A.scale(twoN):
+        if recon != A().scale(twoN):
             yield "spectral reconstruction of A"
         # pairwise products: dense matrices up to N=4, cell coordinates past that
         # (their agreement is itself certified at small N by cube.product_oracle)
@@ -501,7 +501,7 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
         for i in range(N + 1):
             acc = eye.scale(fam.coeffs[i][-1])
             for coef in reversed(fam.coeffs[i][:-1]):
-                acc = A @ acc + eye.scale(coef)
+                acc = A() @ acc + eye.scale(coef)
             if acc.scale(binomial(N, i)) != c.distance_op(i):
                 yield f"distance operator {i}"
     rep.check("cube.distance_vs_krawtchouk", "A_i = C(N, i) f_i(A)", N, distance_vs_krawtchouk())
@@ -578,7 +578,7 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
 
     def closure():  # from_matrix raises on a matrix outside the algebra
         for trip in alg.triples:
-            alg.from_matrix(A @ estar[trip].matrix())
+            alg.from_matrix(A() @ estar[trip].matrix())
         yield from ()
     rep.check("cube.closure", "adjacency times any cell indicator is again constant on cells (algebra closure)", N, closure())
     dimension = unless(lambda: len(alg.triples) == binomial(N + 3, 3), f"{len(alg.triples)} valid triples")
@@ -600,7 +600,7 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
         for t, e in alg.e_basis().items():
             if e.matrix() != alg.e_basis_product_matrix(t):
                 yield f"triple {tuple(t)}"
-    dense_cap = "N > 3 (dense-product oracle bound)" if N > 3 else None
+    dense_cap = above(N, 3, "dense-product oracle bound")
     rep.check("cube.e_basis_dense_oracle", "cell-coordinate products match dense matrix products", N, dense(), skip=dense_cap)
 
     # drawn only where the oracle runs, so the later draws keep their values
@@ -622,12 +622,12 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
                     yield f"ideals {la} and {lb} are not orthogonal"
     rep.check("cube.wedderburn", "central idempotents cut out orthogonal ideals of dimension (N-2l+1)^2", N, wedderburn())
 
-    Ae = alg.adjacency_elem()
-    Ase = alg.dual_adjacency_elem()
+    Ae = functools.cache(alg.adjacency_elem)
+    Ase = functools.cache(alg.dual_adjacency_elem)
 
     def phi_central():
         phi = alg.phi_central()
-        yield from (f"phi and {name}" for name, G in (("A", Ae), ("A*", Ase)) if phi @ G != G @ phi)
+        yield from (f"phi and {name}" for name, G in (("A", Ae()), ("A*", Ase())) if phi @ G != G @ phi)
     rep.check("cube.phi_central", "the central element commutes with both generators", N, phi_central())
 
     B = random_telem(alg, rng)
@@ -635,10 +635,10 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     def module_ops():
         ops = alg.t_module_ops()
         forms = [
-            (("A", 2), Ae @ B, "left multiplication form"),
-            (("A", 3), B @ Ae, "right multiplication form"),
-            (("Astar", 2), B @ Ase, "right dual multiplication form"),
-            (("Astar", 3), Ase @ B, "left dual multiplication form"),
+            (("A", 2), Ae() @ B, "left multiplication form"),
+            (("A", 3), B @ Ae(), "right multiplication form"),
+            (("Astar", 2), B @ Ase(), "right dual multiplication form"),
+            (("Astar", 3), Ase() @ B, "left dual multiplication form"),
         ]
         for key, want, name in forms:
             if ops[key](B) != want:
@@ -649,9 +649,11 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
                     yield f"{name} at {tuple(trip)}"
     rep.check("cube.module_ops", "the six module operators match their multiplication interpretations", N, module_ops())
 
-    fixed = [Ae.matrix(), Ase.matrix()] + [c.distance_op(i) for i in range(N + 1)]
-    asymmetric = ("a distinguished element is not symmetric" for M in fixed if M.transpose() != M)
-    rep.check("cube.dagger_fixes", "transpose fixes the adjacency, dual adjacency, and distance operators", N, asymmetric)
+    def asymmetric():
+        for M in [Ae().matrix(), Ase().matrix()] + [c.distance_op(i) for i in range(N + 1)]:
+            if M.transpose() != M:
+                yield "a distinguished element is not symmetric"
+    rep.check("cube.dagger_fixes", "transpose fixes the adjacency, dual adjacency, and distance operators", N, asymmetric())
 
     X = random_telem(alg, rng)
     Y = random_telem(alg, rng)
@@ -703,7 +705,7 @@ def suite_tensor(N, rng, basepoint, oracle_n_max) -> Report:
                 yield f"triple {(x, y, z)}"
     rep.check("tensor.profile_distances", "pair distances are the two-index sums of the profile", N, profile_distances())
 
-    budget = "N > 4 (concrete-tensor budget)" if N > 4 else None
+    budget = above(N, 4, "concrete-tensor budget")
 
     def orbit_sums():
         for p in profiles:
@@ -752,7 +754,7 @@ def suite_tensor(N, rng, basepoint, oracle_n_max) -> Report:
         "tensor.diagonal_sum_dual", "the diagonal spectral sum is 2^-N times the sum of all orbit sums", N, diagonal_sum(b, bstar), skip=budget
     )
 
-    oracle = f"N > {oracle_n_max} (oracle cap)" if N > oracle_n_max else None
+    oracle = above(N, oracle_n_max, "oracle cap")
 
     def tensor_oracle():
         for tag in (TILDE, STAR_TILDE):

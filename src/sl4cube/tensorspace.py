@@ -81,8 +81,20 @@ def b_vector(N, p) -> TripleTensor:
     return TripleTensor._of(N, dict.fromkeys(keys, 1))
 
 
+def group_order(N):
+    """|G| = N! 2^N, the order of the automorphism group of H(N, 2)."""
+    return factorial(N) * 2**N
+
+
+def fix_weight(N):
+    """The weight of the fixed-space form on profile coordinates, the square
+    norm of a dual basis vector: (r!s!t!u!)^2/|G|^2 * |G|/r!s!t!u!."""
+    order = group_order(N)
+    return lambda p: Fraction(_norm_sq(p), order)
+
+
 def b_support_size(N, p):
-    return Fraction(factorial(N) * 2**N, _norm_sq(Profile(*p)))
+    return Fraction(group_order(N), _norm_sq(Profile(*p)))
 
 
 def _compact(ints):
@@ -170,7 +182,7 @@ class FixVec(SparseVec):
 
     def lift(self) -> TripleTensor:
         """Concrete tensor represented by these coordinates: the sum of
-        c p!/(N! 2^N) times the orbit sum (tilde) or spectral sum (star_tilde)
+        c p!/|G| times the orbit sum (tilde) or spectral sum (star_tilde)
         at each profile p, accumulated in integers."""
         N, tag = self.space
         star = tag == STAR_TILDE
@@ -183,14 +195,12 @@ class FixVec(SparseVec):
                 keys, nums = _keys_by_profile(N)[p], repeat(1)
             for k, v in zip(keys, nums):
                 acc[k] = acc.get(k, 0) + m * v
-        den = self.den * factorial(N) * 2**N * (4**N if star else 1)
+        den = self.den * group_order(N) * (4**N if star else 1)
         return TripleTensor._of(N, {k: a for k, a in acc.items() if a}, den)
 
     def inner(self, other):
-        """Form value via the certified norms of the underlying orthogonal sums:
-        ||dual basis vector||^2 = (r!s!t!u!)^2/(N! 2^N)^2 * N! 2^N / r!s!t!u!."""
-        N = self.space[0]
-        return Fraction(SparseVec.inner(self, other, _norm_sq), factorial(N) * 2**N)
+        """Form value via the certified norms of the underlying orthogonal sums."""
+        return SparseVec.inner(self, other, fix_weight(self.space[0]))
 
 
 def act_abstract(k, kind, v: FixVec) -> FixVec:

@@ -315,6 +315,32 @@ def test_phi_central_raise_fails_its_check_and_keeps_the_job(monkeypatch):
     assert failed["cube.phi_central"] == "ArithmeticError: corrupted center"
 
 
+def test_dual_adjacency_raise_fails_its_checks_and_keeps_the_job(monkeypatch):
+    # A*, the algebra's A and A* and the matrices dagger_fixes reads are built
+    # inside the checks that read them, so a raise fails just those checks
+    job = ("cube", 2, (0, 2, 0))
+    clean = [c.id for c in cli._run_job(job)]
+    assert len(clean) == 22
+
+    def broken(self):
+        raise ArithmeticError("corrupted dual adjacency")
+
+    monkeypatch.setattr(cube.TAlgebra, "dual_adjacency_elem", broken)
+    checks = cli._run_job(job)
+    assert [c.id for c in checks] == clean
+    failed = {c.id: c.witness for c in checks if c.status == "fail"}
+    needs_dual = ("phi_central", "module_ops", "dagger_fixes", "wedderburn", "basepoint_independence")
+    assert failed == {f"cube.{name}": "ArithmeticError: corrupted dual adjacency" for name in needs_dual}
+    assert {c.id: c.status for c in checks}["cube.e_basis"] == "pass"
+
+
+@pytest.mark.parametrize("names", ["cube", "all"])
+def test_string_suites_is_rejected_naming_the_tuple(names):
+    with pytest.raises(ValueError, match=r"suites must be a tuple of names from \('all', 'sl4', 'poly'") as err:
+        SuiteConfig(suites=names).validate()
+    assert repr(names) in str(err.value)
+
+
 def test_env_overrides(monkeypatch, capsys):
     monkeypatch.setenv("SL4CUBE_N_MAX", "0")
     monkeypatch.setenv("SL4CUBE_SUITE", "sl4")

@@ -5,7 +5,7 @@ from math import factorial
 from sl4cube import correspond as co, polyspace as ps, specialfn, tensorspace as tsp
 from sl4cube.cube import TripleIndex, t_algebra, triple_of_profile
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
-from sl4cube.tensorspace import TILDE, FixVec
+from sl4cube.tensorspace import STAR_TILDE, TILDE, FixVec
 
 
 def test_ddag_rule():
@@ -13,7 +13,7 @@ def test_ddag_rule():
     img = co.ddag_scaled(PolyVec.unit(MONOMIAL, (N, 0, 0, 0)))
     # the image is N! times the diagonal orbit sum
     assert img.lift() == factorial(N) * tsp.b_vector(N, (N, 0, 0, 0))
-    img = co.ddag_scaled_starred(PolyVec.unit(STARRED, (N, 0, 0, 0)))
+    img = co.ddag_scaled(PolyVec.unit(STARRED, (N, 0, 0, 0)))
     assert img.lift() == factorial(N) * tsp.bstar_vector(N, (N, 0, 0, 0))
 
 
@@ -28,9 +28,41 @@ def test_ddag_form_scaling():
 def test_ddag_starred_consistency_triangle():
     N = 1
     e = PolyVec.unit(STARRED, (1, 0, 0, 0))
-    via_starred = co.ddag_scaled_starred(e).lift()
+    via_starred = co.ddag_scaled(e).lift()
     via_monomial = co.ddag_scaled(ps.convert_basis(e, MONOMIAL)).lift()
     assert via_starred == via_monomial == tsp.bstar_vector(1, (1, 0, 0, 0))
+
+
+def test_ddag_of_a_starred_unit_lifts_as_its_monomial_conversion():
+    # one ddag for both bases: a starred unit goes to the spectral sums
+    for N in range(4):
+        for p in ps.enumerate_profiles(N):
+            e = PolyVec.unit(STARRED, p)
+            assert co.ddag_scaled(e).tag == STAR_TILDE
+            assert co.ddag_scaled(e).lift() == co.ddag_scaled(ps.convert_basis(e, MONOMIAL)).lift()
+
+
+def add_scaled_eps(alg, v):
+    """The star_tilde rule of eps_scaled_fix as a Fraction sum of E-basis
+    elements, each weighted by its coordinate times p!/(N! 2^N)."""
+    N = v.N
+    ebas = alg.e_basis()
+    out = alg.zero()
+    for p, c in v.items():
+        out.add_scaled(c * p.norm_sq * Fraction(1, factorial(N) * 2**N), ebas[triple_of_profile(p)])
+    return out
+
+
+def test_eps_on_star_tilde_matches_the_add_scaled_route():
+    rng = random.Random(11)
+    for N in range(4):
+        for basepoint in (0, 2**N - 1):
+            alg = t_algebra(N, basepoint)
+            profiles = ps.enumerate_profiles(N)
+            for _ in range(3):
+                coeffs = {p: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for p in profiles if rng.random() < 0.7}
+                v = FixVec(N, STAR_TILDE, coeffs)
+                assert co.eps_scaled_fix(alg, v) == add_scaled_eps(alg, v)
 
 
 def test_eps_rules_small():
@@ -99,7 +131,7 @@ def test_sigma_s_diagram_explicit():
     lhs = co.theta_scaled(alg, ps.sigma(x))
     rhs = alg.s_antiautomorphism(co.theta_scaled(alg, x))
     assert lhs == rhs == alg.e_basis()[TripleIndex(0, 0, 0)]
-    assert co.sigma_S_diagram(2).passed
+    assert co.sigma_S_diagram(2, basepoint=0).passed
 
 
 def test_wedderburn_correspondence_level_one():
@@ -121,19 +153,19 @@ def test_wedderburn_correspondence_level_one():
             assert ratio is None or r == ratio
             ratio = r
     assert ratio is not None
-    assert co.wedderburn_correspondence(N).passed
+    assert co.wedderburn_correspondence(N, basepoint=0).passed
 
 
 def test_check_functions_pass_small():
     for N in (0, 1, 2):
-        assert co.check_ddag(N).passed
-        assert co.check_eps(N).passed
-        assert co.check_theta(N).passed
-        assert co.check_c1_phi(N).passed
+        assert co.check_ddag(N, oracle_cap=3).passed
+        assert co.check_eps(N, basepoint=0, oracle_cap=3).passed
+        assert co.check_theta(N, basepoint=0, oracle_cap=3).passed
+        assert co.check_c1_phi(N, basepoint=0).passed
 
 
 def test_second_basepoint():
-    assert co.check_theta(2, basepoint=3).passed
+    assert co.check_theta(2, basepoint=3, oracle_cap=3).passed
     assert co.wedderburn_correspondence(2, basepoint=3).passed
 
 
@@ -145,7 +177,7 @@ def test_cross_pairing():
     for p in ps.enumerate_profiles(N):
         for q in ps.enumerate_profiles(N):
             lhs = co.ddag_scaled(PolyVec.unit(MONOMIAL, p)).lift().inner(
-                co.ddag_scaled_starred(PolyVec.unit(STARRED, q)).lift()
+                co.ddag_scaled(PolyVec.unit(STARRED, q)).lift()
             )
             assert lhs == factorial(N) ** 2 * sf.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u))
 
@@ -169,7 +201,7 @@ def test_theta_form_witness_is_the_first_pair(monkeypatch):
     # every pair with a nonzero form value fails; the witness is the first
     # in profile-major order
     monkeypatch.setattr(co, "theta_scale_squared", lambda N: factorial(N) + 1)
-    failed = {c.id: c.witness for c in co.check_theta(2).failures}
+    failed = {c.id: c.witness for c in co.check_theta(2, basepoint=0, oracle_cap=3).failures}
     assert failed == {"correspond.theta.form": "monomial pair (0, 0, 0, 2),(0, 0, 0, 2)"}
 
 
@@ -181,9 +213,9 @@ def test_cross_form_witness_is_the_first_mismatching_pair(monkeypatch):
         return real(N, lam, mu) + ((tuple(lam), tuple(mu)) in corrupted)
 
     monkeypatch.setattr(specialfn, "calP_sum", off_by_one)
-    failed = {c.id: c.witness for c in co.check_ddag(2).failures}
+    failed = {c.id: c.witness for c in co.check_ddag(2, oracle_cap=3).failures}
     assert failed == {"correspond.ddag.cross_form": "cross pair (0, 0, 1, 1),(0, 1, 0, 1)"}
     # a second bad pair, first in column-major order, leaves the row-major witness
     corrupted.add(((0, 2, 0), (0, 0, 2)))
-    failed = {c.id: c.witness for c in co.check_ddag(2).failures}
+    failed = {c.id: c.witness for c in co.check_ddag(2, oracle_cap=3).failures}
     assert failed == {"correspond.ddag.cross_form": "cross pair (0, 0, 1, 1),(0, 1, 0, 1)"}

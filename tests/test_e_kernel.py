@@ -23,6 +23,7 @@ from sl4cube import cube as cube_module
 from sl4cube import specialfn, suites
 from sl4cube.correspond import theta_scaled
 from sl4cube.cube import Cube, TAlgebra, TElem, t_algebra, valid_triples
+from sl4cube.exact import clear_denominators
 from sl4cube.linalg import Mat
 from sl4cube.polyspace import STARRED, PolyVec, Profile, enumerate_profiles
 
@@ -188,8 +189,8 @@ def test_s_antiautomorphism_matches_swapped_e_sum(N, b):
 
 @pytest.mark.parametrize("N,b", OP_CASES)
 def test_cached_a_ops_match_the_e_basis_route(N, b):
-    # the cached matrices give what _e_combination of theta times e_coords(B) gives,
-    # down to the order of the stored cells
+    # the cached matrices give what the integer E-combination of theta times
+    # e_coords(B) gives, down to the order of the stored cells
     alg = t_algebra(N, b)
     rng = random.Random(50 * N + b)
     elems = [alg.zero()] + [random_telem(alg, rng) for _ in range(3)]
@@ -197,7 +198,9 @@ def test_cached_a_ops_match_the_e_basis_route(N, b):
         theta = {t: N - 2 * t[slot] for t in alg.triples}
         op = alg.module_op("A", k)
         for B in elems:
-            got, want = op(B), alg._e_combination({t: theta[t] * a for t, a in alg.e_coords(B).items()})
+            coeffs = {t: theta[t] * a for t, a in alg.e_coords(B).items()}
+            ints, den = clear_denominators(coeffs.values())
+            got, want = op(B), alg._e_int_combination(dict(zip(coeffs, ints)), den)
             assert got == want and list(got.nums.items()) == list(want.nums.items())
         with pytest.raises(ValueError, match="mixing TElem tags"):
             op(random_telem(TAlgebra(N, b), rng))
