@@ -5,15 +5,15 @@ factor.  We implement the rational rescaling instead and track the exact square
 of the suppressed factor, so every identity below is checked in exact
 arithmetic.  Monomials go to scaled orbit sums, fixed vectors to algebra
 elements, and the composite sends a monomial with exponent profile (r, s, t, u)
-to r!s!t!u! times the cell indicator with distance triple (t+u, u+s, s+t),
-outer indices reversed.
+to r!s!t!u! times the indicator of the cell whose transposed triple is
+(t+u, u+s, s+t).
 """
 
 import functools
 from fractions import Fraction
 
 from . import polyspace, specialfn, tensorspace
-from .cube import TAlgebra, TElem, TripleIndex, t_algebra, triple_of_profile
+from .cube import TAlgebra, TElem, t_algebra, triple_of_profile
 from .exact import factorial
 from .linalg import Mat, gram, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
@@ -48,19 +48,12 @@ def eps_scaled_concrete(alg: TAlgebra, t: TripleTensor) -> Mat:
     return Mat(M)
 
 
-def _reversed_cell(p):
-    """The cell whose indicator a profile's basis vector goes to: its distance
-    triple with the outer indices reversed."""
-    h, i, j = triple_of_profile(p)
-    return TripleIndex(h, j, i)
-
-
 def eps_scaled_fix(alg: TAlgebra, v: FixVec) -> TElem:
     """The same map on the fixed subspace, through its action on the two dual bases."""
     N, tag = v.space
     den = v.den * group_order(N)
     if tag == TILDE:
-        return TElem._of(alg, {_reversed_cell(p): c * _norm_sq(p) for p, c in v.nums.items()}, den)
+        return TElem._of(alg, {triple_of_profile(p).transposed(): c * _norm_sq(p) for p, c in v.nums.items()}, den)
     return alg._e_int_combination({triple_of_profile(p): c * _norm_sq(p) for p, c in v.nums.items()}, den)
 
 
@@ -70,17 +63,26 @@ def eps_scale_squared(N):
 
 
 def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
-    """Monomials to reversed cell indicators, starred monomials to the spectral
-    basis, both weighted by the profile factorials."""
+    """Monomials to the indicators of the transposed cells, starred monomials
+    to the spectral basis, both weighted by the profile factorials."""
     v.degree()
     if v.basis != MONOMIAL:
         return alg._e_int_combination({triple_of_profile(p): a * _norm_sq(p) for p, a in v.nums.items()}, v.den)
-    return TElem._of(alg, {_reversed_cell(p): c * _norm_sq(p) for p, c in v.nums.items()}, v.den)
+    return TElem._of(alg, {triple_of_profile(p).transposed(): c * _norm_sq(p) for p, c in v.nums.items()}, v.den)
 
 
 def theta_scale_squared(N):
     """The square of the factor theta suppresses: ddag's times eps's."""
     return factorial(N)
+
+
+def _gram_mismatches(profiles, got, want, scale_sq, label):
+    """The witness "<label> pair p,q" at each entry where the Gram matrix got
+    differs from scale_sq times want, both indexed by profiles."""
+    for p, got_row, want_row in zip(profiles, got, want):
+        for q, value, w in zip(profiles, got_row, want_row):
+            if value != scale_sq * w:
+                yield f"{label} pair {tuple(p)},{tuple(q)}"
 
 
 def check_ddag(N, oracle_cap) -> Report:
@@ -109,10 +111,7 @@ def check_ddag(N, oracle_cap) -> Report:
     def form(vectors, weight, name):
         vectors = vectors()
         got = gram([vectors[p].coeffs for p in profiles], weight=weight)
-        for p, got_row, want_row in zip(profiles, got, poly_gram()):
-            for q, value, want in zip(profiles, got_row, want_row):
-                if value != scale_sq * want:
-                    yield f"{name} pair {tuple(p)},{tuple(q)}"
+        yield from _gram_mismatches(profiles, got, poly_gram(), scale_sq, name)
     rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, fix_weight(N), "form"))
 
     def concrete():
@@ -184,10 +183,7 @@ def check_eps(N, basepoint, oracle_cap) -> Report:
         for tag, vecs in units.items():
             got = gram((eps_scaled_fix(alg, vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
             want = gram([vecs[p].coeffs for p in profiles], weight=fix_weight(N))
-            for p, got_row, want_row in zip(profiles, got, want):
-                for q, value, w in zip(profiles, got_row, want_row):
-                    if value != scale_sq * w:
-                        yield f"{tag} pair {tuple(p)},{tuple(q)}"
+            yield from _gram_mismatches(profiles, got, want, scale_sq, tag)
     rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, form())
 
     def bijective():
@@ -236,10 +232,7 @@ def check_theta(N, basepoint, oracle_cap) -> Report:
             got = gram((theta(vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
             # the Hermitian form, on each vector converted to the monomial basis once
             want = gram((polyspace.convert_basis(vecs[p], MONOMIAL).coeffs for p in profiles), weight=_norm_sq)
-            for p, got_row, want_row in zip(profiles, got, want):
-                for q, value, w in zip(profiles, got_row, want_row):
-                    if value != scale_sq * w:
-                        yield f"{tag} pair {tuple(p)},{tuple(q)}"
+            yield from _gram_mismatches(profiles, got, want, scale_sq, tag)
     rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, form())
 
     def injective():

@@ -31,6 +31,10 @@ class TripleIndex(NamedTuple):
     i: int
     j: int
 
+    def transposed(self):
+        """The cell of the pairs (y, x) for (x, y) in this one: i and j swapped."""
+        return TripleIndex(self.h, self.j, self.i)
+
 
 def valid_triples(N):
     """The distance triples realizable in the N-cube, in lexicographic order."""
@@ -48,18 +52,17 @@ def triple_of_profile(p):
     return TripleIndex(t + u, u + s, s + t)
 
 
-def _class_sizes(N, trip):
-    """The sizes of the coordinate classes of a cell's representative pair
-    (x, y) by their bits relative to the basepoint, the rule _make_rep builds
-    the pair by: set in neither, in x only, in both, in y only."""
-    h, i, j = trip
-    a = (i + j - h) // 2
-    return (N - i - j + a, i - a, a, j - a)
-
-
 def profile_of_triple(N, trip):
     h, i, j = trip
     return Profile((2 * N - h - i - j) // 2, (i + j - h) // 2, (j + h - i) // 2, (h + i - j) // 2)
+
+
+def cell_classes(N, trip):
+    """The sizes of the classes of the coordinates of a cell's pairs (x, y), by
+    their bits in x and y against the basepoint: set in neither, x only, both,
+    y only.  They are the cell's profile (r, s, t, u) read as (r, u, s, t)."""
+    r, s, t, u = profile_of_triple(N, trip)
+    return (r, u, s, t)
 
 
 N_CAP = 8  # standard-module work is dense in 2^N; guard against accidents
@@ -78,8 +81,8 @@ class Cube:
         # order, and each triple's position in that order
         self.triples = valid_triples(N)
         self.cell_slot = {t: n for n, t in enumerate(self.triples)}
-        # pairs per cell, the multinomial of its class sizes; cube.estar_basis counts them
-        self.cell_sizes = {t: factorial(N) // prod(map(factorial, _class_sizes(N, t))) for t in self.triples}
+        # pairs per cell, N!/p! for its profile p; cube.estar_basis counts them
+        self.cell_sizes = {t: factorial(N) // profile_of_triple(N, t).norm_sq for t in self.triples}
         self.cell_units = {t: {t: 1} for t in self.triples}  # each cell indicator's numerators
         self._K = None
         self.a_matrices = None  # filled by the first A-kind call of any algebra of this N
@@ -138,12 +141,12 @@ class Cube:
     def class_counts(self):
         """Per cell, in triple order, the vertices k at its representative pair
         (x, y) as triples (cell of (x, k), cell of (k, y), m), m the number of
-        such k: the bits f_c that k flips in each class of _class_sizes fix the
+        such k: the bits f_c that k flips in each class of cell_classes fix the
         three distances, and k stands for prod C(n_c, f_c) vertices."""
         cell = dict(zip(self.triples, self.triples))  # one key object per cell
         out = []
         for trip in self.triples:
-            sizes = _class_sizes(self.N, trip)
+            sizes = cell_classes(self.N, trip)
             _, i, j = trip
             counts = Counter()
             for f in product(*(range(n + 1) for n in sizes)):
@@ -169,8 +172,8 @@ class Cube:
 
         The row's entry at a cell is 4^N (E_i A*_h E_j)[x, y] at its
         representative pair, sum m K_i(d(x, k)) K_h(d(k, base)) K_j(d(k, y))
-        over its class counts.  (E_i A*_h E_j)^T = E_j A*_h E_i, so row
-        (h, j, i) with i > j is row (h, i, j) read at the transposed cells.
+        over its class counts.  (E_i A*_h E_j)^T = E_j A*_h E_i, so a row with
+        i > j is the transposed triple's row read at the transposed cells.
         """
         triples, K = self.triples, self.krawtchouk_values
         direct = {t: [] for t in triples if t.i <= t.j}
@@ -181,13 +184,12 @@ class Cube:
             right = [[Kj[ky[0]] for _, ky, _ in terms] for Kj in K]
             for (h, i, j), vals in direct.items():
                 vals.append(sum(map(mul, mid[h], map(mul, left[i], right[j]))))
-        flip = [self.cell_slot[(h, j, i)] for h, i, j in triples]
+        flip = [self.cell_slot[t.transposed()] for t in triples]
         sizes = [self.cell_sizes[t] for t in triples]
         den = 4**self.N
         out = {}
         for t in triples:
-            h, i, j = t
-            row = tuple(direct[t]) if i <= j else tuple(map(direct[(h, j, i)].__getitem__, flip))
+            row = tuple(direct[t]) if t.i <= t.j else tuple(map(direct[t.transposed()].__getitem__, flip))
             g = gcd(den, *row)
             coords = {s: a // g for s, a in zip(triples, row) if a}
             out[t] = (row, sum(map(mul, sizes, map(mul, row, row))), coords, den // g)
@@ -255,7 +257,6 @@ class TAlgebra:
         self.N = N
         self.basepoint = basepoint
         self.triples = self.cube.triples
-        self.cell_reps = {t: self._make_rep(t) for t in self.triples}
         self.cell_sizes = self.cube.cell_sizes  # equal for every basepoint
         # E_i = K_i / 2^N with K_i integral, so every E_i A*_h E_j coordinate
         # is an integer over this one denominator
@@ -273,14 +274,19 @@ class TAlgebra:
         pc, b = self.cube.pc, self.basepoint
         return TripleIndex(pc[x ^ y], pc[x ^ b], pc[y ^ b])
 
+    @cached_property
+    def cell_reps(self):
+        return {t: self._make_rep(t) for t in self.triples}
+
     def _make_rep(self, trip):
-        h, i, j = trip
-        a = (i + j - h) // 2
-        x_pat = (1 << i) - 1
-        y_pat = ((1 << a) - 1) | (((1 << (j - a)) - 1) << i)
-        x = x_pat ^ self.basepoint
-        y = y_pat ^ self.basepoint
-        assert self.cell_of(x, y) == trip
+        """The pair (x, y) of the cell whose bits against the basepoint are,
+        from the lowest: the class set in both, x only, then y only."""
+        _, x_only, both, y_only = cell_classes(self.N, trip)
+        ones = lambda n, shift=0: ((1 << n) - 1) << shift
+        x = ones(both + x_only) ^ self.basepoint
+        y = (ones(both) | ones(y_only, both + x_only)) ^ self.basepoint
+        if (got := self.cell_of(x, y)) != trip:
+            raise ArithmeticError(f"the representative pair of cell {tuple(trip)} lies in cell {tuple(got)}")
         return (x, y)
 
     # -- distinguished elements -----------------------------------------
@@ -542,9 +548,9 @@ class TAlgebra:
         return {gid: self.module_op(*gid) for gid in GENERATORS}
 
     def s_antiautomorphism(self, B):
-        """The basis-swapping antiautomorphism: cell indicator (h, i, j) goes to
-        the E-basis element (h, j, i)."""
-        return self._e_int_combination({TripleIndex(h, j, i): a for (h, i, j), a in B.nums.items()}, B.den)
+        """The basis-swapping antiautomorphism: the indicator of a cell goes to
+        the E-basis element of the transposed triple."""
+        return self._e_int_combination({t.transposed(): a for t, a in B.nums.items()}, B.den)
 
 @lru_cache(maxsize=None)
 def t_algebra(N, basepoint=0) -> TAlgebra:

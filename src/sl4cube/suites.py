@@ -42,10 +42,10 @@ def _second_basepoint_skip(N, basepoint, n_max):
 
 
 def random_telem(alg, rng):
-    out = alg.zero()
-    for b in alg.estar_basis().values():
-        out.add_scaled(rng.randint(-4, 4), b)
-    return out
+    """A random element, one rng.randint(-4, 4) per cell in triple order: drawn
+    now, and built by the function returned, inside the check that reads it."""
+    draws = [rng.randint(-4, 4) for _ in alg.triples]
+    return functools.cache(lambda: cube.TElem(alg, dict(zip(alg.triples, draws))))
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +541,8 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
                     yield f"grade {h} at vertex {x}"
     rep.check("cube.dual_distance_pointwise", "A*_h v equals the entrywise product of v with 2^N E_h(base)", N, dual_distance_pointwise())
 
-    estar = alg.estar_basis()
-
     def estar_basis():
+        estar = alg.estar_basis()
         for trip in alg.triples:
             h, i, j = trip
             dense = alg.dual_idempotent(i) @ c.distance_op(h) @ alg.dual_idempotent(j)
@@ -578,7 +577,7 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
 
     def closure():  # from_matrix raises on a matrix outside the algebra
         for trip in alg.triples:
-            alg.from_matrix(A() @ estar[trip].matrix())
+            alg.from_matrix(A() @ alg.estar_basis()[trip].matrix())
         yield from ()
     rep.check("cube.closure", "adjacency times any cell indicator is again constant on cells (algebra closure)", N, closure())
     dimension = unless(lambda: len(alg.triples) == binomial(N + 3, 3), f"{len(alg.triples)} valid triples")
@@ -607,10 +606,10 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     X, Y = (None, None) if dense_cap else (random_telem(alg, rng), random_telem(alg, rng))
 
     def product_oracle():
-        XM, YM = X.matrix(), Y.matrix()
-        if (X @ Y).matrix() != XM @ YM:
+        XM, YM = X().matrix(), Y().matrix()
+        if (X() @ Y()).matrix() != XM @ YM:
             yield "product of two random elements"
-        if X.inner(Y) != sum(a * b for ra, rb in zip(XM.rows, YM.rows) for a, b in zip(ra, rb)):
+        if X().inner(Y()) != sum(a * b for ra, rb in zip(XM.rows, YM.rows) for a, b in zip(ra, rb)):
             yield "inner product of two random elements"
     rep.check("cube.product_oracle", "coordinate products match dense matrix products on random elements", N, product_oracle(), skip=dense_cap)
 
@@ -635,15 +634,15 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     def module_ops():
         ops = alg.t_module_ops()
         forms = [
-            (("A", 2), Ae() @ B, "left multiplication form"),
-            (("A", 3), B @ Ae(), "right multiplication form"),
-            (("Astar", 2), B @ Ase(), "right dual multiplication form"),
-            (("Astar", 3), Ase() @ B, "left dual multiplication form"),
+            (("A", 2), Ae() @ B(), "left multiplication form"),
+            (("A", 3), B() @ Ae(), "right multiplication form"),
+            (("Astar", 2), B() @ Ase(), "right dual multiplication form"),
+            (("Astar", 3), Ase() @ B(), "left dual multiplication form"),
         ]
         for key, want, name in forms:
-            if ops[key](B) != want:
+            if ops[key](B()) != want:
                 yield name
-        for kind, basis, name in (("A", alg.e_basis(), "diagonal form"), ("Astar", estar, "dual diagonal form")):
+        for kind, basis, name in (("A", alg.e_basis(), "diagonal form"), ("Astar", alg.estar_basis(), "dual diagonal form")):
             for trip, elem in basis.items():
                 if ops[(kind, 1)](elem) != c.theta(trip.h) * elem:
                     yield f"{name} at {tuple(trip)}"
@@ -660,11 +659,11 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     S = alg.s_antiautomorphism
 
     def s_antiautomorphism():
-        if S(S(X)) != X:
+        if S(S(X())) != X():
             yield "S^2 != id on a random element"
-        if S(X @ Y) != S(Y) @ S(X):
+        if S(X() @ Y()) != S(Y()) @ S(X()):
             yield "S(XY) != S(Y) S(X) on random elements"
-        ebas = alg.e_basis()
+        estar, ebas = alg.estar_basis(), alg.e_basis()
         for trip in alg.triples:
             if S(estar[trip]) != ebas[cube.TripleIndex(trip.h, trip.j, trip.i)]:
                 yield f"S of the cell indicator {tuple(trip)}"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from sl4cube import correspond as co, polyspace as ps, specialfn, tensorspace as tsp
 from sl4cube.cube import TripleIndex, t_algebra, triple_of_profile
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
@@ -197,12 +199,29 @@ def test_crash_in_wedderburn_is_a_failing_check(monkeypatch):
     assert failed["correspond.wedderburn"].startswith("ArithmeticError: ")
 
 
-def test_theta_form_witness_is_the_first_pair(monkeypatch):
+@pytest.mark.parametrize(
+    "scale, run, want",
+    [
+        ("theta_scale_squared", co.check_theta, {"correspond.theta.form": "monomial pair (0, 0, 0, 2),(0, 0, 0, 2)"}),
+        (
+            "ddag_scale_squared",
+            lambda N, basepoint, oracle_cap: co.check_ddag(N, oracle_cap),
+            {
+                "correspond.ddag.form": "form pair (0, 0, 0, 2),(0, 0, 0, 2)",
+                "correspond.ddag.concrete_form": "concrete form pair (0, 0, 0, 2),(0, 0, 0, 2)",
+            },
+        ),
+        ("eps_scale_squared", co.check_eps, {"correspond.eps.form": f"{TILDE} pair (0, 0, 0, 2),(0, 0, 0, 2)"}),
+    ],
+    ids=["theta", "ddag", "eps"],
+)
+def test_form_witness_is_the_first_pair(monkeypatch, scale, run, want):
     # every pair with a nonzero form value fails; the witness is the first
     # in profile-major order
-    monkeypatch.setattr(co, "theta_scale_squared", lambda N: factorial(N) + 1)
-    failed = {c.id: c.witness for c in co.check_theta(2, basepoint=0, oracle_cap=3).failures}
-    assert failed == {"correspond.theta.form": "monomial pair (0, 0, 0, 2),(0, 0, 0, 2)"}
+    real = getattr(co, scale)
+    monkeypatch.setattr(co, scale, lambda N: real(N) + 1)
+    failed = {c.id: c.witness for c in run(2, basepoint=0, oracle_cap=3).failures}
+    assert failed == want
 
 
 def test_cross_form_witness_is_the_first_mismatching_pair(monkeypatch):

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from sl4cube import cube as cb
-from sl4cube.cube import TripleIndex, cube, profile_of_triple, t_algebra, triple_of_profile
+from sl4cube.cube import TripleIndex, cell_classes, cube, profile_of_triple, t_algebra, triple_of_profile
 from sl4cube.linalg import Mat
 
 
@@ -61,6 +61,22 @@ def test_triple_profile_bijection():
             p = profile_of_triple(N, trip)
             assert p.degree == N
             assert triple_of_profile(p) == trip
+
+
+@pytest.mark.parametrize("N", range(9))
+def test_cell_reps_have_the_classes_transpose_and_size_of_their_profile(N):
+    # the classes of each representative pair counted off its bits: set in
+    # neither, x only, both, y only against the basepoint
+    mask = 2**N - 1
+    for basepoint in (0, mask):
+        alg = t_algebra(N, basepoint)
+        for trip, (x, y) in alg.cell_reps.items():
+            xb, yb = x ^ basepoint, y ^ basepoint
+            classes = tuple(bin(m).count("1") for m in (~(xb | yb) & mask, xb & ~yb, xb & yb, yb & ~xb))
+            assert classes == cell_classes(N, trip)
+            assert alg.cell_of(x, y) == trip
+            assert alg.cell_of(y, x) == trip.transposed()
+            assert alg.cell_sizes[trip] == factorial(N) // prod(map(factorial, classes))
 
 
 def test_estar_basis_norms():

@@ -294,27 +294,71 @@ def test_corrupted_kernel_tables_fail_an_oracle(monkeypatch, corrupt, failing):
     assert cube_module.cube(2) is not fresh
 
 
-def _swapped(neither, x_only, both, y_only):
-    return (neither, y_only, both, y_only)  # the y-only size in the x-only slot
+def _swapped(r, s, t, u):
+    return Profile(r, s, t, t)  # the y-only size in the x-only slot
 
 
-def _merged(neither, x_only, both, y_only):
-    return (neither + y_only, x_only, both, 0)  # the y-only class counted as neither
+def _merged(r, s, t, u):
+    return Profile(r + t, s, 0, u)  # the y-only class counted as neither
 
 
 @pytest.mark.parametrize(
     "mutant, with_profile", [(_swapped, False), (_merged, True)], ids=["swapped_size", "merged_sizes_and_profile"]
 )
 def test_wrong_class_sizes_in_the_multinomial_fail_estar_basis(monkeypatch, mutant, with_profile):
-    # with the profile formula changed the same way, the norms still equal
-    # N!/(r!s!t!u!): only the pairs counted off the dense product differ
-    real = cube_module._class_sizes
-    sizes = lambda N, trip: mutant(*real(N, trip))
+    # a cell size is the multinomial N!/p! of its classes, the profile p; with
+    # the suite's profile formula changed the same way, the norms still equal
+    # N!/p!: only the pairs counted off the dense product differ
+    real = cube_module.profile_of_triple
+    wrong = lambda N, trip: mutant(*real(N, trip))
     with monkeypatch.context() as mp:
-        mp.setattr(cube_module, "_class_sizes", sizes)
-        fresh = Cube(2)  # only its multinomial cell sizes read the mutant
+        mp.setattr(cube_module, "profile_of_triple", wrong)
+        fresh = Cube(2)  # only its cell sizes read the mutant; the class counts are built later
     assert fresh.cell_sizes != cube_module.cube(2).cell_sizes
-    if with_profile:  # (r, s, t, u) = (neither, both, y only, x only)
-        monkeypatch.setattr(cube_module, "profile_of_triple", lambda N, t: Profile(*(sizes(N, t)[k] for k in (0, 2, 3, 1))))
+    if with_profile:
+        monkeypatch.setattr(cube_module, "profile_of_triple", wrong)
     check = _cube_suite_on(monkeypatch, fresh)["cube.estar_basis"]
     assert check.status == "fail" and check.witness.startswith("norm at ")
+
+
+REAL_CELL_CLASSES = cube_module.cell_classes
+
+
+def _swapped_classes(N, trip):
+    neither, x_only, both, y_only = REAL_CELL_CLASSES(N, trip)
+    return (neither, y_only, both, x_only)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize(
+    "target, name, mutant, reader",
+    [
+        (cube_module, "cell_classes", _swapped_classes, "cube.product_oracle"),
+        (cube_module.TripleIndex, "transposed", lambda self: self, "cube.s_antiautomorphism"),
+    ],
+    ids=["swapped_class_order", "identity_transpose"],
+)
+def test_a_wrong_cell_dictionary_fails_checks_with_witnesses(monkeypatch, N, target, name, mutant, reader):
+    monkeypatch.setattr(target, name, mutant)
+    checks = _cube_suite_on(monkeypatch, Cube(N))  # the suite runs to its end
+    failed = {i: c.witness for i, c in checks.items() if c.status == "fail"}
+    assert reader in failed and all(failed.values())
+
+
+def test_a_raising_estar_basis_fails_only_the_checks_that_read_it(monkeypatch):
+    def broken(self):
+        raise ArithmeticError("corrupted indicators")
+
+    monkeypatch.setattr(TAlgebra, "estar_basis", broken)
+    checks = _cube_suite_on(monkeypatch, Cube(2))
+    failed = {i: c.witness for i, c in checks.items() if c.status == "fail"}
+    assert len(checks) == 22
+    assert set(failed) == {
+        "cube.estar_basis",
+        "cube.closure",
+        "cube.wedderburn",
+        "cube.module_ops",
+        "cube.s_antiautomorphism",
+        "cube.basepoint_independence",
+    }
+    assert set(failed.values()) == {"ArithmeticError: corrupted indicators"}
