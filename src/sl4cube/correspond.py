@@ -48,9 +48,16 @@ def eps_scaled_concrete(alg: TAlgebra, t: TripleTensor) -> Mat:
     return Mat(M)
 
 
+def _require_degree(alg: TAlgebra, N):
+    """Raise ValueError unless degree N (None: the zero vector) maps into alg."""
+    if N not in (None, alg.N):
+        raise ValueError(f"a degree-{N} vector has no image in T at N = {alg.N}")
+
+
 def eps_scaled_fix(alg: TAlgebra, v: FixVec) -> TElem:
     """The same map on the fixed subspace, through its action on the two dual bases."""
     N, tag = v.space
+    _require_degree(alg, N if v.nums else None)
     den = v.den * group_order(N)
     if tag == TILDE:
         return TElem._of(alg, {triple_of_profile(p).transposed(): c * _norm_sq(p) for p, c in v.nums.items()}, den)
@@ -65,7 +72,7 @@ def eps_scale_squared(N):
 def theta_scaled(alg: TAlgebra, v: PolyVec) -> TElem:
     """Monomials to the indicators of the transposed cells, starred monomials
     to the spectral basis, both weighted by the profile factorials."""
-    v.degree()
+    _require_degree(alg, v.degree())  # raises if mixed
     if v.basis != MONOMIAL:
         return alg._e_int_combination({triple_of_profile(p): a * _norm_sq(p) for p, a in v.nums.items()}, v.den)
     return TElem._of(alg, {triple_of_profile(p).transposed(): c * _norm_sq(p) for p, c in v.nums.items()}, v.den)

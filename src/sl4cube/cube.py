@@ -20,9 +20,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .exact import binomial, clear_denominators
-from .linalg import Mat, independent_rows
+from .linalg import Mat, independent_rows, lagrange
 from .polyspace import Profile
-from .sl4core import GENERATORS
+from .sl4core import GENERATORS, casimir_form
 from .sparse import SparseVec
 
 
@@ -104,36 +104,25 @@ class Cube:
     def idempotent_numerators(self):
         """Integer matrices K_i with E_i = K_i / 2^N, via the Lagrange product.
 
-        Exactness of the rescaling is asserted entrywise.
+        Exactness of the rescaling is checked entrywise.
         """
         if self._K is not None:
             return self._K
         A = self.adjacency()
         eye = Mat.identity(self.size)
+        thetas = [self.theta(j) for j in range(self.N + 1)]
         Ks = []
         for i in range(self.N + 1):
-            M = eye
-            den = 1
-            for j in range(self.N + 1):
-                if j == i:
-                    continue
-                M = (A - eye.scale(self.theta(j))) @ M
-                den *= self.theta(i) - self.theta(j)
-            rows = []
-            for row in M.rows:
-                new = []
-                for e in row:
-                    q = Fraction(e * 2**self.N, den)
-                    if q.denominator != 1:
-                        raise ArithmeticError("idempotent numerator fails to be integral")
-                    new.append(int(q))
-                rows.append(new)
-            Ks.append(Mat(rows))
+            # the sparse factor A - theta I on the left keeps each product cheap
+            M, den = lagrange(lambda mu, X: (A - mu * eye) @ X, eye, thetas, i)
+            if any(e * self.size % den for e in M.flatten()):
+                raise ArithmeticError("idempotent numerator fails to be integral")
+            Ks.append(Mat([[e * self.size // den for e in row] for row in M.rows]))
         self._K = Ks
         return Ks
 
     def primitive_idempotent(self, i):
-        return self.idempotent_numerators()[i].scale(Fraction(1, 2**self.N))
+        return Fraction(1, 2**self.N) * self.idempotent_numerators()[i]
 
     # -- class counts: the per-N kernel of every sum over vertices ---------
 
@@ -289,6 +278,11 @@ class TAlgebra:
             raise ArithmeticError(f"the representative pair of cell {tuple(trip)} lies in cell {tuple(got)}")
         return (x, y)
 
+    def _require_own(self, B):
+        """The tag check of every map that reads B's cells: B is of this N and basepoint."""
+        if B.space is not self:
+            raise ValueError("mixing TElem tags; convert first")
+
     # -- distinguished elements -----------------------------------------
 
     def zero(self):
@@ -380,8 +374,7 @@ class TAlgebra:
         (sum over cells s of b_s |s| r_t[s]) * e_den / (D * norm(r_t)),
         one integer dot product per triple.
         """
-        if B.space is not self:
-            raise ValueError("mixing TElem tags; convert first")
+        self._require_own(B)
         slots = [self.cube.cell_slot[s] for s in B.nums]
         weights = [a * self.cell_sizes[s] for s, a in B.nums.items()]
         scale, den = self.e_den, B.den
@@ -443,11 +436,7 @@ class TAlgebra:
 
     def phi_central(self):
         """The central element (4 A^2 + 4 A*^2 - (A A* - A* A)^2) / 8."""
-        A = self.adjacency_elem()
-        As = self.dual_adjacency_elem()
-        comm = A @ As - As @ A
-        out = 4 * (A @ A) + 4 * (As @ As) - comm @ comm
-        return Fraction(1, 8) * out
+        return casimir_form(self.adjacency_elem().__matmul__, self.dual_adjacency_elem().__matmul__, self.identity())
 
     def phi_eigenvalues(self):
         return [Fraction((self.N - 2 * l) * (self.N - 2 * l + 2), 2) for l in range(self.N // 2 + 1)]
@@ -458,15 +447,9 @@ class TAlgebra:
         eigs = self.phi_eigenvalues()
         ident = self.identity()
         out = []
-        for l, lam in enumerate(eigs):
-            M = ident
-            den = Fraction(1)
-            for m, mu in enumerate(eigs):
-                if m == l:
-                    continue
-                M = M @ (phi - mu * ident)
-                den *= lam - mu
-            M = (1 / den) * M
+        for l in range(len(eigs)):
+            M, den = lagrange(lambda mu, X: X @ (phi - mu * ident), ident, eigs, l)
+            M = Fraction(1, den) * M
             if M.is_zero():
                 raise ArithmeticError(f"central idempotent {l} vanishes")
             out.append(M)
@@ -522,6 +505,7 @@ class TAlgebra:
             slot = {1: 0, 2: 2, 3: 1}[k]  # theta*_h, theta*_j, theta*_i
 
             def op(B):
+                self._require_own(B)
                 return TElem._of(self, {t: w * v for t, v in B.nums.items() if (w := N - 2 * t[slot])}, B.den)
 
             return op
@@ -530,8 +514,7 @@ class TAlgebra:
             size = len(self.triples)
 
             def op(B):
-                if B.space is not self:
-                    raise ValueError("mixing TElem tags; convert first")
+                self._require_own(B)
                 cols, L = self._a_matrices()[slot]
                 acc = [0] * size
                 for s, b in B.nums.items():
@@ -550,6 +533,7 @@ class TAlgebra:
     def s_antiautomorphism(self, B):
         """The basis-swapping antiautomorphism: the indicator of a cell goes to
         the E-basis element of the transposed triple."""
+        self._require_own(B)
         return self._e_int_combination({t.transposed(): a for t, a in B.nums.items()}, B.den)
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,8 @@ elimination on rows cleared to integers (``independent_rows``) serves rank,
 kernel dimension and span comparison alike.  Multiplication skips
 zero entries of the left factor, which makes products with sparse operators
 (adjacency maps, idempotent numerators) cheap.  ``gram`` takes every pairwise
-form value of two lists of sparse rows in integers.
+form value of two lists of sparse rows in integers.  ``horner`` and
+``lagrange`` take polynomials in an operator on any carrier with +, - and c * v.
 """
 
 from fractions import Fraction
@@ -56,7 +57,7 @@ class Mat:
     def __sub__(self, other):
         return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
-    def scale(self, c):
+    def __rmul__(self, c):
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
@@ -95,6 +96,28 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows!r})"
+
+
+def horner(coeffs, apply, v):
+    """p(X) v for the polynomial p with dense coefficients coeffs, low degree
+    first, and the operator X given as the function apply, by Horner's rule."""
+    res = coeffs[-1] * v
+    for c in reversed(coeffs[:-1]):
+        res = apply(res) + c * v
+    return res
+
+
+def lagrange(shifted, v, eigs, l):
+    """The numerator and denominator of the Lagrange idempotent of eigs[l]
+    at v: the product over m != l, in increasing m, of shifted(eigs[m], .),
+    which is (X - eigs[m]) for the operator X, applied to v, and the product
+    of the eigs[l] - eigs[m].  One eigenvalue gives (v, 1)."""
+    den = 1
+    for m, mu in enumerate(eigs):
+        if m != l:
+            v = shifted(mu, v)
+            den *= eigs[l] - mu
+    return v, den
 
 
 def _cleared(rows):

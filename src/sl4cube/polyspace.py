@@ -13,7 +13,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .exact import binomial, factorial
-from .linalg import Mat, kernel_dim, rank
+from .linalg import Mat, horner, kernel_dim, rank
 from . import sl4core
 from .sl4core import GeneratorId
 from .sparse import SparseVec, require_rational
@@ -54,7 +54,6 @@ def enumerate_profiles(N):
         for s in range(N + 1 - r):
             for t in range(N + 1 - r - s):
                 out.append(Profile(r, s, t, N - r - s - t))
-    assert len(out) == binomial(N + 3, 3)
     return out
 
 
@@ -325,16 +324,8 @@ def apply_C_via_generators(i, v: PolyVec, swapped=False) -> PolyVec:
     For index i the pair (X, Y) is (A_j, A*_k) with (j, k) the complementary
     pair of i, or (A*_j, A_k) when ``swapped``.
     """
-    j, k = complementary_pair(i)
-    if not swapped:
-        gx, gy = GeneratorId("A", j), GeneratorId("Astar", k)
-    else:
-        gx, gy = GeneratorId("Astar", j), GeneratorId("A", k)
-    X = lambda w: act_generator(gx, w)
-    Y = lambda w: act_generator(gy, w)
-    comm = lambda w: X(Y(w)) - Y(X(w))
-    out = 4 * X(X(v)) + 4 * Y(Y(v)) - comm(comm(v))
-    return Fraction(1, 8) * out
+    gx, gy = map(GeneratorId, ("Astar", "A") if swapped else ("A", "Astar"), complementary_pair(i))
+    return sl4core.casimir_form(lambda w: act_generator(gx, w), lambda w: act_generator(gy, w), v)
 
 
 def hermitian(v: PolyVec, w: PolyVec):
@@ -347,15 +338,6 @@ def hermitian(v: PolyVec, w: PolyVec):
     mv = convert_basis(v, MONOMIAL)
     mw = mv if w is v else convert_basis(w, MONOMIAL)
     return SparseVec.inner(mv, mw, _norm_sq)
-
-
-def apply_op_poly(coeffs, apply_op, v: PolyVec) -> PolyVec:
-    """Evaluate a polynomial (dense coefficient list, low degree first) at an
-    operator and apply it to v, by Horner's rule."""
-    res = coeffs[-1] * v
-    for c in reversed(coeffs[:-1]):
-        res = apply_op(res) + c * v
-    return res
 
 
 def kernel_L_basis(i, N):
@@ -373,9 +355,9 @@ def kernel_L_basis(i, N):
     seed = PolyVec.unit(MONOMIAL, (N, 0, 0, 0))
     basis = {}
     for j in range(N + 1):
-        wj = apply_op_poly(fam.coeffs[j], lambda x: act_generator(ga, x), seed)
+        wj = horner(fam.coeffs[j], lambda x: act_generator(ga, x), seed)
         for k in range(N + 1):
-            basis[(j, k)] = apply_op_poly(fam.coeffs[k], lambda x: act_generator(gb, x), wj)
+            basis[(j, k)] = horner(fam.coeffs[k], lambda x: act_generator(gb, x), wj)
     return basis
 
 
@@ -500,7 +482,7 @@ def eigenspace_dims(i, which, N):
     eye = Mat.identity(op.nrows)
     for n in range(N + 1):
         lam = N - 2 * n
-        dims[lam] = kernel_dim((op - eye.scale(lam)).rows)
+        dims[lam] = kernel_dim((op - lam * eye).rows)
     return dims
 
 

@@ -15,7 +15,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .exact import factorial, pochhammer
-from .linalg import gram
+from .linalg import gram, horner
 from . import polyspace
 from .polyspace import MONOMIAL, STARRED, PolyVec, Profile
 from .report import Report, above
@@ -238,7 +238,7 @@ class KrawtchoukFamily(NamedTuple):
     coeffs: list  # coeffs[n] = dense coefficient list of f_n, low degree first
 
     def evaluate(self, n, x):
-        return sum(c * x**k for k, c in enumerate(self.coeffs[n]))
+        return horner(self.coeffs[n], lambda y: x * y, 1)
 
 
 def krawtchouk(N) -> KrawtchoukFamily:
@@ -300,6 +300,4 @@ def krawtchouk_vector(N, n, gid) -> PolyVec:
     fam = krawtchouk(N)
     basis = MONOMIAL if gid.kind == "A" else STARRED
     seed = PolyVec.unit(basis, (N, 0, 0, 0))
-    return polyspace.apply_op_poly(
-        fam.coeffs[n], lambda v: polyspace.act_generator(gid, v), seed
-    )
+    return horner(fam.coeffs[n], lambda v: polyspace.act_generator(gid, v), seed)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import correspond, cube, polyspace, specialfn, tensorspace
 from . import sl4core
 from .exact import binomial, factorial
-from .linalg import Mat, gram, rank
+from .linalg import Mat, gram, horner, rank
 from .polyspace import MONOMIAL, STARRED, PolyVec
 from .report import Report, above, unless
 from .sl4core import GENERATORS, GeneratorId
@@ -321,7 +321,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
         for i in (1, 2, 3):
             gid = GeneratorId("A", i)
             for p in profiles:
-                if not polyspace.apply_op_poly(fam.coeffs[N + 1], lambda w: act(gid, w), unit(MONOMIAL, p)).is_zero():
+                if not horner(fam.coeffs[N + 1], lambda w: act(gid, w), unit(MONOMIAL, p)).is_zero():
                     yield f"f_{N+1}(A_{i}) on {tuple(p)}"
     rep.check("poly.krawtchouk_annihilation", "the top Krawtchouk polynomial annihilates the degree-N slice", N, krawtchouk_annihilation())
 
@@ -418,7 +418,7 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
 
     def operator_recurrence():
         act = lambda w: polyspace.act_generator(GeneratorId("A", 1), w)
-        vecs = [polyspace.apply_op_poly(fam().coeffs[n], act, PolyVec.unit(MONOMIAL, (N, 0, 0, 0))) for n in range(N + 2)]
+        vecs = [horner(fam().coeffs[n], act, PolyVec.unit(MONOMIAL, (N, 0, 0, 0))) for n in range(N + 2)]
         for n in range(N + 1):
             rhs = (n * vecs[n - 1] if n else PolyVec.zero(MONOMIAL)) + (N - n) * vecs[n + 1]
             if n == N:
@@ -452,13 +452,13 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     twoN = 2**N
 
     A = functools.cache(c.adjacency)
-    br = lambda X, Y: X @ Y - Y @ X
+    br = sl4core.bracket
 
     def presentation():
         Astar = alg.dual_adjacency()
-        if br(A(), br(A(), Astar)) != Astar.scale(4):
+        if br(A(), br(A(), Astar)) != 4 * Astar:
             yield "[A, [A, A*]] != 4 A*"
-        if br(Astar, br(Astar, A())) != A().scale(4):
+        if br(Astar, br(Astar, A())) != 4 * A():
             yield "[A*, [A*, A]] != 4 A"
     rep.check("cube.presentation", "[A, [A, A*]] = 4 A* and [A*, [A*, A]] = 4 A on the standard module", N, presentation())
 
@@ -468,19 +468,19 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
         recon = Mat.zeros(size, size)
         for i, K in enumerate(Ks):
             total = total + K
-            recon = recon + K.scale(c.theta(i))
-            if A() @ K != K.scale(c.theta(i)):
+            recon = recon + c.theta(i) * K
+            if A() @ K != c.theta(i) * K:
                 yield f"eigenvector property of E_{i}"
             if K.transpose() != K:
                 yield f"symmetry of E_{i}"
-        if total != eye.scale(twoN):
+        if total != twoN * eye:
             yield "sum of idempotents"
-        if recon != A().scale(twoN):
+        if recon != twoN * A():
             yield "spectral reconstruction of A"
         # pairwise products: dense matrices up to N=4, cell coordinates past that
         # (their agreement is itself certified at small N by cube.product_oracle)
         if N <= 4:
-            Es, scaled, zero = Ks, [K.scale(twoN) for K in Ks], Mat.zeros(size, size)
+            Es, scaled, zero = Ks, [twoN * K for K in Ks], Mat.zeros(size, size)
         else:
             Es = [alg.idempotent_elem_raw(i) for i in range(N + 1)]
             scaled, zero = [twoN * E for E in Es], alg.zero()
@@ -499,10 +499,7 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     def distance_vs_krawtchouk():
         fam = specialfn.krawtchouk(N)
         for i in range(N + 1):
-            acc = eye.scale(fam.coeffs[i][-1])
-            for coef in reversed(fam.coeffs[i][:-1]):
-                acc = A() @ acc + eye.scale(coef)
-            if acc.scale(binomial(N, i)) != c.distance_op(i):
+            if binomial(N, i) * horner(fam.coeffs[i], lambda M: A() @ M, eye) != c.distance_op(i):
                 yield f"distance operator {i}"
     rep.check("cube.distance_vs_krawtchouk", "A_i = C(N, i) f_i(A)", N, distance_vs_krawtchouk())
 

@@ -10,6 +10,7 @@ from collections import Counter, defaultdict
 
 from sl4cube import cli, specialfn, suites
 from sl4cube.cli import SuiteConfig
+from sl4cube.linalg import horner
 
 
 def announce(num, name, ok):
@@ -102,7 +103,7 @@ def test_criterion_4_decomposition():
                     ok = False
             gid = GeneratorId("A", i)
             for p in polyspace.enumerate_profiles(N):
-                img = polyspace.apply_op_poly(
+                img = horner(
                     fam.coeffs[N + 1],
                     lambda w: polyspace.act_generator(gid, w),
                     polyspace.PolyVec.unit(polyspace.MONOMIAL, p),

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import hashlib
 import io
@@ -426,3 +427,15 @@ def test_negative_control_cli(monkeypatch):
     assert status == cli.VERIFY_FAILURE
     assert report.failures
     assert all(c.witness for c in report.failures)
+
+
+def test_no_assert_in_the_package():
+    # python -O strips asserts, and the -O report must equal the default one
+    src = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

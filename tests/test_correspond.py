@@ -96,6 +96,19 @@ def test_theta_rules_small():
     assert theta_ys == alg.e_basis()[TripleIndex(0, 1, 1)]
 
 
+@pytest.mark.parametrize("degree", [2, 4])
+def test_maps_into_t_refuse_another_degree(degree):
+    alg = t_algebra(3, 0)
+    for basis in (MONOMIAL, STARRED):
+        with pytest.raises(ValueError, match=f"degree-{degree} vector"):
+            co.theta_scaled(alg, PolyVec.unit(basis, (degree, 0, 0, 0)))
+        assert co.theta_scaled(alg, PolyVec.zero(basis)) == alg.zero()
+    for tag in (TILDE, STAR_TILDE):
+        with pytest.raises(ValueError, match=f"degree-{degree} vector"):
+            co.eps_scaled_fix(alg, FixVec.unit(degree, tag, (degree, 0, 0, 0)))
+        assert co.eps_scaled_fix(alg, FixVec(degree, tag)) == alg.zero()
+
+
 def test_scale_squared_bookkeeping():
     N = 3
     assert co.ddag_scale_squared(N) == factorial(N) * 2**N

@@ -17,7 +17,7 @@ def test_adjacency_small():
 
 def test_idempotent_small():
     c = cube(1)
-    assert c.primitive_idempotent(0) == (c.adjacency() + Mat.identity(2)).scale(Fraction(1, 2))
+    assert c.primitive_idempotent(0) == Fraction(1, 2) * (c.adjacency() + Mat.identity(2))
     assert cube(3).idempotent_numerators()[1].rank() == comb(3, 1)
 
 
@@ -28,7 +28,7 @@ def test_distance_ops():
     assert total == Mat([[1] * 4 for _ in range(4)])
     # distance-2 operator through the Krawtchouk identity: A^2/2 - I
     A = c.adjacency()
-    assert c.distance_op(2) == (A @ A).scale(Fraction(1, 2)) - Mat.identity(4)
+    assert c.distance_op(2) == Fraction(1, 2) * (A @ A) - Mat.identity(4)
 
 
 def test_dual_objects():
@@ -163,6 +163,18 @@ def test_s_map():
     S = alg.s_antiautomorphism
     assert S(S(x)) == x
     assert S(x @ y) == S(y) @ S(x)
+
+
+@pytest.mark.parametrize("other", [(2, 0), (3, 1)], ids=["another_N", "another_basepoint"])
+def test_maps_of_t_refuse_an_element_of_another_algebra(other):
+    alg = t_algebra(3, 0)
+    foreign = t_algebra(*other).identity()
+    maps = [*alg.t_module_ops().values(), alg.s_antiautomorphism, alg.e_coords]
+    for f in maps:
+        with pytest.raises(ValueError, match="mixing TElem tags"):
+            f(foreign)
+    for f in maps[:-1]:  # the same maps accept the algebra's own element
+        assert f(alg.identity()).space is alg
 
 
 def test_intersection_identity():

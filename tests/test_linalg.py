@@ -11,7 +11,7 @@ def test_mat_basics():
     assert a + b == Mat([[1, 3], [4, 4]])
     assert a - b == Mat([[1, 1], [2, 4]])
     assert a @ b == Mat([[2, 1], [4, 3]])
-    assert a.scale(Fraction(1, 2)) == Mat([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
+    assert Fraction(1, 2) * a == Mat([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
     assert a.transpose() == Mat([[1, 3], [2, 4]])
     assert a.trace() == 5
     assert Mat.identity(2) @ a == a

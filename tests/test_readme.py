@@ -39,8 +39,8 @@ def test_quick_tour_states_its_results():
     assert act == PolyVec(MONOMIAL, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
     assert form_note.startswith("1,")
     assert form == 1 and type(form) is int
-    assert ideal_note == "ideals of dims 16 and 4"
-    assert [len(ideal) for _, _, ideal in ideals] == [16, 4]
+    assert ideal_note == "ideals of dims 9 and 1"
+    assert [len(ideal) for _, _, ideal in ideals] == [9, 1]
     assert "(0, 1, 1)" in theta_note
     assert image == ns["alg"].estar_basis()[(0, 1, 1)]
 

@@ -28,8 +28,8 @@ def test_bracket_properties():
     assert bracket(eye, m).is_zero()
     x = generator(GeneratorId("A", 1))
     y = generator(GeneratorId("Astar", 2))
-    assert bracket(x, y) == bracket(y, x).scale(-1)
-    assert bracket(x, bracket(x, y)) == y.scale(4)
+    assert bracket(x, y) == -1 * bracket(y, x)
+    assert bracket(x, bracket(x, y)) == 4 * y
 
 
 def test_presentation_all_pass():
