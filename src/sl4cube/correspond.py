@@ -15,11 +15,12 @@ from fractions import Fraction
 from . import polyspace, specialfn, tensorspace
 from .cube import TAlgebra, TElem, t_algebra, triple_of_profile
 from .exact import factorial
-from .linalg import Mat, gram, rank, spans_match
+from .linalg import Mat, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
 from .report import Report, above
 from .sl4core import GENERATORS
-from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor, fix_weight, group_order
+from .sparse import gram
+from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor, group_order
 
 
 def ddag_scaled(v: PolyVec) -> FixVec:
@@ -112,14 +113,13 @@ def check_ddag(N, oracle_cap) -> Report:
     units = {p: unit(MONOMIAL, p) for p in profiles}
     images = functools.cache(lambda: {p: ddag_scaled(v) for p, v in units.items()})
     lifted = functools.cache(lambda: {p: v.lift() for p, v in images().items()})
-    # the Hermitian form of the monomial units, whose own basis is the monomial one
-    poly_gram = functools.cache(lambda: gram([units[p].coeffs for p in profiles], weight=_norm_sq))
+    poly_gram = functools.cache(lambda: gram(units[p] for p in profiles))
 
-    def form(vectors, weight, name):
+    def form(vectors, name):
         vectors = vectors()
-        got = gram([vectors[p].coeffs for p in profiles], weight=weight)
+        got = gram(vectors[p] for p in profiles)
         yield from _gram_mismatches(profiles, got, poly_gram(), scale_sq, name)
-    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, fix_weight(N), "form"))
+    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, "form"))
 
     def concrete():
         for gid in GENERATORS:
@@ -128,7 +128,7 @@ def check_ddag(N, oracle_cap) -> Report:
                 if lhs != ddag_scaled(polyspace.act_generator(gid, units[p])).lift():
                     yield f"{gid} on unit {tuple(p)}"
     rep.check("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, concrete(), skip=oracle)
-    rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, None, "concrete form"), skip=oracle)
+    rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, "concrete form"), skip=oracle)
 
     def consistency():
         for p in profiles:
@@ -140,8 +140,8 @@ def check_ddag(N, oracle_cap) -> Report:
     )
 
     def cross_form():
-        starred = (ddag_scaled(unit(STARRED, q)).lift().coeffs for q in profiles)
-        got = gram([lifted()[p].coeffs for p in profiles], starred)
+        starred = (ddag_scaled(unit(STARRED, q)).lift() for q in profiles)
+        got = gram((lifted()[p] for p in profiles), starred)
         for p, row in zip(profiles, got):
             for q, value in zip(profiles, row):
                 if value != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
@@ -188,8 +188,8 @@ def check_eps(N, basepoint, oracle_cap) -> Report:
 
     def form():
         for tag, vecs in units.items():
-            got = gram((eps_scaled_fix(alg, vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
-            want = gram([vecs[p].coeffs for p in profiles], weight=fix_weight(N))
+            got = gram(eps_scaled_fix(alg, vecs[p]) for p in profiles)
+            want = gram(vecs[p] for p in profiles)
             yield from _gram_mismatches(profiles, got, want, scale_sq, tag)
     rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, form())
 
@@ -236,9 +236,8 @@ def check_theta(N, basepoint, oracle_cap) -> Report:
 
     def form():
         for tag, vecs in units.items():
-            got = gram((theta(vecs[p]).coeffs for p in profiles), weight=alg.cell_sizes.__getitem__)
-            # the Hermitian form, on each vector converted to the monomial basis once
-            want = gram((polyspace.convert_basis(vecs[p], MONOMIAL).coeffs for p in profiles), weight=_norm_sq)
+            got = gram(theta(vecs[p]) for p in profiles)
+            want = gram(vecs[p] for p in profiles)  # each converted to the monomial basis once
             yield from _gram_mismatches(profiles, got, want, scale_sq, tag)
     rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, form())
 

@@ -200,6 +200,8 @@ class TElem(SparseVec):
     __slots__ = ()
 
     def __init__(self, alg, coords):
+        if bad := [k for k in coords if k not in alg.cube.cell_slot]:
+            raise ValueError(f"{tuple(bad[0])} is not a cell of T at N = {alg.N}")
         self._set_values(alg, {TripleIndex(*k): v for k, v in coords.items() if v})
 
     def __matmul__(self, other):
@@ -226,9 +228,9 @@ class TElem(SparseVec):
         n = alg.cube.size
         return Mat([[coords.get((pc[x ^ y], d[x], d[y]), 0) for y in range(n)] for x in range(n)])
 
-    def inner(self, other):
+    def _form(self):
         """Entrywise form; the cell indicator basis is orthogonal with norms the cell sizes."""
-        return SparseVec.inner(self, other, self.space.cell_sizes.__getitem__)
+        return self, self.space.cell_sizes.__getitem__
 
     def coord_vector(self):
         """Coordinates against the cell indicator basis, in lexicographic triple order."""

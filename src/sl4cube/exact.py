@@ -4,10 +4,18 @@ All scalars in this package are Python ints or ``fractions.Fraction``; there is
 no floating point anywhere.  ``Fraction`` is arbitrary precision and always
 reduced with positive denominator, which is exactly the Rational contract the
 rest of the package relies on.  ``factorial`` is ``math.factorial``, which
-raises ``ValueError`` on a negative argument.
+raises ``ValueError`` on a negative argument.  ``require_rational`` guards scaling.
 """
 
+from fractions import Fraction
 from math import comb, factorial, lcm  # factorial is part of this module's API
+
+
+def require_rational(c):
+    """Raise TypeError unless c is an int or a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        # every form here is bilinear, which is valid for rational scalars only
+        raise TypeError(f"scalars must be rational, got {type(c).__name__}")
 
 
 def binomial(n, k):

@@ -5,15 +5,13 @@ this package are modest (at most a few hundred rows), so one fraction-free
 elimination on rows cleared to integers (``independent_rows``) serves rank,
 kernel dimension and span comparison alike.  Multiplication skips
 zero entries of the left factor, which makes products with sparse operators
-(adjacency maps, idempotent numerators) cheap.  ``gram`` takes every pairwise
-form value of two lists of sparse rows in integers.  ``horner`` and
+(adjacency maps, idempotent numerators) cheap.  ``horner`` and
 ``lagrange`` take polynomials in an operator on any carrier with +, - and c * v.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .exact import clear_denominators
+from .exact import clear_denominators, require_rational
 
 
 class Mat:
@@ -58,6 +56,7 @@ class Mat:
         return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __rmul__(self, c):
+        require_rational(c)
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
@@ -118,50 +117,6 @@ def lagrange(shifted, v, eigs, l):
             v = shifted(mu, v)
             den *= eigs[l] - mu
     return v, den
-
-
-def _cleared(rows):
-    """(keys, integer values, denominator) of each sparse row, read once."""
-    return [(list(row), *clear_denominators(row.values())) for row in rows]
-
-
-def gram(left, right=None, weight=None):
-    """The exact matrix G[a][b] = sum over keys k of left[a][k] * right[b][k] * weight(k).
-
-    Rows are dicts from keys to int or Fraction values, and each list of rows
-    is read once, so it may be a generator; ``right`` None means ``left`` and
-    ``weight`` None means 1.  Each row is cleared to integers by its own
-    denominator and the weights by theirs (``clear_denominators``), so every
-    dot product is a sum of integer products, and each cell is one Fraction
-    over the product of the three denominators.  The right rows are indexed by
-    key, so a left row meets only the right rows it shares a key with.
-    """
-    lrows = _cleared(left)
-    rrows = lrows if right is None else _cleared(right)
-    by_key = {}  # key -> ([right row index], [integer value times the weight numerator])
-    for b, (keys, ints, _) in enumerate(rrows):
-        for k, v in zip(keys, ints):
-            hit = by_key.get(k)
-            if hit is None:
-                by_key[k] = hit = ([], [])
-            hit[0].append(b)
-            hit[1].append(v)
-    wden = 1
-    if weight is not None:
-        ws, wden = clear_denominators(weight(k) for k in by_key)
-        for (_, values), w in zip(by_key.values(), ws):
-            values[:] = [v * w for v in values]
-    rdens = [den * wden for _, _, den in rrows]
-    out = []
-    for keys, ints, den in lrows:
-        acc = [0] * len(rrows)
-        for k, v in zip(keys, ints):
-            hit = by_key.get(k)
-            if hit:
-                for b, x in zip(*hit):
-                    acc[b] += v * x
-        out.append([Fraction(a, den * d) for a, d in zip(acc, rdens)])
-    return out
 
 
 def independent_rows(rows):

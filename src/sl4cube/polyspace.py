@@ -12,11 +12,11 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
-from .exact import binomial, factorial
+from .exact import binomial, factorial, require_rational
 from .linalg import Mat, horner, kernel_dim, rank
 from . import sl4core
 from .sl4core import GeneratorId
-from .sparse import SparseVec, require_rational
+from .sparse import SparseVec
 
 MONOMIAL = "monomial"
 STARRED = "starred"
@@ -96,8 +96,10 @@ class PolyVec(SparseVec):
             raise ValueError("vector is not homogeneous")
         return degs.pop()
 
-    def inner(self, other):
-        return hermitian(self, other)
+    def _form(self):
+        """The Hermitian form, read in the monomial basis: each basis is orthogonal
+        with square norms r!s!t!u!, and on rational coefficients it is bilinear."""
+        return convert_basis(self, MONOMIAL), _norm_sq
 
 
 def _shift(p, dr, ds, dt, du):
@@ -329,15 +331,8 @@ def apply_C_via_generators(i, v: PolyVec, swapped=False) -> PolyVec:
 
 
 def hermitian(v: PolyVec, w: PolyVec):
-    """The form making each basis orthogonal with square norms r!s!t!u!.
-
-    Both arguments are converted to the monomial basis, w only when it is
-    not v itself; coefficients here are always rational, so the form reduces
-    to a bilinear sum.
-    """
-    mv = convert_basis(v, MONOMIAL)
-    mw = mv if w is v else convert_basis(w, MONOMIAL)
-    return SparseVec.inner(mv, mw, _norm_sq)
+    """The Hermitian form of P_N (``PolyVec._form``), in either basis."""
+    return v.inner(w)
 
 
 def kernel_L_basis(i, N):

@@ -36,6 +36,12 @@ def unless(holds, witness):
         yield witness
 
 
+def completes(fn):
+    """The failures of a check that certifies by raising: none, once fn() returns."""
+    fn()
+    yield from ()
+
+
 def above(N, bound, name):
     """The skip reason "N > bound (name)" when N exceeds the named bound, else None."""
     return f"N > {bound} ({name})" if N > bound else None

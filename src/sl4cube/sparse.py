@@ -6,7 +6,8 @@ Polynomials are keyed by exponent profile and tagged by their basis,
 fixed-space vectors by profile and tagged (N, coordinate tag), algebra
 elements by cell and tagged by their algebra, triple tensors by packed vertex
 triple and tagged by N.  Arithmetic refuses to mix tags, except that zero
-equals zero whatever its tag.
+equals zero whatever its tag.  Each space states its invariant form once, in
+its class's ``_form``, which ``inner`` and ``gram`` read.
 
 Every vector is kept in lowest terms: each stored numerator is a nonzero int,
 ``den > 0`` and ``gcd(den, *nums.values()) == 1``, so the zero vector has
@@ -17,14 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .exact import clear_denominators
-
-
-def require_rational(c):
-    """Raise TypeError unless c is an int or a Fraction."""
-    if not isinstance(c, (int, Fraction)):
-        # every form here is bilinear, which is valid for rational scalars only
-        raise TypeError(f"scalars must be rational, got {type(c).__name__}")
+from .exact import clear_denominators, require_rational
 
 
 def _lowest(nums, den):
@@ -45,6 +39,10 @@ class SparseVec:
     """
 
     __slots__ = ("space", "nums", "den")
+
+    def __init__(self, space, coeffs=None):
+        """The vector with tag space and the rational values coeffs; zeros are dropped."""
+        self._set_values(space, {k: v for k, v in (coeffs or {}).items() if v})
 
     @classmethod
     def _of(cls, space, nums, den=1):
@@ -133,15 +131,20 @@ class SparseVec:
 
     __hash__ = None
 
-    def inner(self, other, weight=None):
-        """Sum over common keys k of self[k] * other[k] * weight(k); weight None means 1.
+    def _form(self):
+        """This vector in the basis where its space's form is diagonal, and the
+        form's weight on a key there (None means 1): the plain dot product here."""
+        return self, None
 
-        The sum runs over the integer numerators; the result is one Fraction
-        over the product of the two denominators (an int when that is 1).
-        Subclasses whose form weights the basis override this with the form.
-        """
-        self._require_same_space(other)
-        small, big = self.nums, other.nums
+    def inner(self, other):
+        """The space's form, summed over the integer numerators of the common
+        keys in ``_form``'s basis: other is converted only when it is not self,
+        and the tags are compared after, so two bases of one space pair.  One
+        Fraction over the product of the denominators (an int when all are)."""
+        a, weight = self._form()
+        b = a if other is self else other._form()[0]
+        a._require_same_space(b)
+        small, big = a.nums, b.nums
         if len(small) > len(big):
             small, big = big, small
         total = 0
@@ -155,7 +158,7 @@ class SparseVec:
                 w = big.get(k)
                 if w:
                     total += v * w * weight(k)
-        den = self.den * other.den
+        den = a.den * b.den
         return total if den == 1 else Fraction(total, den)
 
     def norm_sq(self):
@@ -163,3 +166,41 @@ class SparseVec:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.space!r}, {dict(self.coeffs)!r})"
+
+
+def gram(left, right=None):
+    """The exact matrix G[a][b] = left[a].inner(right[b]), with Fraction cells.
+
+    Each list of vectors is read once, so it may be a generator; right None
+    means left.  Every vector must be of the space of left's first, which
+    states the form (``_form``); ValueError otherwise.  The numerators in
+    the form's basis are multiplied as they are stored, and the weights are
+    cleared to integers once (``clear_denominators``), so each cell is an
+    integer sum over the product of the denominators.  The right vectors are
+    indexed by key, so a left vector meets only those it shares a key with.
+    """
+    forms = [v._form() for v in left]
+    lvecs = [v for v, _ in forms]
+    rvecs = lvecs if right is None else [v._form()[0] for v in right]
+    if not lvecs:
+        return []
+    for v in lvecs if right is None else lvecs + rvecs:
+        lvecs[0]._require_same_space(v)
+    by_key = {}  # key -> [(right vector index, numerator times the weight numerator)]
+    for b, v in enumerate(rvecs):
+        for k, x in v.nums.items():
+            by_key.setdefault(k, []).append((b, x))
+    weight, wden = forms[0][1], 1
+    if weight is not None:
+        ws, wden = clear_denominators(weight(k) for k in by_key)
+        for hits, w in zip(by_key.values(), ws):
+            hits[:] = [(b, x * w) for b, x in hits]
+    rdens = [v.den * wden for v in rvecs]
+    out = []
+    for v in lvecs:
+        acc = [0] * len(rvecs)
+        for k, a in v.nums.items():
+            for b, x in by_key.get(k, ()):
+                acc[b] += a * x
+        out.append([Fraction(total, v.den * d) for total, d in zip(acc, rdens)])
+    return out

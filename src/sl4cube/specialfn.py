@@ -15,11 +15,12 @@ from functools import cache
 from typing import NamedTuple
 
 from .exact import factorial, pochhammer
-from .linalg import gram, horner
+from .linalg import horner
 from . import polyspace
 from .polyspace import MONOMIAL, STARRED, PolyVec, Profile
 from .report import Report, above
 from .sl4core import GeneratorId
+from .sparse import SparseVec, gram
 
 
 def tails(N):
@@ -136,8 +137,9 @@ def check_orthogonality(N, table=None) -> Report:
     nfact_sq = factorial(N) ** 2
 
     def failures():
-        rows = ({mu: table[(lam, mu)] for mu in ts if table[(lam, mu)]} for lam in ts)
-        sums = gram(rows, weight=lambda mu: Fraction(1, Profile(N - sum(mu), *mu).norm_sq))
+        rows = [SparseVec(N, {mu: table[(lam, mu)] for mu in ts}) for lam in ts]
+        over_mu_fact = (SparseVec(N, {mu: Fraction(c, Profile(N - sum(mu), *mu).norm_sq) for mu, c in row.items()}) for row in rows)
+        sums = gram(rows, over_mu_fact)
         for lam, row in zip(ts, sums):
             for lam2, total in zip(ts, row):
                 expected = Fraction(4**N * Profile(N - sum(lam), *lam).norm_sq, nfact_sq) if lam == lam2 else 0

@@ -17,10 +17,11 @@ from fractions import Fraction
 from . import correspond, cube, polyspace, specialfn, tensorspace
 from . import sl4core
 from .exact import binomial, factorial
-from .linalg import Mat, gram, horner, rank
+from .linalg import Mat, horner, rank
 from .polyspace import MONOMIAL, STARRED, PolyVec
-from .report import Report, above, unless
+from .report import Report, above, completes, unless
 from .sl4core import GENERATORS, GeneratorId
+from .sparse import gram
 from .tensorspace import STAR_TILDE, TILDE, FixVec
 
 
@@ -67,11 +68,7 @@ def suite_sl4(N, rng, basepoint, oracle_n_max) -> Report:
     )
 
     basis = functools.cache(sl4core.basis15)  # certifies its rank by raising
-
-    def basis_rank():
-        basis()
-        yield from ()
-    rep.check("sl4.basis15.rank", "the 15 bracket words are linearly independent", None, basis_rank())
+    rep.check("sl4.basis15.rank", "the 15 bracket words are linearly independent", None, completes(basis))
 
     def traceless():
         yield from (f"basis matrix {k} has trace {m.trace()}" for k, m in enumerate(basis()) if m.trace() != 0)
@@ -248,8 +245,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
 
     def starred_norms():
         # the Hermitian form, on each starred unit converted to the monomial basis once
-        converted = (polyspace.convert_basis(unit(STARRED, p), MONOMIAL).coeffs for p in profiles)
-        for p, row in zip(profiles, gram(converted, weight=polyspace._norm_sq)):
+        for p, row in zip(profiles, gram(unit(STARRED, p) for p in profiles)):
             for q, value in zip(profiles, row):
                 if value != (p.norm_sq if p == q else 0):
                     yield f"pair {tuple(p)},{tuple(q)}"
@@ -273,10 +269,8 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
             yield "monomial -> starred -> monomial on a random vector"
     rep.check("poly.conversion_roundtrip", "changing basis twice is the identity", N, conversion_roundtrip())
 
-    def weights():  # the decomposition certifies itself by raising
-        polyspace.weight_decomposition(N)
-        yield from ()
-    rep.check("poly.weights", "profiles biject with the degree-N weight triples, both Cartans", N, weights())
+    weights = completes(lambda: polyspace.weight_decomposition(N))
+    rep.check("poly.weights", "profiles biject with the degree-N weight triples, both Cartans", N, weights)
 
     def eigenspace_dims():
         want_dims = {N - 2 * n: (n + 1) * (N - n + 1) for n in range(N + 1)}
@@ -337,8 +331,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
     def word_basis():  # the word bases certify their rank by raising
         polyspace.a_word_basis(N)
         polyspace.a_word_basis(N, starred=True)
-        yield from ()
-    rep.check("poly.word_basis", "generator power words on x^N span the slice, both kinds", N, word_basis())
+    rep.check("poly.word_basis", "generator power words on x^N span the slice, both kinds", N, completes(word_basis))
 
     def matrix_vs_rule():
         op_mat = polyspace.operator_matrix(lambda w: C(1, w), N)
@@ -400,10 +393,7 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
 
     fam = functools.cache(lambda: specialfn.krawtchouk(N))  # certifies its closed form by raising
 
-    def krawtchouk_family():
-        fam()
-        yield from ()
-    rep.check("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, krawtchouk_family())
+    rep.check("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, completes(fam))
 
     def krawtchouk_vectors():
         for k in (1, 2, 3):  # generator k moves weight into profile slot k
@@ -575,8 +565,7 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     def closure():  # from_matrix raises on a matrix outside the algebra
         for trip in alg.triples:
             alg.from_matrix(A() @ alg.estar_basis()[trip].matrix())
-        yield from ()
-    rep.check("cube.closure", "adjacency times any cell indicator is again constant on cells (algebra closure)", N, closure())
+    rep.check("cube.closure", "adjacency times any cell indicator is again constant on cells (algebra closure)", N, completes(closure))
     dimension = unless(lambda: len(alg.triples) == binomial(N + 3, 3), f"{len(alg.triples)} valid triples")
     rep.check("cube.dimension", "the algebra has dimension C(N+3, 3)", N, dimension)
 

@@ -36,9 +36,6 @@ class TripleTensor(SparseVec):
 
     __slots__ = ()
 
-    def __init__(self, N, coeffs=None):
-        self._set_values(N, {k: v for k, v in (coeffs or {}).items() if v})
-
     @property
     def N(self):
         return self.space
@@ -166,7 +163,10 @@ class FixVec(SparseVec):
     def __init__(self, N, tag, coeffs=None):
         if tag not in (TILDE, STAR_TILDE):
             raise ValueError(f"unknown tag {tag!r}")
-        self._set_values((N, tag), {Profile(*p): c for p, c in (coeffs or {}).items() if c})
+        values = {Profile(*p): c for p, c in (coeffs or {}).items()}
+        if bad := [p for p in values if min(p) < 0 or p.degree != N]:
+            raise ValueError(f"{tuple(bad[0])} is not a degree-{N} profile")
+        self._set_values((N, tag), {p: c for p, c in values.items() if c})
 
     @property
     def N(self):
@@ -198,9 +198,9 @@ class FixVec(SparseVec):
         den = self.den * group_order(N) * (4**N if star else 1)
         return TripleTensor._of(N, {k: a for k, a in acc.items() if a}, den)
 
-    def inner(self, other):
-        """Form value via the certified norms of the underlying orthogonal sums."""
-        return SparseVec.inner(self, other, fix_weight(self.space[0]))
+    def _form(self):
+        """The form of the lifts, via the certified norms of the orthogonal sums."""
+        return self, fix_weight(self.space[0])
 
 
 def act_abstract(k, kind, v: FixVec) -> FixVec:

@@ -121,6 +121,16 @@ def test_from_matrix_rejects_outsiders():
     assert alg.from_matrix(alg.cube.adjacency()) == alg.adjacency_elem()
 
 
+def test_telem_takes_only_cells_of_its_algebra():
+    alg = t_algebra(2, 0)
+    for key in ((1, 0, 0), (3, 3, 0), (0, 1, 2), (2, 2, 2)):
+        for c in (1, 0):  # a zero coefficient does not excuse its key
+            with pytest.raises(ValueError, match="is not a cell of T at N = 2"):
+                cb.TElem(alg, {key: c})
+    assert cb.TElem(alg, {(0, 0, 0): 2, (2, 2, 0): 0}) == 2 * alg.estar_basis()[(0, 0, 0)]
+    assert cb.TElem(t_algebra(3, 0), {(3, 3, 0): 1}).norm_sq() == 1
+
+
 def test_phi_and_wedderburn():
     alg = t_algebra(2, 0)
     assert alg.phi_eigenvalues() == [4, 0]

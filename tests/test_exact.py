@@ -1,9 +1,10 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
-from sl4cube.exact import binomial, clear_denominators, factorial, pochhammer
+from sl4cube.exact import binomial, clear_denominators, factorial, pochhammer, require_rational
 
 
 def test_factorial_values():
@@ -58,3 +59,11 @@ def test_clear_denominators_is_the_smallest_integer_multiple(values):
     assert all(isinstance(a, int) for a in ints)
     assert [Fraction(a, den) for a in ints] == values
     assert gcd(den, *ints) == 1
+
+
+def test_require_rational():
+    for c in (0, -3, True, Fraction(2, 3)):
+        require_rational(c)
+    for c in (0.5, 1.0, complex(1, 0), "1"):
+        with pytest.raises(TypeError, match="scalars must be rational"):
+            require_rational(c)

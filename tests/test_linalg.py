@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import factorial
 
-from sl4cube.linalg import Mat, gram, independent_rows, kernel_dim, rank, spans_match
+import pytest
+
+from sl4cube.linalg import Mat, independent_rows, kernel_dim, rank, spans_match
 
 
 def test_mat_basics():
@@ -16,6 +17,16 @@ def test_mat_basics():
     assert a.trace() == 5
     assert Mat.identity(2) @ a == a
     assert a.apply([1, 0]) == [1, 3]
+
+
+def test_mat_scales_by_rationals_only():
+    a = Mat([[1, 2], [3, 4]])
+    assert 3 * a == Mat([[3, 6], [9, 12]]) and all(type(x) is int for x in (3 * a).flatten())
+    assert Fraction(1, 2) * a == Mat([[Fraction(1, 2), 1], [Fraction(3, 2), 2]])
+    assert 0 * a == Mat.zeros(2, 2)
+    for c in (0.5, 2.0, complex(1, 0)):
+        with pytest.raises(TypeError, match="scalars must be rational"):
+            c * Mat.identity(2)
 
 
 def test_rank_simple():
@@ -99,52 +110,3 @@ def test_spans_match():
     c = [[1, 0, 0], [0, 0, 1]]
     assert spans_match(a, b)
     assert not spans_match(a, c)
-
-
-def _pairwise_gram(left, right, weight):
-    """Reference: each cell a Fraction sum over the common keys, pair by pair."""
-    out = []
-    for a in left:
-        row = []
-        for b in right:
-            total = Fraction(0)
-            for k, v in a.items():
-                if k in b:
-                    total += v * b[k] * (1 if weight is None else weight(k))
-            row.append(total)
-        out.append(row)
-    return out
-
-
-def _random_sparse_rows(rng, m, keys):
-    rows = []
-    for _ in range(m):
-        row = {}
-        for k in rng.sample(keys, rng.randint(0, len(keys))):  # the empty row included
-            if rng.random() < 0.5:
-                row[k] = rng.randint(-7, 7)
-            else:
-                row[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-        rows.append(row)
-    return rows
-
-
-def test_gram_matches_pairwise_inner():
-    rng = random.Random(5)
-    keys = [(r, s, t, u) for r in range(3) for s in range(3) for t in range(2) for u in range(2)]
-    weights = (
-        None,
-        lambda k: sum(k) - 2,  # int, zero and negative for some keys
-        lambda k: Fraction(1, factorial(k[0]) * factorial(k[1]) * factorial(k[2]) * factorial(k[3])),
-        lambda k: Fraction(k[0] + 1, 3 ** k[1]),
-    )
-    for trial in range(120):
-        left = _random_sparse_rows(rng, rng.randint(0, 6), keys)
-        right = _random_sparse_rows(rng, rng.randint(0, 6), keys) if trial % 2 else None
-        for weight in weights:
-            want = _pairwise_gram(left, left if right is None else right, weight)
-            got = gram(left, right, weight)
-            assert got == want
-            assert all(type(cell) is Fraction for row in got for cell in row)
-            # rows given as a generator are read once, to the same matrix
-            assert gram(iter(left), None if right is None else iter(right), weight) == want

@@ -1,4 +1,4 @@
-from sl4cube.report import FAIL, PASS, SKIPPED, Report
+from sl4cube.report import FAIL, PASS, SKIPPED, Report, completes
 
 
 def test_report_check_first_witness_wins():
@@ -59,3 +59,16 @@ def test_report_check_skip_none_is_the_plain_check():
     assert plain.check("a", "anchor", 1, iter(["w"])) is explicit.check("a", "anchor", 1, iter(["w"]), skip=None) is False
     assert plain.check("b", "anchor", 1, []) is explicit.check("b", "anchor", 1, [], skip=None) is True
     assert plain.checks == explicit.checks
+
+
+def test_completes_certifies_by_returning_and_fails_on_a_raise():
+    calls = []
+    rep = Report()
+    failures = completes(lambda: calls.append(1))
+    assert calls == []  # nothing runs until the check draws from it
+    assert rep.check("ok", "anchor", 1, failures) and calls == [1]
+
+    def broken():
+        raise ArithmeticError("rank 2 of 3")
+    assert not rep.check("raises", "anchor", 1, completes(broken))
+    assert rep.checks[-1].witness == "ArithmeticError: rank 2 of 3"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from sl4cube import tensorspace as tsp
 from sl4cube.cube import TripleIndex, cube
 from sl4cube.polyspace import Profile, enumerate_profiles
@@ -157,3 +159,15 @@ def test_fixvec_inner_matches_lift():
 def test_triple_of_profile_keys():
     assert tsp.triple_of_profile(Profile(1, 0, 0, 0)) == TripleIndex(0, 0, 0)
     assert tsp.triple_of_profile(Profile(0, 1, 0, 0)) == TripleIndex(0, 1, 1)
+
+
+@pytest.mark.parametrize("tag", [TILDE, STAR_TILDE])
+def test_fixvec_takes_only_profiles_of_its_degree(tag):
+    for profile in ((1, 0, 0, 0), (3, 0, 0, 0), (3, -1, 0, 0), (0, 0, 2, -2)):
+        for c in (1, 0):  # a zero coefficient does not excuse its key
+            with pytest.raises(ValueError, match="is not a degree-2 profile"):
+                FixVec(2, tag, {profile: c})
+    with pytest.raises(ValueError):
+        FixVec.unit(1, tag, (2, 0, 0, 0))
+    v = FixVec(2, tag, {(2, 0, 0, 0): 3, (0, 1, 0, 1): Fraction(1, 2), (1, 1, 0, 0): 0})
+    assert dict(v.coeffs) == {(2, 0, 0, 0): 3, (0, 1, 0, 1): Fraction(1, 2)}
