@@ -60,8 +60,8 @@ class SuiteConfig(NamedTuple):
             return self._replace(oracle_n_max=min(ORACLE_N_DEFAULT, self.n_max)).validate()
         if self.n_min < 0 or self.n_min > self.n_max:
             raise ValueError("need 0 <= n-min <= n-max")
-        if self.oracle_n_max > self.n_max:
-            raise ValueError("oracle-n-max must not exceed n-max")
+        if not 0 <= self.oracle_n_max <= self.n_max:
+            raise ValueError("need 0 <= oracle-n-max <= n-max")
         if self.oracle_n_max > ORACLE_N_CEILING:
             raise ValueError(f"oracle-n-max {self.oracle_n_max} exceeds the oracle ceiling {ORACLE_N_CEILING}")
         capped = sorted({"cube", "tensor", "correspond"} & set(self.selected()))

@@ -18,7 +18,7 @@ from .exact import factorial
 from .linalg import Mat, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
 from .report import Report, above
-from .sl4core import GENERATORS
+from .sl4core import intertwining_failures
 from .sparse import gram
 from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor, group_order
 
@@ -84,13 +84,24 @@ def theta_scale_squared(N):
     return factorial(N)
 
 
-def _gram_mismatches(profiles, got, want, scale_sq, label):
-    """The witness "<label> pair p,q" at each entry where the Gram matrix got
-    differs from scale_sq times want, both indexed by profiles."""
-    for p, got_row, want_row in zip(profiles, got, want):
-        for q, value, w in zip(profiles, got_row, want_row):
-            if value != scale_sq * w:
-                yield f"{label} pair {tuple(p)},{tuple(q)}"
+def _form_mismatches(units, image, scale_sq):
+    """The witness "<label> pair p,q" at each entry where the Gram matrix of
+    the images of the units {label: {profile: unit}} differs from scale_sq
+    times the Gram matrix of the units, label by label."""
+    for label, vecs in units.items():
+        got, want = gram(image(u) for u in vecs.values()), gram(vecs.values())
+        for p, got_row, want_row in zip(vecs, got, want):
+            for q, value, w in zip(vecs, got_row, want_row):
+                if value != scale_sq * w:
+                    yield f"{label} pair {tuple(p)},{tuple(q)}"
+
+
+def _rank_mismatches(rows):
+    """The witness "rank r of n images" unless the n rows are independent."""
+    rows = list(rows)
+    r = rank(rows)
+    if r != len(rows):
+        yield f"rank {r} of {len(rows)} images"
 
 
 def check_ddag(N, oracle_cap) -> Report:
@@ -98,66 +109,46 @@ def check_ddag(N, oracle_cap) -> Report:
     rep = Report()
     profiles = polyspace.enumerate_profiles(N)
     scale_sq = ddag_scale_squared(N)
-    unit = PolyVec.unit
     oracle = above(N, oracle_cap, "oracle cap")
+    units = {tag: {p: PolyVec.unit(tag, p) for p in profiles} for tag in (MONOMIAL, STARRED)}
+    act = polyspace.act_generator
+    intertwine = intertwining_failures(units, ddag_scaled, act, tensorspace.act_abstract)
+    rep.check("correspond.ddag.intertwine", "image of generator action = operator action of image", N, intertwine)
 
-    def intertwine():
-        for tag in (MONOMIAL, STARRED):
-            for gid in GENERATORS:
-                for p in profiles:
-                    e = unit(tag, p)
-                    if ddag_scaled(polyspace.act_generator(gid, e)) != tensorspace.act_abstract(gid.index, gid.kind, ddag_scaled(e)):
-                        yield f"{gid} on {tag} unit {tuple(p)}"
-    rep.check("correspond.ddag.intertwine", "image of generator action = operator action of image", N, intertwine())
+    mono = units[MONOMIAL]
+    lift = lambda v: ddag_scaled(v).lift()
+    lifted = functools.cache(lambda: [lift(v) for v in mono.values()])
+    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, _form_mismatches({"form": mono}, ddag_scaled, scale_sq))
 
-    units = {p: unit(MONOMIAL, p) for p in profiles}
-    images = functools.cache(lambda: {p: ddag_scaled(v) for p, v in units.items()})
-    lifted = functools.cache(lambda: {p: v.lift() for p, v in images().items()})
-    poly_gram = functools.cache(lambda: gram(units[p] for p in profiles))
-
-    def form(vectors, name):
-        vectors = vectors()
-        got = gram(vectors[p] for p in profiles)
-        yield from _gram_mismatches(profiles, got, poly_gram(), scale_sq, name)
-    rep.check("correspond.ddag.form", "<f',g'> = N! 2^N <f,g>", N, form(images, "form"))
-
-    def concrete():
-        for gid in GENERATORS:
-            for p in profiles:
-                lhs = tensorspace.act_concrete(gid.index, gid.kind, images()[p].lift())
-                if lhs != ddag_scaled(polyspace.act_generator(gid, units[p])).lift():
-                    yield f"{gid} on unit {tuple(p)}"
-    rep.check("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, concrete(), skip=oracle)
-    rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, form(lifted, "concrete form"), skip=oracle)
+    concrete = intertwining_failures({MONOMIAL: mono}, lift, act, tensorspace.act_concrete)
+    rep.check("correspond.ddag.concrete", "abstract image action matches the lifted slot-wise action", N, concrete, skip=oracle)
+    concrete_form = _form_mismatches({"concrete form": mono}, lift, scale_sq)
+    rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, concrete_form, skip=oracle)
 
     def consistency():
-        for p in profiles:
-            e = unit(STARRED, p)
-            if ddag_scaled(e).lift() != ddag_scaled(polyspace.convert_basis(e, MONOMIAL)).lift():
+        for p, e in units[STARRED].items():
+            if lift(e) != lift(polyspace.convert_basis(e, MONOMIAL)):
                 yield f"starred unit {tuple(p)}"
     rep.check(
         "correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, consistency(), skip=oracle
     )
 
     def cross_form():
-        starred = (ddag_scaled(unit(STARRED, q)).lift() for q in profiles)
-        got = gram((lifted()[p] for p in profiles), starred)
+        starred = (lift(e) for e in units[STARRED].values())
+        got = gram(lifted(), starred)
         for p, row in zip(profiles, got):
             for q, value in zip(profiles, row):
                 if value != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
                     yield f"cross pair {tuple(p)},{tuple(q)}"
     rep.check("correspond.ddag.cross_form", "<image(x^p), image(x*^q)> = (N!)^2 * transition coefficient", N, cross_form(), skip=oracle)
 
-    def injective():  # on the lifted tensors where the oracle runs, else on the coordinates
+    def injective_rows():  # of the lifted tensors where the oracle runs, else of the coordinates
         if oracle:
-            rows = [[c.get(q, 0) for q in profiles] for c in (images()[p].coeffs for p in profiles)]
+            yield from ([c.get(q, 0) for q in profiles] for c in (ddag_scaled(v).coeffs for v in mono.values()))
         else:
-            keys = sorted({k for vec in lifted().values() for k in vec.nums})
-            rows = [[c.get(k, 0) for k in keys] for c in (lifted()[p].coeffs for p in profiles)]
-        r = rank(rows)
-        if r != len(profiles):
-            yield f"rank {r} of {len(profiles)} rows"
-    rep.check("correspond.ddag.injective", "the map has full rank on the degree slice", N, injective())
+            keys = sorted({k for vec in lifted() for k in vec.nums})
+            yield from ([c.get(k, 0) for k in keys] for c in (vec.coeffs for vec in lifted()))
+    rep.check("correspond.ddag.injective", "the map has full rank on the degree slice", N, _rank_mismatches(injective_rows()))
     return rep
 
 
@@ -166,38 +157,24 @@ def check_eps(N, basepoint, oracle_cap) -> Report:
     rep = Report()
     alg = t_algebra(N, basepoint)
     profiles = polyspace.enumerate_profiles(N)
+    eps = lambda v: eps_scaled_fix(alg, v)
     scale_sq = eps_scale_squared(N)
     units = {tag: {p: FixVec.unit(N, tag, p) for p in profiles} for tag in (TILDE, STAR_TILDE)}
 
     def routes():
         for tag, vecs in units.items():
             for p, u in vecs.items():
-                if alg.from_matrix(eps_scaled_concrete(alg, u.lift())) != eps_scaled_fix(alg, u):
+                if alg.from_matrix(eps_scaled_concrete(alg, u.lift())) != eps(u):
                     yield f"{tag} unit {tuple(p)}"
     oracle = above(N, oracle_cap, "oracle cap")
     rep.check("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, routes(), skip=oracle)
 
-    def intertwine():
-        ops = alg.t_module_ops()
-        for tag, vecs in units.items():
-            for kind, k in ops:
-                for p, u in vecs.items():
-                    if eps_scaled_fix(alg, tensorspace.act_abstract(k, kind, u)) != ops[(kind, k)](eps_scaled_fix(alg, u)):
-                        yield f"{kind}^({k}) on {tag} unit {tuple(p)}"
-    rep.check("correspond.eps.intertwine", "flattening carries the operator action to the module operators", N, intertwine())
-
-    def form():
-        for tag, vecs in units.items():
-            got = gram(eps_scaled_fix(alg, vecs[p]) for p in profiles)
-            want = gram(vecs[p] for p in profiles)
-            yield from _gram_mismatches(profiles, got, want, scale_sq, tag)
-    rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, form())
-
-    def bijective():
-        r = rank([eps_scaled_fix(alg, u).coord_vector() for u in units[STAR_TILDE].values()])
-        if r != len(profiles):
-            yield f"rank {r} of {len(profiles)} images"
-    rep.check("correspond.eps.bijective", "flattening restricted to the fixed subspace has full rank", N, bijective())
+    ops = alg.t_module_ops()
+    intertwine = intertwining_failures(units, eps, tensorspace.act_abstract, lambda gid, B: ops[gid](B))
+    rep.check("correspond.eps.intertwine", "flattening carries the operator action to the module operators", N, intertwine)
+    rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, _form_mismatches(units, eps, scale_sq))
+    bijective = _rank_mismatches(eps(u).coord_vector() for u in units[STAR_TILDE].values())
+    rep.check("correspond.eps.bijective", "flattening restricted to the fixed subspace has full rank", N, bijective)
     return rep
 
 
@@ -210,14 +187,9 @@ def check_theta(N, basepoint, oracle_cap) -> Report:
     scale_sq = theta_scale_squared(N)
     units = {tag: {p: PolyVec.unit(tag, p) for p in profiles} for tag in (MONOMIAL, STARRED)}
 
-    def intertwine():
-        ops = alg.t_module_ops()
-        for tag, vecs in units.items():
-            for gid in GENERATORS:
-                for p, e in vecs.items():
-                    if theta(polyspace.act_generator(gid, e)) != ops[gid](theta(e)):
-                        yield f"{gid} on {tag} unit {tuple(p)}"
-    rep.check("correspond.theta.intertwine", "theta carries generator action to the module operators", N, intertwine())
+    ops = alg.t_module_ops()
+    intertwine = intertwining_failures(units, theta, polyspace.act_generator, lambda gid, B: ops[gid](B))
+    rep.check("correspond.theta.intertwine", "theta carries generator action to the module operators", N, intertwine)
 
     def composite():
         for tag, vecs in units.items():
@@ -234,18 +206,9 @@ def check_theta(N, basepoint, oracle_cap) -> Report:
     oracle = above(N, oracle_cap, "oracle cap")
     rep.check("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, concrete, skip=oracle)
 
-    def form():
-        for tag, vecs in units.items():
-            got = gram(theta(vecs[p]) for p in profiles)
-            want = gram(vecs[p] for p in profiles)  # each converted to the monomial basis once
-            yield from _gram_mismatches(profiles, got, want, scale_sq, tag)
-    rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, form())
-
-    def injective():
-        r = rank([theta(e).coord_vector() for e in units[MONOMIAL].values()])
-        if r != len(profiles):
-            yield f"rank {r} of {len(profiles)} images"
-    rep.check("correspond.theta.injective", "theta has full rank", N, injective())
+    rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, _form_mismatches(units, theta, scale_sq))
+    injective = _rank_mismatches(theta(e).coord_vector() for e in units[MONOMIAL].values())
+    rep.check("correspond.theta.injective", "theta has full rank", N, injective)
     return rep
 
 

@@ -24,6 +24,19 @@ class GeneratorId(NamedTuple):
 # The six generators, plain triple first: the one list the package iterates.
 GENERATORS = tuple(GeneratorId(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3))
 
+
+def intertwining_failures(units, image, act_before, act_after):
+    """The witness "<kind>^(<k>) on <tag> unit <p>" wherever image fails to
+    carry one generator's action into another's: image(act_before(gid, u))
+    against act_after(gid, image(u)), over units {tag: {profile: unit}}, tag
+    by tag, then generator by generator.  Each unit's image is taken once."""
+    for tag, vecs in units.items():
+        images = {p: image(u) for p, u in vecs.items()}
+        for gid in GENERATORS:
+            for p, u in vecs.items():
+                if image(act_before(gid, u)) != act_after(gid, images[p]):
+                    yield f"{gid.kind}^({gid.index}) on {tag} unit {tuple(p)}"
+
 _A = {
     1: Mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
     2: Mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),

@@ -54,14 +54,15 @@ class SparseVec:
 
     def _set_values(self, space, values):
         """Set the tag and the numerators from a fresh dict of nonzero rational
-        values, which is kept as it is when they are all ints."""
+        values, which is kept as it is when they are all ints; TypeError on a
+        value that is not rational."""
         self.space = space
         den = 1
-        for c in values.values():
-            if type(c) is not int:
-                ints, den = clear_denominators(values.values())  # lowest terms already
-                values = dict(zip(values, ints))
-                break
+        if others := [c for c in values.values() if type(c) is not int]:
+            for c in others:
+                require_rational(c)
+            ints, den = clear_denominators(values.values())  # lowest terms already
+            values = dict(zip(values, ints))
         self.nums = values
         self.den = den
 

@@ -741,25 +741,18 @@ def suite_tensor(N, rng, basepoint, oracle_n_max) -> Report:
 
     oracle = above(N, oracle_n_max, "oracle cap")
 
-    def tensor_oracle():
-        for tag in (TILDE, STAR_TILDE):
-            for p in profiles:
-                u = FixVec.unit(N, tag, p)
-                lifted = u.lift()
-                for kind in ("A", "Astar"):
-                    for k in (1, 2, 3):
-                        if tensorspace.act_abstract(k, kind, u).lift() != tensorspace.act_concrete(k, kind, lifted):
-                            yield f"{kind}^({k}) on {tag} {tuple(p)}"
-    rep.check("tensor.oracle", "abstract coordinate action equals the concrete slot-wise action", N, tensor_oracle(), skip=oracle)
+    units = {tag: {p: FixVec.unit(N, tag, p) for p in profiles} for tag in (TILDE, STAR_TILDE)}
+    tensor_oracle = sl4core.intertwining_failures(units, FixVec.lift, tensorspace.act_abstract, tensorspace.act_concrete)
+    rep.check("tensor.oracle", "abstract coordinate action equals the concrete slot-wise action", N, tensor_oracle, skip=oracle)
 
     t = tensorspace.TripleTensor(N, {rng.randrange(size**3): Fraction(rng.randint(1, 5)) for _ in range(5)})
 
     def symmetry_commutes():
         act, sym = tensorspace.act_concrete, tensorspace.apply_symmetry
-        for k in (1, 2, 3):
+        for gid in (g for g in GENERATORS if g.kind == "Astar"):
             for perm, flip in tensorspace.symmetry_generators(N):
-                if sym(N, act(k, "Astar", t), perm, flip) != act(k, "Astar", sym(N, t, perm, flip)):
-                    yield f"operator {k}"
+                if sym(N, act(gid, t), perm, flip) != act(gid, sym(N, t, perm, flip)):
+                    yield f"operator {gid.index}"
     rep.check("tensor.symmetry_commutes", "the diagonal symmetries commute with the starred operators", N, symmetry_commutes(), skip=oracle)
 
     def orbits_are_profiles():

@@ -16,6 +16,7 @@ from operator import mul
 from .cube import cube, triple_of_profile
 from .exact import factorial
 from .polyspace import Profile, _act_profiles, _norm_sq, enumerate_profiles
+from .sl4core import GeneratorId
 from .sparse import SparseVec
 
 TILDE = "tilde"  # coordinates against the duals of the orbit sums
@@ -35,6 +36,12 @@ class TripleTensor(SparseVec):
     """Sparse exact vector in the triple tensor space."""
 
     __slots__ = ()
+
+    def __init__(self, N, coeffs=None):
+        coeffs = coeffs or {}
+        if bad := [k for k in coeffs if type(k) is not int or not 0 <= k < 8**N]:
+            raise ValueError(f"{bad[0]!r} is not a packed triple at N = {N}")
+        self._set_values(N, {k: c for k, c in coeffs.items() if c})
 
     @property
     def N(self):
@@ -203,14 +210,16 @@ class FixVec(SparseVec):
         return self, fix_weight(self.space[0])
 
 
-def act_abstract(k, kind, v: FixVec) -> FixVec:
+def act_abstract(gid: GeneratorId, v: FixVec) -> FixVec:
     """Stated coordinate action of the six operators on the fixed subspace."""
+    kind, k = gid
     four_term = (kind == "A") == (v.tag == TILDE)
     return FixVec._of(v.space, _act_profiles(four_term, k, v.nums), v.den)
 
 
-def act_concrete(k, kind, t: TripleTensor) -> TripleTensor:
+def act_concrete(gid: GeneratorId, t: TripleTensor) -> TripleTensor:
     """Slot-wise action on concrete tensors: the brute-force oracle."""
+    kind, k = gid
     N = t.N
     out = {}
     if kind == "A":

@@ -63,6 +63,21 @@ def test_oracle_n_max_above_the_ceiling_is_a_usage_error(monkeypatch, capsys):
     SuiteConfig(n_max=5, oracle_n_max=cli.ORACLE_N_CEILING).validate()
 
 
+def test_negative_oracle_n_max_is_a_usage_error(monkeypatch, capsys):
+    def no_job(job):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_run_job", no_job)
+    with pytest.raises(ValueError, match="need 0 <= oracle-n-max <= n-max"):
+        SuiteConfig(n_max=1, oracle_n_max=-1).validate()
+    assert cli.main(["verify", "--n-max", "1", "--oracle-n-max", "-1"]) == cli.USAGE_ERROR
+    assert "need 0 <= oracle-n-max" in capsys.readouterr().err
+    monkeypatch.setenv("SL4CUBE_ORACLE_N_MAX", "-1")
+    assert cli.main(["verify", "--n-max", "1"]) == cli.USAGE_ERROR
+    assert "need 0 <= oracle-n-max" in capsys.readouterr().err
+    SuiteConfig(n_max=1, oracle_n_max=0).validate()
+
+
 def test_library_default_oracle_cap_follows_n_max():
     # oracle_n_max None means min(3, n_max): n_max = 2 runs as oracle_n_max = 2
     assert SuiteConfig(n_max=2).validate() == SuiteConfig(n_max=2, oracle_n_max=2)

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from sl4cube import correspond as co, polyspace as ps, specialfn, tensorspace as tsp
+from sl4cube import correspond as co, polyspace as ps, specialfn, suites, tensorspace as tsp
 from sl4cube.cube import TripleIndex, t_algebra, triple_of_profile
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
 from sl4cube.tensorspace import STAR_TILDE, TILDE, FixVec
@@ -251,3 +251,31 @@ def test_cross_form_witness_is_the_first_mismatching_pair(monkeypatch):
     corrupted.add(((0, 2, 0), (0, 0, 2)))
     failed = {c.id: c.witness for c in co.check_ddag(2, oracle_cap=3).failures}
     assert failed == {"correspond.ddag.cross_form": "cross pair (0, 0, 1, 1),(0, 1, 0, 1)"}
+
+
+def test_a_wrong_four_term_scale_fails_every_check_against_another_realization(monkeypatch):
+    """With the first term of A_1's four-term table doubled, A_1 acts wrongly
+    on P_N and, through the same table, on Fix(G); every intertwining check
+    whose other side is a realization built without that table (the slot-wise
+    action on triple tensors, or the module operators of T) fails with the
+    first (tag, generator, unit) in check order.  correspond.ddag.intertwine
+    still passes: both of its sides, act_generator and act_abstract, read
+    polyspace._FOUR_TERM, so it cannot tell a wrong table from a right one
+    (the gap that the module checks of ROADMAP item 9 close)."""
+    first, *rest = ps._FOUR_TERM[1]
+    monkeypatch.setitem(ps._FOUR_TERM, 1, ((2 * first[0], *first[1:]), *rest))
+    reports = [
+        suites.suite_tensor(2, random.Random(0), 0, 2),
+        co.check_ddag(2, oracle_cap=2),
+        co.check_eps(2, basepoint=0, oracle_cap=2),
+        co.check_theta(2, basepoint=0, oracle_cap=2),
+    ]
+    failed = {c.id: c.witness for rep in reports for c in rep.failures}
+    assert failed == {
+        "tensor.oracle": "A^(1) on tilde unit (1, 0, 0, 1)",
+        "correspond.ddag.concrete": "A^(1) on monomial unit (1, 0, 0, 1)",
+        "correspond.eps.intertwine": "A^(1) on tilde unit (1, 0, 0, 1)",
+        "correspond.theta.intertwine": "A^(1) on monomial unit (1, 0, 0, 1)",
+    }
+    passed = {c.id for rep in reports for c in rep.checks if c.status == "pass"}
+    assert "correspond.ddag.intertwine" in passed

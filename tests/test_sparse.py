@@ -52,6 +52,22 @@ def test_nonrational_scalar_raises():
         assert Fraction(1, 2) * v + Fraction(1, 2) * v == v
 
 
+def test_a_float_value_is_refused_by_every_constructor():
+    # each constructor stores its values through SparseVec._set_values
+    builds = [
+        lambda c: PolyVec(MONOMIAL, {(1, 0, 0, 0): c}),
+        lambda c: FixVec(1, TILDE, {(1, 0, 0, 0): c}),
+        lambda c: TripleTensor(1, {0: c}),
+        lambda c: TElem(t_algebra(1), {(0, 0, 0): c}),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError, match="scalars must be rational"):
+            build(0.5)
+        assert build(Fraction(1, 2)) == Fraction(1, 2) * build(1)
+    with pytest.raises(TypeError, match="scalars must be rational"):
+        TripleTensor(1, {0: 1, 1: 2.0})  # after an int value too
+
+
 def test_zero_equals_zero_across_tags():
     for v, w in one_of_each():
         assert 0 * v == 0 * w

@@ -67,7 +67,7 @@ def test_corrupted_idempotent_numerators_fail_the_spectral_sums(fresh_spectral_n
     rep = suites.suite_tensor(2, random.Random(0), 0, 2)
     failed = {c.id: c.witness for c in rep.failures}
     assert failed["tensor.spectral_sums"] == "nonzero spectral sum at invalid (0, 0, 1)"
-    assert failed["tensor.oracle"] == "Astar^(1) on star_tilde (0, 0, 0, 2)"  # lifts read the same sums
+    assert failed["tensor.oracle"] == "A^(1) on star_tilde unit (0, 1, 0, 1)"  # lifts read the same sums
 
 
 @pytest.mark.parametrize("basepoint", [0, 3])

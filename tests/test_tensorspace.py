@@ -7,6 +7,7 @@ import pytest
 from sl4cube import tensorspace as tsp
 from sl4cube.cube import TripleIndex, cube
 from sl4cube.polyspace import Profile, enumerate_profiles
+from sl4cube.sl4core import GENERATORS, GeneratorId
 from sl4cube.tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor
 
 
@@ -75,23 +76,23 @@ def test_spectral_diagonal_sum():
 
 def test_act_concrete():
     t = TripleTensor.basis(1, 0, 1, 0)
-    out = tsp.act_concrete(1, "A", t)
+    out = tsp.act_concrete(GeneratorId("A", 1), t)
     assert out == TripleTensor.basis(1, 1, 1, 0)
     # starred operator 3 scales by theta*_{dist(x, y)}
-    out = tsp.act_concrete(3, "Astar", t)
+    out = tsp.act_concrete(GeneratorId("Astar", 3), t)
     assert out == (1 - 2 * 1) * t
-    out = tsp.act_concrete(1, "Astar", TripleTensor.basis(2, 0, 1, 1))
+    out = tsp.act_concrete(GeneratorId("Astar", 1), TripleTensor.basis(2, 0, 1, 1))
     assert out == 2 * TripleTensor.basis(2, 0, 1, 1)
 
 
 def test_act_abstract_examples():
     v = FixVec.unit(1, TILDE, (1, 0, 0, 0))
-    out = tsp.act_abstract(1, "A", v)
+    out = tsp.act_abstract(GeneratorId("A", 1), v)
     assert out == FixVec.unit(1, TILDE, (0, 1, 0, 0))
     v = FixVec.unit(2, TILDE, (1, 1, 0, 0))
-    assert tsp.act_abstract(1, "Astar", v) == 2 * v
+    assert tsp.act_abstract(GeneratorId("Astar", 1), v) == 2 * v
     v = FixVec.unit(2, STAR_TILDE, (1, 1, 0, 0))
-    out = tsp.act_abstract(1, "Astar", v)
+    out = tsp.act_abstract(GeneratorId("Astar", 1), v)
     assert out == FixVec(
         2, STAR_TILDE, {(0, 2, 0, 0): 1, (2, 0, 0, 0): 1}
     )
@@ -102,9 +103,8 @@ def test_abstract_concrete_agree():
     for tag in (TILDE, STAR_TILDE):
         for p in enumerate_profiles(N):
             u = FixVec.unit(N, tag, p)
-            for kind in ("A", "Astar"):
-                for k in (1, 2, 3):
-                    assert tsp.act_abstract(k, kind, u).lift() == tsp.act_concrete(k, kind, u.lift())
+            for gid in GENERATORS:
+                assert tsp.act_abstract(gid, u).lift() == tsp.act_concrete(gid, u.lift())
 
 
 def test_fix_membership():
@@ -159,6 +159,15 @@ def test_fixvec_inner_matches_lift():
 def test_triple_of_profile_keys():
     assert tsp.triple_of_profile(Profile(1, 0, 0, 0)) == TripleIndex(0, 0, 0)
     assert tsp.triple_of_profile(Profile(0, 1, 0, 0)) == TripleIndex(0, 1, 1)
+
+
+def test_triple_tensor_takes_only_packed_triples():
+    for key in (99, 8, -1, 1.0, (0, 1, 0)):
+        for c in (1, 0):  # a zero coefficient does not excuse its key
+            with pytest.raises(ValueError, match="is not a packed triple at N = 1"):
+                TripleTensor(1, {key: c})
+    assert TripleTensor(1, {7: 2, 3: 0}) == 2 * TripleTensor.basis(1, 1, 1, 1)
+    assert TripleTensor(2, {63: 1}).norm_sq() == 1
 
 
 @pytest.mark.parametrize("tag", [TILDE, STAR_TILDE])
