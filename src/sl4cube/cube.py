@@ -202,7 +202,7 @@ class TElem(SparseVec):
     def __init__(self, alg, coords):
         if bad := [k for k in coords if k not in alg.cube.cell_slot]:
             raise ValueError(f"{tuple(bad[0])} is not a cell of T at N = {alg.N}")
-        self._set_values(alg, {TripleIndex(*k): v for k, v in coords.items() if v})
+        self._set_values(alg, {TripleIndex(*k): v for k, v in coords.items()})
 
     def __matmul__(self, other):
         """Exact product: at each cell, the sum over the class counts of its

@@ -5,7 +5,9 @@ this package are modest (at most a few hundred rows), so one fraction-free
 elimination on rows cleared to integers (``independent_rows``) serves rank,
 kernel dimension and span comparison alike.  Multiplication skips
 zero entries of the left factor, which makes products with sparse operators
-(adjacency maps, idempotent numerators) cheap.  ``horner`` and
+(adjacency maps, idempotent numerators) cheap, and the rows a product,
+sum or scalar multiple builds are wrapped as they are (``Mat._of``), not
+copied again.  ``horner`` and
 ``lagrange`` take polynomials in an operator on any carrier with +, - and c * v.
 """
 
@@ -26,6 +28,16 @@ class Mat:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
+
+    @classmethod
+    def _of(cls, rows):
+        """Wrap a fresh list of equal-length row lists as they are: no copy, no
+        check.  Only for rows that nothing else holds."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
 
     @classmethod
     def zeros(cls, m, n):
@@ -50,14 +62,14 @@ class Mat:
     __hash__ = None
 
     def __add__(self, other):
-        return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return Mat._of([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return Mat._of([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __rmul__(self, c):
         require_rational(c)
-        return Mat([[c * a for a in r] for r in self.rows])
+        return Mat._of([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -66,13 +78,12 @@ class Mat:
         brows = other.rows
         out = []
         for arow in self.rows:
-            acc = [0] * n
-            for k, a in enumerate(arow):
+            acc = None  # the row's sum, started at its first nonzero term
+            for a, brow in zip(arow, brows):
                 if a:
-                    brow = brows[k]
-                    acc = [x + a * y for x, y in zip(acc, brow)]
-            out.append(acc)
-        return Mat(out)
+                    acc = [a * y for y in brow] if acc is None else [x + a * y for x, y in zip(acc, brow)]
+            out.append([0] * n if acc is None else acc)
+        return Mat._of(out)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""

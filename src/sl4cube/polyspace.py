@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
-from .exact import binomial, factorial, require_rational
+from .exact import binomial, factorial
 from .linalg import Mat, horner, kernel_dim, rank
 from . import sl4core
 from .sl4core import GeneratorId
@@ -68,11 +68,9 @@ class PolyVec(SparseVec):
         values = {}
         if coeffs:
             for p, c in coeffs.items():
-                require_rational(c)
                 if min(p) < 0:
                     raise ValueError(f"negative exponent in profile {tuple(p)}")
-                if c:
-                    values[Profile(*p)] = c
+                values[Profile(*p)] = c
         self._set_values(basis, values)
 
     @property

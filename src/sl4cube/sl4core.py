@@ -93,7 +93,7 @@ def tau(m: Mat) -> Mat:
     where that division is exact, else a Fraction, so non-integral input
     stays exact.
     """
-    return Mat([[e // 4 if e % 4 == 0 else Fraction(e, 4) for e in row] for row in (_H @ m @ _H).rows])
+    return Mat._of([[e // 4 if e % 4 == 0 else Fraction(e, 4) for e in row] for row in (_H @ m @ _H).rows])
 
 
 def basis15():

@@ -42,7 +42,7 @@ class SparseVec:
 
     def __init__(self, space, coeffs=None):
         """The vector with tag space and the rational values coeffs; zeros are dropped."""
-        self._set_values(space, {k: v for k, v in (coeffs or {}).items() if v})
+        self._set_values(space, dict(coeffs or {}))
 
     @classmethod
     def _of(cls, space, nums, den=1):
@@ -53,16 +53,20 @@ class SparseVec:
         return v
 
     def _set_values(self, space, values):
-        """Set the tag and the numerators from a fresh dict of nonzero rational
-        values, which is kept as it is when they are all ints; TypeError on a
-        value that is not rational."""
+        """Set the tag and the numerators from a fresh dict of rational values,
+        which is kept as it is when they are all nonzero ints.  The one
+        rationality guard of the constructors: TypeError on a value that is
+        not rational, a zero one too, before the zeros are dropped."""
         self.space = space
         den = 1
         if others := [c for c in values.values() if type(c) is not int]:
             for c in others:
                 require_rational(c)
+            values = {k: c for k, c in values.items() if c}
             ints, den = clear_denominators(values.values())  # lowest terms already
             values = dict(zip(values, ints))
+        elif not all(values.values()):
+            values = {k: c for k, c in values.items() if c}
         self.nums = values
         self.den = den
 

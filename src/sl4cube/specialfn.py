@@ -7,14 +7,14 @@ checks; the recurrences and the orthogonality relation are checked separately.
 The sum is grouped once per first argument by its second-slot exponents, and
 the grouping serves both calP_sum and pvee_word, which substitutes operators
 in that slot.  The recurrences state that the coefficients intertwine A_i, so
-their terms are read from polyspace._FOUR_TERM.
+their terms are read from polyspace._FOUR_TERM, each time a check runs.
 """
 
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .exact import factorial, pochhammer
+from .exact import clear_denominators, factorial, pochhammer
 from .linalg import horner
 from . import polyspace
 from .polyspace import MONOMIAL, STARRED, PolyVec, Profile
@@ -36,9 +36,10 @@ def tails(N):
 @cache
 def _mu_slot_weights(N, lam):
     """The six-fold terminating sum grouped by its second-slot exponents
-    k = (c+e, a+f, b+d): the pairs (k, W_lam(k)), nonzero only.  Each k's
-    sum of multinomials m!/(a!...f!) times first-slot Pochhammers is an
-    integer for an integer lam, divided once by (-N)_m m!/2^m."""
+    k = (c+e, a+f, b+d): the common denominator L and the pairs
+    (k, L * W_lam(k)) of integers, nonzero only.  Each k's sum of
+    multinomials m!/(a!...f!) times first-slot Pochhammers is an integer for
+    an integer lam, divided once by (-N)_m m!/2^m."""
     pl = [[pochhammer(-arg, j) for j in range(N + 1)] for arg in lam]
     fact = [factorial(j) for j in range(N + 1)]
     grouped = {}
@@ -61,21 +62,23 @@ def _mu_slot_weights(N, lam):
                             k = (c + e, a + f, b + d)
                             multinomial = fact[m] // (fact[a] * fact[b] * fact[c] * fact[d] * fact[e] * fact[f])
                             grouped[k] = grouped.get(k, 0) + multinomial * f1 * f2 * f3
-    return tuple((k, Fraction(g * 2 ** sum(k), pochhammer(-N, sum(k)) * fact[sum(k)])) for k, g in grouped.items() if g)
+    keys = [k for k, g in grouped.items() if g]
+    weights, den = clear_denominators(Fraction(grouped[k] * 2 ** sum(k), pochhammer(-N, sum(k)) * fact[sum(k)]) for k in keys)
+    return den, tuple(zip(keys, weights))
 
 
 def calP_sum(N, lam, mu):
     """Six-fold terminating sum form of the transition coefficient: the sum
-    of W_lam(k) (-mu_1)_k1 (-mu_2)_k2 (-mu_3)_k3.  Accepts rational arguments
-    in either slot; integer tails terminate the corresponding factors early.
+    of W_lam(k) (-mu_1)_k1 (-mu_2)_k2 (-mu_3)_k3, taken over the integer
+    numerators and divided once.  Accepts rational arguments in either slot;
+    integer tails terminate the corresponding factors early.
     """
     pm = [[pochhammer(-arg, j) for j in range(N + 1)] for arg in mu]
-    total = Fraction(0)
-    for (k1, k2, k3), w in _mu_slot_weights(N, tuple(lam)):
-        f = pm[0][k1] * pm[1][k2] * pm[2][k3]
-        if f:
-            total += w * f
-    return total
+    den, weights = _mu_slot_weights(N, tuple(lam))
+    total = 0
+    for (k1, k2, k3), w in weights:
+        total += w * pm[0][k1] * pm[1][k2] * pm[2][k3]
+    return Fraction(total, den)
 
 
 def calP_genfunc(N, lam, mu):
@@ -102,25 +105,39 @@ def calP_vee(N, lam, weights):
     return calP_sum(N, lam, tuple(c // 4 if c % 4 == 0 else Fraction(c, 4) for c in quarters))
 
 
-def pvee_word(N, stu, starred=False):
+def pvee_word(N, stu, starred=False, chains=None):
     """Apply the six-variable transition polynomial, with the three commuting
     generators substituted in its second argument slot, to x^N (or the starred
     mirror to x*^N).  The operator mu'_i is the inverse weight map with the
     generators for the weights; each exponent triple k of the grouped sum
-    applies one chain of rising factorials (-mu'_i)_{k_i}."""
+    applies one chain of rising factorials (-mu'_i)_{k_i}, in i = 1, 2, 3.
+
+    Each chain extends the one a factor shorter, and chains keeps them by
+    (starred, k), so words at one N that share the dict build each chain
+    once.  The chains read the generator tables, so the dict must not
+    outlive a check."""
     seed = PolyVec.unit(STARRED if starred else MONOMIAL, (N, 0, 0, 0))
     gens = [GeneratorId("Astar" if starred else "A", k) for k in (1, 2, 3)]
+    chains = {} if chains is None else chains
 
-    def rising(i, m, v):  # (-mu'_i)_m applied to v
-        for p in range(m):
-            four_mu = polyspace.inverse_weight(i, N * v, [polyspace.act_generator(g, v) for g in gens])
-            v = p * v - Fraction(1, 4) * four_mu
-        return v
+    def chain(k):  # (-mu'_3)_k3 (-mu'_2)_k2 (-mu'_1)_k1 applied to the seed
+        key = (starred, k)
+        if key not in chains:
+            i = max((i for i in (1, 2, 3) if k[i - 1]), default=0)
+            if not i:
+                chains[key] = seed
+            else:  # the last factor, -mu'_i + (k_i - 1), on the chain before it
+                p = k[i - 1] - 1
+                v = chain(k[: i - 1] + (p,) + k[i:])
+                four_mu = polyspace.inverse_weight(i, N * v, [polyspace.act_generator(g, v) for g in gens])
+                chains[key] = p * v - Fraction(1, 4) * four_mu
+        return chains[key]
 
+    den, weights = _mu_slot_weights(N, tuple(stu))
     total = PolyVec.zero(seed.basis)
-    for (k1, k2, k3), w in _mu_slot_weights(N, tuple(stu)):
-        total.add_scaled(w, rising(3, k3, rising(2, k2, rising(1, k1, seed))))
-    return total
+    for k, w in weights:
+        total.add_scaled(w, chain(k))
+    return Fraction(1, den) * total
 
 
 def transition_table(N):
@@ -151,29 +168,36 @@ def check_orthogonality(N, table=None) -> Report:
     return rep
 
 
-def _recurrence_rhs(N, which, lam, value):
-    """Right-hand side of recurrence ``which`` at the tail lam, reading each
-    shifted coefficient through value(shifted tail).
-
-    The terms are A_which on the monomial of tail lam, by the four-term table
-    polyspace._FOUR_TERM: the transition coefficients intertwine A_which,
-    four shifts in the first slot and its weight in the second.  Zero
-    coefficients, where a shifted tail would leave the range, are dropped.
-    """
+def _term_image(N, which, lam):
+    """The terms of recurrence ``which`` at the tail lam, as (shifted tail,
+    coefficient) pairs: A_which on the monomial of tail lam, by the four-term
+    table polyspace._FOUR_TERM read now.  The transition coefficients
+    intertwine A_which, four shifts in the first slot and its weight in the
+    second.  Zero coefficients, where a shifted tail would leave the range,
+    are dropped."""
     image = polyspace._act_profiles(True, which, {Profile(N - sum(lam), *lam): 1})
-    return sum(c * value(q[1:]) for q, c in image.items())
+    return tuple((q[1:], c) for q, c in image.items())
+
+
+def _recurrence_rhs(terms, value):
+    """Right-hand side of a recurrence at the tail whose terms are given
+    (_term_image), reading each shifted coefficient through value(shifted
+    tail).  A check takes the terms of one tail once, for every second
+    argument it pairs the tail with."""
+    return sum(c * value(shifted) for shifted, c in terms)
 
 
 # The recurrences are checked on every key up to this degree, on sampled keys above it.
 EXHAUSTIVE_N_MAX = 3
 
 
-def _recurrence_fails(N, which, lam, mu, table):
-    """Whether recurrence ``which`` fails at the key (lam, mu) of the table; a
-    correct four-term table drops every out-of-range shift, so a missing tail fails."""
+def _recurrence_fails(N, which, terms, lam, mu, table):
+    """Whether recurrence ``which``, with the terms of lam, fails at the key
+    (lam, mu) of the table; a correct four-term table drops every
+    out-of-range shift, so a missing tail fails."""
     lhs = polyspace.weight(which, (N - sum(mu), *mu)) * table[(lam, mu)]
     try:
-        return lhs != _recurrence_rhs(N, which, lam, lambda shifted: table[(shifted, mu)])
+        return lhs != _recurrence_rhs(terms, lambda shifted: table[(shifted, mu)])
     except KeyError:
         return True
 
@@ -187,8 +211,9 @@ def check_recurrences(N, table=None) -> Report:
 
     def failures(which):
         for lam in ts:
+            terms = _term_image(N, which, lam)
             for mu in ts:
-                if _recurrence_fails(N, which, lam, mu, table):
+                if _recurrence_fails(N, which, terms, lam, mu, table):
                     yield f"recurrence {which} at N={N} lam={lam} mu={mu}"
     beyond = above(N, EXHAUSTIVE_N_MAX, "exhaustive range")
     for which in (1, 2, 3):
@@ -207,7 +232,7 @@ def check_recurrences_sampled(N, table, rng, count) -> Report:
             lam = ts[rng.randrange(len(ts))]
             mu = ts[rng.randrange(len(ts))]
             for which in (1, 2, 3):
-                if _recurrence_fails(N, which, lam, mu, table):
+                if _recurrence_fails(N, which, _term_image(N, which, lam), lam, mu, table):
                     yield f"recurrence {which} at lam={lam} mu={mu}"
     within = f"N <= {EXHAUSTIVE_N_MAX} (checked exhaustively)" if N <= EXHAUSTIVE_N_MAX else None
     rep.check("special.recurrence.sampled", "weighted transition recurrences on sampled keys", N, failures(), skip=within)
@@ -224,8 +249,9 @@ def check_weight_recurrences(N) -> Report:
 
     def failures(which):
         for lam in ts:
+            terms = _term_image(N, which, lam)
             for trip in triples:
-                if trip[which - 1] * pv(lam, trip) != _recurrence_rhs(N, which, lam, lambda shifted: pv(shifted, trip)):
+                if trip[which - 1] * pv(lam, trip) != _recurrence_rhs(terms, lambda shifted: pv(shifted, trip)):
                     yield f"weight recurrence {which} at N={N} lam={lam} weights={trip}"
     beyond = above(N, EXHAUSTIVE_N_MAX, "exhaustive range")
     for which in (1, 2, 3):
@@ -237,17 +263,20 @@ def check_weight_recurrences(N) -> Report:
 
 class KrawtchoukFamily(NamedTuple):
     N: int
-    coeffs: list  # coeffs[n] = dense coefficient list of f_n, low degree first
+    coeffs: tuple  # coeffs[n] = dense coefficient tuple of f_n, low degree first
 
     def evaluate(self, n, x):
         return horner(self.coeffs[n], lambda y: x * y, 1)
 
 
+@cache
 def krawtchouk(N) -> KrawtchoukFamily:
-    """Build f_0 .. f_{N+1} from the three-term recurrence.
+    """Build f_0 .. f_{N+1} from the three-term recurrence, once per N: the
+    coefficients are tuples, so no reader can change the shared family.
 
     Certifies that the top polynomial matches its closed product form
-    (eta - N)(eta - N + 2) ... (eta + N) / N! coefficientwise.
+    (eta - N)(eta - N + 2) ... (eta + N) / N! coefficientwise, raising, and
+    caching nothing, when it does not.
     """
     coeffs = [[Fraction(1)]]
     if N >= 1:
@@ -274,7 +303,7 @@ def krawtchouk(N) -> KrawtchoukFamily:
     for n, c in enumerate(coeffs):
         if len(_poly_trim(c)) != n + 1:
             raise ArithmeticError(f"deg f_{n} != {n} at N={N}")
-    return KrawtchoukFamily(N, coeffs)
+    return KrawtchoukFamily(N, tuple(map(tuple, coeffs)))
 
 
 def _poly_scale(p, c):

@@ -123,7 +123,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     profiles = polyspace.enumerate_profiles(N)
     D, M, L, R, C = polyspace.apply_D, polyspace.apply_M, polyspace.apply_L, polyspace.apply_R, polyspace.apply_C
-    act, herm, unit, Omega = polyspace.act_generator, polyspace.hermitian, PolyVec.unit, polyspace.apply_Omega
+    act, herm, unit, Omega = polyspace.act_generator, polyspace.hermitian, functools.cache(PolyVec.unit), polyspace.apply_Omega
     low = "N < 2 (no slice of degree N-2)" if N < 2 else None
     count = unless(lambda: len(profiles) == binomial(N + 3, 3), f"{len(profiles)} profiles")
     rep.check("poly.profile_count", "number of degree-N profiles = C(N+3, 3)", N, count)
@@ -135,7 +135,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
                 for p in profiles:
                     e = unit(basis, p)
                     if act(gid, e) != _apply_dm_factorization(terms, e):
-                        yield f"{gid} on {basis} unit {tuple(p)}"
+                        yield f"{gid.kind}^({gid.index}) on {basis} unit {tuple(p)}"
     rep.check("poly.tables_vs_dm", "generator tables match their derivative/multiplication factorizations", N, tables_vs_dm())
 
     v = random_polyvec(rng, N, MONOMIAL)
@@ -349,6 +349,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
 def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
     rep = Report()
     ts = specialfn.tails(N)
+    unit = functools.cache(PolyVec.unit)
 
     table = specialfn.transition_table(N)
     every_key = above(N, 4, "all-keys bound")
@@ -379,19 +380,19 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
 
     def pairing():
         for lam, mu in sample:
-            pairing = polyspace.hermitian(PolyVec.unit(MONOMIAL, (N - sum(lam), *lam)), PolyVec.unit(STARRED, (N - sum(mu), *mu)))
+            pairing = polyspace.hermitian(unit(MONOMIAL, (N - sum(lam), *lam)), unit(STARRED, (N - sum(mu), *mu)))
             if pairing != nfact * table[(lam, mu)]:
                 yield f"key {lam};{mu}"
     rep.check("special.pairing", "<x^p, x*^q> = N!/2^N times the transition coefficient", N, pairing())
 
     def transition_expansion():
         for p in polyspace.enumerate_profiles(N):
-            for q, c in polyspace.convert_basis(PolyVec.unit(MONOMIAL, p), STARRED).items():
+            for q, c in polyspace.convert_basis(unit(MONOMIAL, p), STARRED).items():
                 if c != nfact * table[((p.s, p.t, p.u), (q.s, q.t, q.u))] / q.norm_sq:
                     yield f"{tuple(p)} -> {tuple(q)}"
     rep.check("special.transition_expansion", "basis conversion reproduces the transition coefficients", N, transition_expansion(), skip=every_key)
 
-    fam = functools.cache(lambda: specialfn.krawtchouk(N))  # certifies its closed form by raising
+    fam = lambda: specialfn.krawtchouk(N)  # certifies its closed form by raising
 
     rep.check("special.krawtchouk_family", "recurrence family is consistent with the closed product form", N, completes(fam))
 
@@ -400,15 +401,15 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
             for n in range(N + 1):
                 prof = [N - n, 0, 0, 0]
                 prof[k] = n
-                if specialfn.krawtchouk_vector(N, n, GeneratorId("A", k)) != PolyVec.unit(MONOMIAL, tuple(prof)):
+                if specialfn.krawtchouk_vector(N, n, GeneratorId("A", k)) != unit(MONOMIAL, tuple(prof)):
                     yield f"f_{n}(A_{k})"
-                if specialfn.krawtchouk_vector(N, n, GeneratorId("Astar", k)) != PolyVec.unit(STARRED, tuple(prof)):
+                if specialfn.krawtchouk_vector(N, n, GeneratorId("Astar", k)) != unit(STARRED, tuple(prof)):
                     yield f"f_{n}(A*_{k})"
     rep.check("special.krawtchouk_vectors", "f_n applied to the seed produces the two-variable monomials", N, krawtchouk_vectors())
 
     def operator_recurrence():
         act = lambda w: polyspace.act_generator(GeneratorId("A", 1), w)
-        vecs = [horner(fam().coeffs[n], act, PolyVec.unit(MONOMIAL, (N, 0, 0, 0))) for n in range(N + 2)]
+        vecs = [horner(fam().coeffs[n], act, unit(MONOMIAL, (N, 0, 0, 0))) for n in range(N + 2)]
         for n in range(N + 1):
             rhs = (n * vecs[n - 1] if n else PolyVec.zero(MONOMIAL)) + (N - n) * vecs[n + 1]
             if n == N:
@@ -418,10 +419,11 @@ def suite_special(N, rng, basepoint, oracle_n_max) -> Report:
     rep.check("special.operator_recurrence", "the generator satisfies the Krawtchouk recurrence on seed words", N, operator_recurrence())
 
     def pvee_words():
+        chains = {}  # the rising-factorial chains, shared by every word of this check
         for p in polyspace.enumerate_profiles(N):
-            if specialfn.pvee_word(N, (p.s, p.t, p.u)) != PolyVec.unit(MONOMIAL, p):
+            if specialfn.pvee_word(N, (p.s, p.t, p.u), chains=chains) != unit(MONOMIAL, p):
                 yield f"plain word {tuple(p)}"
-            if specialfn.pvee_word(N, (p.s, p.t, p.u), starred=True) != PolyVec.unit(STARRED, p):
+            if specialfn.pvee_word(N, (p.s, p.t, p.u), starred=True, chains=chains) != unit(STARRED, p):
                 yield f"starred word {tuple(p)}"
     oracle = above(N, oracle_n_max, "oracle cap")
     rep.check("special.pvee_words", "operator-substituted transition polynomial reproduces the monomials", N, pvee_words(), skip=oracle)

@@ -41,7 +41,7 @@ class TripleTensor(SparseVec):
         coeffs = coeffs or {}
         if bad := [k for k in coeffs if type(k) is not int or not 0 <= k < 8**N]:
             raise ValueError(f"{bad[0]!r} is not a packed triple at N = {N}")
-        self._set_values(N, {k: c for k, c in coeffs.items() if c})
+        self._set_values(N, dict(coeffs))
 
     @property
     def N(self):
@@ -173,7 +173,7 @@ class FixVec(SparseVec):
         values = {Profile(*p): c for p, c in (coeffs or {}).items()}
         if bad := [p for p in values if min(p) < 0 or p.degree != N]:
             raise ValueError(f"{tuple(bad[0])} is not a degree-{N} profile")
-        self._set_values((N, tag), {p: c for p, c in values.items() if c})
+        self._set_values((N, tag), values)
 
     @property
     def N(self):

@@ -1,6 +1,6 @@
 import pytest
 
-from sl4cube import tensorspace
+from sl4cube import specialfn, tensorspace
 
 
 @pytest.fixture
@@ -11,3 +11,14 @@ def fresh_spectral_numerators():
     tensorspace._spectral_table.cache_clear()
     yield
     tensorspace._spectral_table.cache_clear()
+
+
+@pytest.fixture
+def fresh_krawtchouk():
+    """Empty the cached Krawtchouk families before and after a test that
+    patches a helper of ``specialfn.krawtchouk``: no family cached from the
+    real helpers hides the patch, and none built from the patch outlives the
+    test."""
+    specialfn.krawtchouk.cache_clear()
+    yield
+    specialfn.krawtchouk.cache_clear()

@@ -29,6 +29,61 @@ def test_mat_scales_by_rationals_only():
             c * Mat.identity(2)
 
 
+def _random_rows(rng, m, n, fractions):
+    """An m x n list of rows with about a third zero entries and one zero row
+    when m > 1, ints or Fractions."""
+    def entry():
+        if rng.random() < 0.35:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if fractions else rng.randint(-9, 9)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 1:
+        rows[rng.randrange(m)] = [0] * n
+    return rows
+
+
+def _product(a, b):  # the plain triple loop
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
+def test_mat_kernel_matches_the_triple_loop(fractions):
+    rng = random.Random(7)
+    for _ in range(60):
+        m, k, n = (rng.randint(1, 5) for _ in range(3))
+        a, b, a2 = _random_rows(rng, m, k, fractions), _random_rows(rng, k, n, fractions), _random_rows(rng, m, k, fractions)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if fractions else rng.randint(-4, 4)
+        A, B, A2 = Mat(a), Mat(b), Mat(a2)
+        want = {
+            "@": _product(a, b),
+            "+": [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)],
+            "-": [[x - y for x, y in zip(r, s)] for r, s in zip(a, a2)],
+            "c *": [[c * x for x in r] for r in a],
+        }
+        got = {"@": A @ B, "+": A + A2, "-": A - A2, "c *": c * A}
+        for op, M in got.items():
+            assert M.rows == want[op], op
+            assert (M.nrows, M.ncols) == (len(want[op]), len(want[op][0])), op
+            if not fractions:
+                assert all(type(x) is int for x in M.flatten()), op
+        assert (A, B, A2) == (Mat(a), Mat(b), Mat(a2))  # no operand was written to
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat([[1, 2, 3]]) @ Mat([[1, 2, 3]])
+
+
+def test_mat_copies_and_checks_its_input():
+    rows = [[1, 2], [3, 4]]
+    a = Mat(rows)
+    rows[0][0] = 99
+    rows.append([5, 6])
+    assert a == Mat([[1, 2], [3, 4]]) and a.nrows == 2
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+        with pytest.raises(ValueError, match="ragged rows"):
+            Mat(ragged)
+    z = Mat([[0, 0, 0], [0, 0, 0]]) @ Mat.identity(3)  # zero rows on the left
+    assert z == Mat.zeros(2, 3) and all(type(x) is int for x in z.flatten())
+
+
 def test_rank_simple():
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[1, 0], [0, 1]]) == 2

@@ -61,9 +61,11 @@ def test_a_float_value_is_refused_by_every_constructor():
         lambda c: TElem(t_algebra(1), {(0, 0, 0): c}),
     ]
     for build in builds:
-        with pytest.raises(TypeError, match="scalars must be rational"):
-            build(0.5)
+        for bad in (0.5, 0.0, -0.0):  # a zero float too: the guard runs before zeros are dropped
+            with pytest.raises(TypeError, match="scalars must be rational"):
+                build(bad)
         assert build(Fraction(1, 2)) == Fraction(1, 2) * build(1)
+        assert build(0).is_zero() and build(Fraction(0)).is_zero()
     with pytest.raises(TypeError, match="scalars must be rational"):
         TripleTensor(1, {0: 1, 1: 2.0})  # after an int value too
 

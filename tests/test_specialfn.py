@@ -79,10 +79,10 @@ def test_recurrence_witnesses_on_a_corrupted_table():
 
 def test_krawtchouk_family():
     fam = sf.krawtchouk(2)
-    assert fam.coeffs[0] == [1]
-    assert fam.coeffs[1] == [0, Fraction(1, 2)]
-    assert fam.coeffs[2] == [-1, 0, Fraction(1, 2)]
-    assert fam.coeffs[3] == [0, -2, 0, Fraction(1, 2)]
+    assert fam.coeffs[0] == (1,)
+    assert fam.coeffs[1] == (0, Fraction(1, 2))
+    assert fam.coeffs[2] == (-1, 0, Fraction(1, 2))
+    assert fam.coeffs[3] == (0, -2, 0, Fraction(1, 2))
     for N in range(7):
         got = sf.krawtchouk(N)
         for n, poly in enumerate(got.coeffs):
@@ -199,7 +199,7 @@ def test_four_term_recurrences_match_the_hand_terms(N):
         for s, t, u in sf.tails(N):
             coeff_of = {"r": N - s - t - u, "s": s, "t": t, "u": u}
             hand = sum(coeff_of[name] * value(shifted) for shifted, name in _hand_recurrence_terms(which, s, t, u) if coeff_of[name])
-            assert sf._recurrence_rhs(N, which, (s, t, u), value) == hand, (which, (s, t, u))
+            assert sf._recurrence_rhs(sf._term_image(N, which, (s, t, u)), value) == hand, (which, (s, t, u))
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -213,3 +213,32 @@ def test_swapped_four_term_shift_fails_its_recurrence(monkeypatch, k):
     assert set(failed) == {f"special.recurrence.{k}"}
     # a shift that leaves the range names the identity, not a table key
     assert failed[f"special.recurrence.{k}"].startswith(f"recurrence {k} at N=2")
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_reuse_within_a_job_hides_no_corruption(monkeypatch, k):
+    # clean special and poly jobs first fill every cache this process keeps;
+    # the same jobs after a swapped A_k shift must still read the table anew
+    from sl4cube import cli
+
+    jobs = [(suite, 2, (0, 2, 0)) for suite in ("special", "poly")]
+    clean = [c for job in jobs for c in cli._run_job(job)]
+    assert all(c.status != "fail" for c in clean)
+    first, second, third, fourth = ps._FOUR_TERM[k]
+    monkeypatch.setitem(ps._FOUR_TERM, k, (first, (*second[:2], third[2]), (*third[:2], second[2]), fourth))
+    failed = {c.id: c.witness for job in jobs for c in cli._run_job(job) if c.status == "fail"}
+    for check in (f"special.recurrence.{k}", f"special.weight_recurrence.{k}", "special.pvee_words"):
+        assert failed.get(check), (check, sorted(failed))
+
+
+def test_a_wrong_recurrence_step_fails_every_reader_of_the_family(monkeypatch, fresh_krawtchouk):
+    # f_{n+1} built with eta f_n + n f_{n-1}: the family no longer meets its
+    # closed product form, and every check that reads it must say so
+    from sl4cube import suites
+
+    real = sf._poly_sub
+    monkeypatch.setattr(sf, "_poly_sub", lambda p, q: real(p, [-a for a in q]))
+    failed = {c.id: c.witness for c in suites.suite_special(2, random.Random(0), 0, 2).failures}
+    readers = ("special.krawtchouk_family", "special.krawtchouk_vectors", "special.operator_recurrence")
+    assert set(failed) == set(readers)
+    assert all(w.startswith("ArithmeticError: top Krawtchouk polynomial") for w in failed.values())
