@@ -47,6 +47,15 @@ def above(N, bound, name):
     return f"N > {bound} ({name})" if N > bound else None
 
 
+def second_basepoint_skip(N, basepoint, n_max):
+    """Why a comparison from basepoint 0 with basepoint 1 does not apply, or None."""
+    if N == 0:
+        return "N = 0 (one vertex)"
+    return above(N, n_max, "second-basepoint bound") or (
+        f"basepoint {basepoint} (compared from basepoint 0 only)" if basepoint else None
+    )
+
+
 class Report:
     def __init__(self):
         self.checks = []

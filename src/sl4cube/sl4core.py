@@ -89,11 +89,11 @@ def casimir_form(X, Y, v):
 def tau(m: Mat) -> Mat:
     """Conjugation by Upsilon; an involution since Upsilon squares to I.
 
-    Computed as the product H m H, with one division by 4 per entry: an int
-    where that division is exact, else a Fraction, so non-integral input
-    stays exact.
+    Computed as the product H (m H), the sparse factor m first, with one
+    division by 4 per entry: an int where that division is exact, else a
+    Fraction, so non-integral input stays exact.
     """
-    return Mat._of([[e // 4 if e % 4 == 0 else Fraction(e, 4) for e in row] for row in (_H @ m @ _H).rows])
+    return Mat._of([[e // 4 if e % 4 == 0 else Fraction(e, 4) for e in row] for row in (_H @ (m @ _H)).rows])
 
 
 def basis15():

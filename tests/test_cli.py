@@ -448,8 +448,8 @@ def test_no_assert_in_the_package():
     # python -O strips asserts, and the -O report must equal the default one
     src = Path(cli.__file__).parent
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -201,10 +203,10 @@ def _hand_dm_form(gid, v):
 def test_derived_dm_form_matches_the_hand_tables(N):
     for basis in (MONOMIAL, STARRED):
         for gid in sl4core.GENERATORS:
-            terms = suites._dm_terms(gid, basis)
+            terms = suites.poly._dm_terms(gid, basis)
             for p in polyspace.enumerate_profiles(N):
                 e = PolyVec.unit(basis, p)
-                assert suites._apply_dm_factorization(terms, e) == _hand_dm_form(gid, e), (gid, basis, p)
+                assert suites.poly._apply_dm_factorization(terms, e) == _hand_dm_form(gid, e), (gid, basis, p)
 
 
 def test_corrupted_generator_matrix_fails_tables_vs_dm(monkeypatch):
@@ -213,3 +215,35 @@ def test_corrupted_generator_matrix_fails_tables_vs_dm(monkeypatch):
     monkeypatch.setitem(sl4core._A, 1, sl4core._A[2])
     failed = {c.id: c.witness for c in suites.suite_poly(1, random.Random(0), 0, 3).failures}
     assert failed["poly.tables_vs_dm"] == "A^(1) on monomial unit (0, 0, 0, 1)"
+
+
+def test_swapped_four_term_shift_names_the_generator_in_every_witness(monkeypatch, fresh_expansion_caches):
+    # the two middle terms of A_1 trade shifts: the checks that loop over
+    # generators name the failing one as A^(1), as the intertwining checks do
+    first, second, third, fourth = polyspace._FOUR_TERM[1]
+    monkeypatch.setitem(polyspace._FOUR_TERM, 1, (first, (*second[:2], third[2]), (*third[:2], second[2]), fourth))
+    failed = {c.id: c.witness for c in suites.suite_poly(2, random.Random(0), 0, 3).failures}
+    assert failed["poly.tables_vs_dm"] == "A^(1) on monomial unit (0, 0, 1, 1)"
+    assert failed["poly.adjoint_generators"] == "A^(1) at pair (0, 0, 0, 2),(0, 0, 1, 1)"
+    assert failed["poly.ladder_commutes"] == "[R_2, A^(1)]"
+
+
+def _compile_peak(path):
+    """Peak traced bytes of compiling one source file."""
+    source = path.read_text()
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_suite_module_compiles_below_the_largest_library_module():
+    # an interpreter without bytecode compiles every module on import, and
+    # the largest compile sets the process's memory peak: no suite module
+    # may cost more than cube.py, so the suites stay one module each
+    ceiling = _compile_peak(Path(cube.__file__))
+    peaks = {path.name: _compile_peak(path) for path in sorted(Path(suites.__file__).parent.glob("*.py"))}
+    assert len(peaks) == 7
+    assert all(peak < ceiling for peak in peaks.values()), (peaks, ceiling)
