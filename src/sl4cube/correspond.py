@@ -144,10 +144,10 @@ def check_ddag(N, oracle_cap) -> Report:
 
     def injective_rows():  # of the lifted tensors where the oracle runs, else of the coordinates
         if oracle:
-            yield from ([c.get(q, 0) for q in profiles] for c in (ddag_scaled(v).coeffs for v in mono.values()))
+            yield from (ddag_scaled(v).row(profiles) for v in mono.values())
         else:
             keys = sorted({k for vec in lifted() for k in vec.nums})
-            yield from ([c.get(k, 0) for k in keys] for c in (vec.coeffs for vec in lifted()))
+            yield from (vec.row(keys) for vec in lifted())
     rep.check("correspond.ddag.injective", "the map has full rank on the degree slice", N, _rank_mismatches(injective_rows()))
     return rep
 
@@ -173,7 +173,7 @@ def check_eps(N, basepoint, oracle_cap) -> Report:
     intertwine = intertwining_failures(units, eps, tensorspace.act_abstract, lambda gid, B: ops[gid](B))
     rep.check("correspond.eps.intertwine", "flattening carries the operator action to the module operators", N, intertwine)
     rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, _form_mismatches(units, eps, scale_sq))
-    bijective = _rank_mismatches(eps(u).coord_vector() for u in units[STAR_TILDE].values())
+    bijective = _rank_mismatches(eps(u).row(alg.triples) for u in units[STAR_TILDE].values())
     rep.check("correspond.eps.bijective", "flattening restricted to the fixed subspace has full rank", N, bijective)
     return rep
 
@@ -207,7 +207,7 @@ def check_theta(N, basepoint, oracle_cap) -> Report:
     rep.check("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, concrete, skip=oracle)
 
     rep.check("correspond.theta.form", "<theta(f), theta(g)> = N! <f, g>", N, _form_mismatches(units, theta, scale_sq))
-    injective = _rank_mismatches(theta(e).coord_vector() for e in units[MONOMIAL].values())
+    injective = _rank_mismatches(theta(e).row(alg.triples) for e in units[MONOMIAL].values())
     rep.check("correspond.theta.injective", "theta has full rank", N, injective)
     return rep
 
@@ -253,8 +253,8 @@ def wedderburn_correspondence(N, basepoint) -> Report:
         for (ell, vecs), (ell2, _, ideal) in zip(summands, alg.wedderburn()):
             if ell != ell2:
                 yield f"summand level {ell} is paired with ideal level {ell2}"
-            image_rows = [theta_scaled(alg, v).coord_vector() for v in vecs.values()]
-            if not spans_match(image_rows, [b.coord_vector() for b in ideal]):
+            image_rows = [theta_scaled(alg, v).row(alg.triples) for v in vecs.values()]
+            if not spans_match(image_rows, [b.row(alg.triples) for b in ideal]):
                 yield f"level {ell}"
     rep.check("correspond.wedderburn", "theta images of the graded summands span the central ideals, level by level", N, failures())
     return rep

@@ -232,11 +232,6 @@ class TElem(SparseVec):
         """Entrywise form; the cell indicator basis is orthogonal with norms the cell sizes."""
         return self, self.space.cell_sizes.__getitem__
 
-    def coord_vector(self):
-        """Coordinates against the cell indicator basis, in lexicographic triple order."""
-        coords = self.coeffs
-        return [coords.get(t, 0) for t in self.space.triples]
-
 
 class TAlgebra:
     """Subconstituent algebra of the N-cube at a basepoint."""
@@ -479,8 +474,7 @@ class TAlgebra:
         for l, (lam, p) in enumerate(zip(eigs, idems)):
             scaled = TElem._of(self, p.nums)  # p times its denominator: spans are scale independent
             images = [scaled @ b for b in basis.values()]
-            rows = [im.coord_vector() for im in images]
-            keep = independent_rows(rows)
+            keep = independent_rows([im.row(self.triples) for im in images])
             ideal = [images[k] for k in keep]
             expect = (self.N - 2 * l + 1) ** 2
             if len(ideal) != expect:

@@ -444,23 +444,9 @@ def weight_decomposition(N):
 
 def operator_matrix(apply_fn, N):
     """Dense matrix of a degree-preserving operator on the monomial basis, in
-    lexicographic profile order."""
+    lexicographic profile order: the transpose of the units' image rows."""
     profiles = enumerate_profiles(N)
-    index = {p: k for k, p in enumerate(profiles)}
-    cols = []
-    for p in profiles:
-        img = apply_fn(PolyVec.unit(MONOMIAL, p))
-        col = [0] * len(profiles)
-        for q, c in img.items():
-            col[index[q]] = c
-        cols.append(col)
-    return Mat([[cols[j][i] for j in range(len(profiles))] for i in range(len(profiles))])
-
-
-def vector_coords(v: PolyVec, N):
-    """Coordinates of a degree-N vector in lexicographic profile order."""
-    coeffs = v.coeffs
-    return [coeffs.get(p, 0) for p in enumerate_profiles(N)]
+    return Mat(zip(*(apply_fn(PolyVec.unit(MONOMIAL, p)).row(profiles) for p in profiles)))
 
 
 def eigenspace_dims(i, which, N):
@@ -496,7 +482,7 @@ def a_word_basis(N, starred=False):
                     for _ in range(power):
                         v = act_generator(g, v)
                 words[(s, t, u)] = v
-    rows = [vector_coords(v, N) for v in words.values()]
-    if rank(rows) != binomial(N + 3, 3):
+    profiles = enumerate_profiles(N)
+    if rank([v.row(profiles) for v in words.values()]) != binomial(N + 3, 3):
         raise ArithmeticError(f"operator words fail to span the degree-{N} slice")
     return words

@@ -78,6 +78,17 @@ class SparseVec:
             return MappingProxyType(self.nums)
         return MappingProxyType({k: Fraction(a, den) for k, a in self.nums.items()})
 
+    def row(self, keys):
+        """The values at keys, a sequence, in its order: ints when den is 1,
+        else Fractions, and the int 0 at a key with no value.  KeyError, naming
+        the first stored key that keys leaves out, rather than drop a value."""
+        nums, den = self.nums, self.den
+        if stray := nums.keys() - set(keys):
+            raise KeyError(next(k for k in nums if k in stray))
+        if den == 1:
+            return [nums.get(k, 0) for k in keys]
+        return [Fraction(nums[k], den) if k in nums else 0 for k in keys]
+
     def _require_same_space(self, other):
         if self.space is not other.space and self.space != other.space:
             raise ValueError(f"mixing {type(self).__name__} tags; convert first")

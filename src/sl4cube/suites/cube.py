@@ -4,7 +4,7 @@ import functools
 from fractions import Fraction
 
 from .. import cube, sl4core, specialfn
-from ..exact import binomial, factorial
+from ..exact import binomial, clear_denominators, factorial
 from ..linalg import Mat, horner
 from ..report import Report, above, completes, second_basepoint_skip, unless
 
@@ -69,10 +69,11 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
                 yield f"rank E_{i}"
     rep.check("cube.idempotent_ranks", "rank E_i = C(N, i)", N, idempotent_ranks())
 
-    def distance_vs_krawtchouk():
+    def distance_vs_krawtchouk():  # C(N, i) L f_i(A) = L A_i, with L f_i cleared to integers
         fam = specialfn.krawtchouk(N)
         for i in range(N + 1):
-            if binomial(N, i) * horner(fam.coeffs[i], lambda M: A() @ M, eye) != c.distance_op(i):
+            ints, den = clear_denominators(fam.coeffs[i])
+            if binomial(N, i) * horner(ints, lambda M: A() @ M, eye) != den * c.distance_op(i):
                 yield f"distance operator {i}"
     rep.check("cube.distance_vs_krawtchouk", "A_i = C(N, i) f_i(A)", N, distance_vs_krawtchouk())
 

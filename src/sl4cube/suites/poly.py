@@ -215,7 +215,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
         for i in (1, 2, 3):
             for ell, vecs in polyspace.graded_decomposition(i, N):
                 base = N - 2 * ell
-                if rank([polyspace.vector_coords(w, N) for w in vecs.values()]) != (base + 1) ** 2:
+                if rank([w.row(profiles) for w in vecs.values()]) != (base + 1) ** 2:
                     yield f"dimension at level {ell}"
                 for key, w in vecs.items():
                     if L(i, R(i, w)) != ((ell + 1) * (base + ell + 2)) * w:
@@ -254,7 +254,7 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
 
     def matrix_vs_rule():
         op_mat = polyspace.operator_matrix(lambda w: C(1, w), N)
-        if op_mat.apply(polyspace.vector_coords(f, N)) != polyspace.vector_coords(C(1, f), N):
+        if op_mat.apply(f.row(profiles)) != C(1, f).row(profiles):
             yield "C_1 on a random vector"
     rep.check("poly.matrix_vs_rule", "the dense matrix of an operator agrees with its sparse rule", N, matrix_vs_rule())
     return rep

@@ -158,8 +158,8 @@ def test_wedderburn_correspondence_level_one():
     assert len(ideal) == 1
     [gen] = ideal
     # both are nonzero multiples of the same one-dimensional ideal
-    ic = image.coord_vector()
-    gc = gen.coord_vector()
+    ic = image.row(alg.triples)
+    gc = gen.row(alg.triples)
     ratio = None
     for a, b in zip(ic, gc):
         if a or b:

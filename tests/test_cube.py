@@ -5,8 +5,10 @@ from math import comb, factorial, prod
 import pytest
 
 from sl4cube import cube as cb
+from sl4cube import suites
 from sl4cube.cube import TripleIndex, cell_classes, cube, profile_of_triple, t_algebra, triple_of_profile
 from sl4cube.linalg import Mat
+from sl4cube.report import Report
 
 
 def test_adjacency_small():
@@ -29,6 +31,31 @@ def test_distance_ops():
     # distance-2 operator through the Krawtchouk identity: A^2/2 - I
     A = c.adjacency()
     assert c.distance_op(2) == Fraction(1, 2) * (A @ A) - Mat.identity(4)
+
+
+def test_the_krawtchouk_identity_multiplies_integer_matrices(monkeypatch):
+    # C(N, i) L f_i(A) = L A_i with L f_i cleared to integers, so every
+    # product that cube.distance_vs_krawtchouk takes is of integer matrices
+    operands, reading = [], [False]
+    check, matmul = Report.check, Mat.__matmul__
+
+    def recording_check(self, id, *args, **kwargs):
+        reading[0] = id == "cube.distance_vs_krawtchouk"
+        try:
+            return check(self, id, *args, **kwargs)
+        finally:
+            reading[0] = False
+
+    def recording_matmul(self, other):
+        if reading[0]:
+            operands.extend((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Report, "check", recording_check)
+    monkeypatch.setattr(Mat, "__matmul__", recording_matmul)
+    rep = suites.suite_cube(3, random.Random(0), 0, 3)
+    assert [c.status for c in rep.checks if c.id == "cube.distance_vs_krawtchouk"] == ["pass"]
+    assert operands and all(type(a) is int for M in operands for a in M.flatten())
 
 
 def test_dual_objects():

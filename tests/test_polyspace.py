@@ -219,7 +219,8 @@ def test_operator_matrix_matches_rule():
     mat = ps.operator_matrix(lambda v: ps.act_generator(gid, v), N)
     rng = random.Random(9)
     v = PolyVec(MONOMIAL, {p: rng.randint(-5, 5) for p in ps.enumerate_profiles(N)})
-    assert mat.apply(ps.vector_coords(v, N)) == ps.vector_coords(ps.act_generator(gid, v), N)
+    profiles = ps.enumerate_profiles(N)
+    assert mat.apply(v.row(profiles)) == ps.act_generator(gid, v).row(profiles)
 
 
 def test_zero_vector_conventions():

@@ -212,6 +212,52 @@ def test_coeffs_is_a_read_only_rational_view():
     assert v.coeffs == {0: Fraction(1, 2), 1: 3}
 
 
+# -- row: the one dense reader of every space ---------------------------------
+
+
+def row_cases():
+    """(vector, the ordered keys of its space) for PolyVec in both bases, FixVec
+    in both tags, TElem and TripleTensor at N = 2: each stores -3 at its
+    fifth key, then 1/2 at its second."""
+    profiles = enumerate_profiles(2)
+    alg = t_algebra(2, 0)
+    packed = list(range(8**2))
+    pick = lambda keys: {keys[4]: -3, keys[1]: Fraction(1, 2)}
+    return (
+        [(PolyVec(basis, pick(profiles)), profiles) for basis in (MONOMIAL, STARRED)]
+        + [(FixVec(2, tag, pick(profiles)), profiles) for tag in (TILDE, STAR_TILDE)]
+        + [(TElem(alg, pick(alg.triples)), alg.triples), (TripleTensor(2, pick(packed)), packed)]
+    )
+
+
+def test_row_reads_the_values_in_the_order_of_the_keys():
+    for v, keys in row_cases():
+        want = [0] * len(keys)
+        want[1], want[4] = Fraction(1, 2), -3
+        got = v.row(keys)
+        assert got == want
+        assert [type(x) for x in got] == [Fraction if x else int for x in want]
+        assert v.row(keys[::-1]) == want[::-1]
+        assert v.row(keys[4:0:-3]) == [-3, Fraction(1, 2)]
+        doubled = (2 * v).row(keys)
+        assert doubled == [2 * x for x in want] and all(type(x) is int for x in doubled)
+        assert type(v)._of(v.space, {}).row(keys) == [0] * len(keys)
+        assert type(v)._of(v.space, {}).row([]) == []
+
+
+def test_row_refuses_to_drop_a_stored_key():
+    for v, keys in row_cases():
+        with pytest.raises(KeyError) as err:
+            v.row(keys[:4] + keys[5:])
+        assert err.value.args == (keys[4],)
+        with pytest.raises(KeyError) as err:
+            v.row([])  # both stored keys are left out: the first stored is named
+        assert err.value.args == (keys[4],)
+        with pytest.raises(KeyError) as err:
+            (2 * v).row(keys[2:])
+        assert err.value.args == (keys[1],)
+
+
 # -- each space's form, stated once in _form and read by inner and gram ---------
 
 

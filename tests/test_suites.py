@@ -228,6 +228,15 @@ def test_swapped_four_term_shift_names_the_generator_in_every_witness(monkeypatc
     assert failed["poly.ladder_commutes"] == "[R_2, A^(1)]"
 
 
+def test_a_word_that_leaves_the_degree_names_the_profile_it_reaches(monkeypatch, fresh_expansion_caches):
+    # A_1's first term shifted to (0, 1, 0, 0) raises the degree: the dense
+    # rows of the word basis refuse the degree-3 key rather than drop it
+    first, *rest = polyspace._FOUR_TERM[1]
+    monkeypatch.setitem(polyspace._FOUR_TERM, 1, ((*first[:2], (0, 1, 0, 0)), *rest))
+    failed = {c.id: c.witness for c in suites.suite_poly(2, random.Random(0), 0, 3).failures}
+    assert failed["poly.word_basis"] == "KeyError: Profile(r=2, s=1, t=0, u=0)"
+
+
 def _compile_peak(path):
     """Peak traced bytes of compiling one source file."""
     source = path.read_text()
