@@ -18,7 +18,7 @@ from .exact import factorial
 from .linalg import Mat, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
 from .report import Report, above
-from .sl4core import intertwining_failures
+from .sl4core import intertwining_failures, unit_failures
 from .sparse import gram
 from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor, group_order
 
@@ -96,6 +96,11 @@ def _form_mismatches(units, image, scale_sq):
                     yield f"{label} pair {tuple(p)},{tuple(q)}"
 
 
+def _poly_units(N, *tags):
+    """The units {tag: {profile: unit}} of the degree-N slice in each basis tag."""
+    return {tag: {p: PolyVec.unit(tag, p) for p in polyspace.enumerate_profiles(N)} for tag in tags}
+
+
 def _rank_mismatches(rows):
     """The witness "rank r of n images" unless the n rows are independent."""
     rows = list(rows)
@@ -110,7 +115,7 @@ def check_ddag(N, oracle_cap) -> Report:
     profiles = polyspace.enumerate_profiles(N)
     scale_sq = ddag_scale_squared(N)
     oracle = above(N, oracle_cap, "oracle cap")
-    units = {tag: {p: PolyVec.unit(tag, p) for p in profiles} for tag in (MONOMIAL, STARRED)}
+    units = _poly_units(N, MONOMIAL, STARRED)
     act = polyspace.act_generator
     intertwine = intertwining_failures(units, ddag_scaled, act, tensorspace.act_abstract)
     rep.check("correspond.ddag.intertwine", "image of generator action = operator action of image", N, intertwine)
@@ -125,12 +130,9 @@ def check_ddag(N, oracle_cap) -> Report:
     concrete_form = _form_mismatches({"concrete form": mono}, lift, scale_sq)
     rep.check("correspond.ddag.concrete_form", "lifted form matches the scaled polynomial form", N, concrete_form, skip=oracle)
 
-    def consistency():
-        for p, e in units[STARRED].items():
-            if lift(e) != lift(polyspace.convert_basis(e, MONOMIAL)):
-                yield f"starred unit {tuple(p)}"
+    consistency = unit_failures({STARRED: units[STARRED]}, lift, lambda e: lift(polyspace.convert_basis(e, MONOMIAL)))
     rep.check(
-        "correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, consistency(), skip=oracle
+        "correspond.ddag.starred_consistency", "starred rule agrees with conversion followed by the plain rule", N, consistency, skip=oracle
     )
 
     def cross_form():
@@ -161,16 +163,11 @@ def check_eps(N, basepoint, oracle_cap) -> Report:
     scale_sq = eps_scale_squared(N)
     units = {tag: {p: FixVec.unit(N, tag, p) for p in profiles} for tag in (TILDE, STAR_TILDE)}
 
-    def routes():
-        for tag, vecs in units.items():
-            for p, u in vecs.items():
-                if alg.from_matrix(eps_scaled_concrete(alg, u.lift())) != eps(u):
-                    yield f"{tag} unit {tuple(p)}"
+    routes = unit_failures(units, lambda u: alg.from_matrix(eps_scaled_concrete(alg, u.lift())), eps)
     oracle = above(N, oracle_cap, "oracle cap")
-    rep.check("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, routes(), skip=oracle)
+    rep.check("correspond.eps.routes", "concrete flattening equals the dual-basis formulas", N, routes, skip=oracle)
 
-    ops = alg.t_module_ops()
-    intertwine = intertwining_failures(units, eps, tensorspace.act_abstract, lambda gid, B: ops[gid](B))
+    intertwine = intertwining_failures(units, eps, tensorspace.act_abstract, alg.act)
     rep.check("correspond.eps.intertwine", "flattening carries the operator action to the module operators", N, intertwine)
     rep.check("correspond.eps.form", "<eps(u), eps(v)> = 2^-N <u, v>", N, _form_mismatches(units, eps, scale_sq))
     bijective = _rank_mismatches(eps(u).row(alg.triples) for u in units[STAR_TILDE].values())
@@ -182,27 +179,18 @@ def check_theta(N, basepoint, oracle_cap) -> Report:
     """Intertwining, composition, form scaling, and the antiautomorphism square."""
     rep = Report()
     alg = t_algebra(N, basepoint)
-    profiles = polyspace.enumerate_profiles(N)
     theta = lambda v: theta_scaled(alg, v)
     scale_sq = theta_scale_squared(N)
-    units = {tag: {p: PolyVec.unit(tag, p) for p in profiles} for tag in (MONOMIAL, STARRED)}
+    units = _poly_units(N, MONOMIAL, STARRED)
 
-    ops = alg.t_module_ops()
-    intertwine = intertwining_failures(units, theta, polyspace.act_generator, lambda gid, B: ops[gid](B))
+    intertwine = intertwining_failures(units, theta, polyspace.act_generator, alg.act)
     rep.check("correspond.theta.intertwine", "theta carries generator action to the module operators", N, intertwine)
 
-    def composite():
-        for tag, vecs in units.items():
-            for p, e in vecs.items():
-                if eps_scaled_fix(alg, ddag_scaled(e)) != theta(e):
-                    yield f"{tag} unit {tuple(p)}"
-    rep.check("correspond.theta.composite", "theta = flattening after the fixed-space map (scales N! 2^N * 2^-N = N!)", N, composite())
+    composite = unit_failures(units, lambda e: eps_scaled_fix(alg, ddag_scaled(e)), theta)
+    rep.check("correspond.theta.composite", "theta = flattening after the fixed-space map (scales N! 2^N * 2^-N = N!)", N, composite)
 
-    concrete = (
-        f"unit {tuple(p)}"
-        for p, e in units[MONOMIAL].items()
-        if alg.from_matrix(eps_scaled_concrete(alg, ddag_scaled(e).lift())) != theta(e)
-    )
+    through_tensors = lambda e: alg.from_matrix(eps_scaled_concrete(alg, ddag_scaled(e).lift()))
+    concrete = unit_failures({MONOMIAL: units[MONOMIAL]}, through_tensors, theta)
     oracle = above(N, oracle_cap, "oracle cap")
     rep.check("correspond.theta.concrete", "composite through concrete tensors matches the direct rule", N, concrete, skip=oracle)
 
@@ -216,13 +204,9 @@ def sigma_S_diagram(N, basepoint) -> Report:
     """theta after the basis swap equals the antiautomorphism after theta."""
     rep = Report()
     alg = t_algebra(N, basepoint)
-
-    def failures():
-        for p in polyspace.enumerate_profiles(N):
-            e = PolyVec.unit(MONOMIAL, p)
-            if theta_scaled(alg, polyspace.sigma(e)) != alg.s_antiautomorphism(theta_scaled(alg, e)):
-                yield f"unit {tuple(p)}"
-    rep.check("correspond.sigma_s", "theta . sigma = S . theta on every monomial", N, failures())
+    theta = lambda v: theta_scaled(alg, v)
+    failures = unit_failures(_poly_units(N, MONOMIAL), lambda e: theta(polyspace.sigma(e)), lambda e: alg.s_antiautomorphism(theta(e)))
+    rep.check("correspond.sigma_s", "theta . sigma = S . theta on every monomial", N, failures)
     return rep
 
 
@@ -231,14 +215,10 @@ def check_c1_phi(N, basepoint) -> Report:
     by the central element."""
     rep = Report()
     alg = t_algebra(N, basepoint)
-
-    def failures():
-        phi = alg.phi_central()
-        for p in polyspace.enumerate_profiles(N):
-            e = PolyVec.unit(MONOMIAL, p)
-            if theta_scaled(alg, polyspace.apply_C(1, e)) != phi @ theta_scaled(alg, e):
-                yield f"unit {tuple(p)}"
-    rep.check("correspond.c1_phi", "theta . C_1 = (phi . ) . theta", N, failures())
+    theta = lambda v: theta_scaled(alg, v)
+    phi = functools.cache(alg.phi_central)
+    failures = unit_failures(_poly_units(N, MONOMIAL), lambda e: theta(polyspace.apply_C(1, e)), lambda e: phi() @ theta(e))
+    rep.check("correspond.c1_phi", "theta . C_1 = (phi . ) . theta", N, failures)
     return rep
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .exact import binomial, clear_denominators
 from .linalg import Mat, independent_rows, lagrange
 from .polyspace import Profile
-from .sl4core import GENERATORS, casimir_form
+from .sl4core import casimir_form
 from .sparse import SparseVec
 
 
@@ -208,6 +208,7 @@ class TElem(SparseVec):
         """Exact product: at each cell, the sum over the class counts of its
         representative pair (x, y) of m times the factors at (x, k) and (k, y)."""
         alg = self.space
+        alg._require_own(other)
         lc, rc = self.nums.get, other.nums.get
         out = {}
         for trip, terms in zip(alg.triples, alg.cube.class_counts):
@@ -348,8 +349,10 @@ class TAlgebra:
         return Ei @ scaled
 
     def from_matrix(self, M):
-        """Interpret an exact matrix as an algebra element; raises when the matrix
-        is not constant on the cells, i.e. lies outside the algebra."""
+        """Interpret an exact 2^N x 2^N matrix as an algebra element: ValueError on
+        another shape, ArithmeticError when it is not constant on the cells."""
+        if (M.nrows, M.ncols) != (self.cube.size, self.cube.size):
+            raise ValueError(f"a {M.nrows} x {M.ncols} matrix is not an operator on the {self.N}-cube")
         coords = {}
         for x in range(self.cube.size):
             row = M.rows[x]
@@ -521,10 +524,9 @@ class TAlgebra:
             return op
         raise ValueError(f"unknown kind {kind!r}")
 
-    def t_module_ops(self):
-        """All six module operators, keyed by GeneratorId, which equals its
-        (kind, index) pair."""
-        return {gid: self.module_op(*gid) for gid in GENERATORS}
+    def act(self, gid, B):
+        """T's act(gid, v): the module operator of gid, or of its (kind, index) pair, on B."""
+        return self.module_op(*gid)(B)
 
     def s_antiautomorphism(self, B):
         """The basis-swapping antiautomorphism: the indicator of a cell goes to

@@ -61,10 +61,16 @@ class Mat:
 
     __hash__ = None
 
+    def _require_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+
     def __add__(self, other):
+        self._require_shape(other)
         return Mat._of([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
+        self._require_shape(other)
         return Mat._of([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __rmul__(self, c):

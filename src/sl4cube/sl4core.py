@@ -37,6 +37,15 @@ def intertwining_failures(units, image, act_before, act_after):
                 if image(act_before(gid, u)) != act_after(gid, images[p]):
                     yield f"{gid.kind}^({gid.index}) on {tag} unit {tuple(p)}"
 
+
+def unit_failures(units, left, right):
+    """The witness "<tag> unit <p>" wherever two routes disagree on a unit:
+    left(u) against right(u), over units {tag: {profile: unit}}, tag by tag."""
+    for tag, vecs in units.items():
+        for p, u in vecs.items():
+            if left(u) != right(u):
+                yield f"{tag} unit {tuple(p)}"
+
 _A = {
     1: Mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
     2: Mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),

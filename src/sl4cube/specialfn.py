@@ -271,57 +271,30 @@ class KrawtchoukFamily(NamedTuple):
 
 @cache
 def krawtchouk(N) -> KrawtchoukFamily:
-    """Build f_0 .. f_{N+1} from the three-term recurrence, once per N: the
-    coefficients are tuples, so no reader can change the shared family.
+    """Build f_0 .. f_{N+1} from the three-term recurrence
+    (N - n) f_{n+1} = eta f_n - n f_{n-1}, the factor N - n dropped for the top
+    one, once per N: each polynomial is a SparseVec keyed by power, read out
+    as a tuple, so no reader can change the shared family.
 
     Certifies that the top polynomial matches its closed product form
     (eta - N)(eta - N + 2) ... (eta + N) / N! coefficientwise, raising, and
     caching nothing, when it does not.
     """
-    coeffs = [[Fraction(1)]]
-    if N >= 1:
-        prev = None
-        cur = coeffs[0]
-        for n in range(N):
-            shifted = [Fraction(0)] + cur  # eta * f_n
-            if prev is not None:
-                shifted = _poly_sub(shifted, _poly_scale(prev, n))
-            nxt = _poly_scale(shifted, Fraction(1, N - n))
-            coeffs.append(nxt)
-            prev, cur = cur, nxt
-        top = [Fraction(0)] + cur
-        top = _poly_sub(top, _poly_scale(prev, N))
-        coeffs.append(top)
-    else:
-        coeffs.append([Fraction(0), Fraction(1)])  # f_1 = eta when N = 0
-    closed = [Fraction(1)]
+    times_eta = lambda f: SparseVec._of("eta", {k + 1: a for k, a in f.nums.items()}, f.den)
+    fam, prev = [SparseVec("eta", {0: 1})], SparseVec("eta")
+    for n in range(N + 1):
+        nxt = times_eta(fam[n]) - n * prev
+        prev = fam[n]
+        fam.append(Fraction(1, N - n) * nxt if n < N else nxt)
+    closed = fam[0]
     for k in range(N + 1):
-        closed = _poly_sub([Fraction(0)] + closed, _poly_scale(closed, N - 2 * k))
-    closed = _poly_scale(closed, Fraction(1, factorial(N)))
-    if _poly_trim(coeffs[N + 1]) != _poly_trim(closed):
+        closed = times_eta(closed) - (N - 2 * k) * closed
+    if fam[N + 1] != Fraction(1, factorial(N)) * closed:
         raise ArithmeticError(f"top Krawtchouk polynomial disagrees with product form at N={N}")
-    for n, c in enumerate(coeffs):
-        if len(_poly_trim(c)) != n + 1:
+    for n, f in enumerate(fam):
+        if max(f.nums, default=-1) != n:
             raise ArithmeticError(f"deg f_{n} != {n} at N={N}")
-    return KrawtchoukFamily(N, tuple(map(tuple, coeffs)))
-
-
-def _poly_scale(p, c):
-    return [a * c for a in p]
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = p + [Fraction(0)] * (n - len(p))
-    q = q + [Fraction(0)] * (n - len(q))
-    return [a - b for a, b in zip(p, q)]
-
-
-def _poly_trim(p):
-    out = list(p)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return KrawtchoukFamily(N, tuple(tuple(f.row(range(n + 1))) for n, f in enumerate(fam)))
 
 
 def krawtchouk_vector(N, n, gid) -> PolyVec:

@@ -50,16 +50,13 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
             yield "sum of idempotents"
         if recon != twoN * A():
             yield "spectral reconstruction of A"
-        # pairwise products: dense matrices up to N=4, cell coordinates past that
-        # (their agreement is itself certified at small N by cube.product_oracle)
-        if N <= 4:
-            Es, scaled, zero = Ks, [twoN * K for K in Ks], Mat.zeros(size, size)
-        else:
-            Es = [alg.idempotent_elem_raw(i) for i in range(N + 1)]
-            scaled, zero = [twoN * E for E in Es], alg.zero()
+        # pairwise products in cell coordinates: cube.product_oracle certifies
+        # them against dense products, cube.idempotents_in_algebra that each
+        # K_i lies in the algebra
+        Es = [alg.idempotent_elem_raw(i) for i in range(N + 1)]
         for i, Ei in enumerate(Es):
             for j, Ej in enumerate(Es):
-                if Ei @ Ej != (scaled[i] if i == j else zero):
+                if Ei @ Ej != (twoN * Ei if i == j else alg.zero()):
                     yield f"E_{i} E_{j}"
     rep.check("cube.idempotents", "the E_i are symmetric orthogonal idempotents resolving I and A", N, idempotents())
 
@@ -202,7 +199,6 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
     B = random_telem(alg, rng)
 
     def module_ops():
-        ops = alg.t_module_ops()
         forms = [
             (("A", 2), Ae() @ B(), "left multiplication form"),
             (("A", 3), B() @ Ae(), "right multiplication form"),
@@ -210,11 +206,11 @@ def suite_cube(N, rng, basepoint, oracle_n_max) -> Report:
             (("Astar", 3), Ase() @ B(), "left dual multiplication form"),
         ]
         for key, want, name in forms:
-            if ops[key](B()) != want:
+            if alg.act(key, B()) != want:
                 yield name
         for kind, basis, name in (("A", alg.e_basis(), "diagonal form"), ("Astar", alg.estar_basis(), "dual diagonal form")):
             for trip, elem in basis.items():
-                if ops[(kind, 1)](elem) != c.theta(trip.h) * elem:
+                if alg.act((kind, 1), elem) != c.theta(trip.h) * elem:
                     yield f"{name} at {tuple(trip)}"
     rep.check("cube.module_ops", "the six module operators match their multiplication interpretations", N, module_ops())
 

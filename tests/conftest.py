@@ -16,8 +16,8 @@ def fresh_spectral_numerators():
 @pytest.fixture
 def fresh_krawtchouk():
     """Empty the cached Krawtchouk families before and after a test that
-    patches a helper of ``specialfn.krawtchouk``: no family cached from the
-    real helpers hides the patch, and none built from the patch outlives the
+    patches a name that ``specialfn.krawtchouk`` reads: no family cached from
+    the real names hides the patch, and none built from the patch outlives the
     test."""
     specialfn.krawtchouk.cache_clear()
     yield

@@ -253,6 +253,40 @@ def test_cross_form_witness_is_the_first_mismatching_pair(monkeypatch):
     assert failed == {"correspond.ddag.cross_form": "cross pair (0, 0, 1, 1),(0, 1, 0, 1)"}
 
 
+@pytest.mark.parametrize(
+    "name, unit, want",
+    [
+        ("ddag_scaled", PolyVec.unit(STARRED, (0, 1, 0, 1)), {"correspond.ddag.starred_consistency": "starred unit (0, 1, 0, 1)"}),
+        ("eps_scaled_fix", FixVec.unit(2, TILDE, (0, 1, 0, 1)), {"correspond.eps.routes": "tilde unit (0, 1, 0, 1)"}),
+        (
+            "theta_scaled",
+            PolyVec.unit(MONOMIAL, (0, 1, 0, 1)),
+            {
+                "correspond.theta.composite": "monomial unit (0, 1, 0, 1)",
+                "correspond.theta.concrete": "monomial unit (0, 1, 0, 1)",
+                "correspond.sigma_s": "monomial unit (0, 1, 0, 1)",
+                "correspond.c1_phi": "monomial unit (0, 1, 0, 1)",
+            },
+        ),
+    ],
+    ids=["ddag", "eps", "theta"],
+)
+def test_a_map_doubled_on_one_unit_is_named_by_every_two_route_check(monkeypatch, name, unit, want):
+    # each check that compares two routes unit by unit names the one bad unit
+    # with its basis tag
+    real = getattr(co, name)
+    monkeypatch.setattr(co, name, lambda *args: 2 * real(*args) if args[-1] == unit else real(*args))
+    reports = [
+        co.check_ddag(2, oracle_cap=2),
+        co.check_eps(2, basepoint=0, oracle_cap=2),
+        co.check_theta(2, basepoint=0, oracle_cap=2),
+        co.sigma_S_diagram(2, basepoint=0),
+        co.check_c1_phi(2, basepoint=0),
+    ]
+    failed = {c.id: c.witness for rep in reports for c in rep.failures}
+    assert {check: failed.get(check) for check in want} == want
+
+
 def test_a_wrong_four_term_scale_fails_every_check_against_another_realization(monkeypatch):
     """With the first term of A_1's four-term table doubled, A_1 acts wrongly
     on P_N and, through the same table, on Fix(G); every intertwining check

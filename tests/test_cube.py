@@ -9,6 +9,7 @@ from sl4cube import suites
 from sl4cube.cube import TripleIndex, cell_classes, cube, profile_of_triple, t_algebra, triple_of_profile
 from sl4cube.linalg import Mat
 from sl4cube.report import Report
+from sl4cube.sl4core import GENERATORS
 
 
 def test_adjacency_small():
@@ -148,6 +149,15 @@ def test_from_matrix_rejects_outsiders():
     assert alg.from_matrix(alg.cube.adjacency()) == alg.adjacency_elem()
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (3, 3), (4, 5)], ids=["larger", "smaller", "not_square"])
+def test_from_matrix_refuses_a_matrix_of_another_shape(shape):
+    # the 2^N x 2^N block of a larger matrix is not the matrix
+    alg = t_algebra(2, 0)
+    M = Mat([[1 if x == y else 0 for y in range(shape[1])] for x in range(shape[0])])
+    with pytest.raises(ValueError, match="not an operator on the 2-cube"):
+        alg.from_matrix(M)
+
+
 def test_telem_takes_only_cells_of_its_algebra():
     alg = t_algebra(2, 0)
     for key in ((1, 0, 0), (3, 3, 0), (0, 1, 2), (2, 2, 2)):
@@ -206,7 +216,9 @@ def test_s_map():
 def test_maps_of_t_refuse_an_element_of_another_algebra(other):
     alg = t_algebra(3, 0)
     foreign = t_algebra(*other).identity()
-    maps = [*alg.t_module_ops().values(), alg.s_antiautomorphism, alg.e_coords]
+    own = alg.identity()
+    acts = [lambda B, gid=gid: alg.act(gid, B) for gid in GENERATORS]
+    maps = [*acts, own.__matmul__, lambda B: B @ own, alg.s_antiautomorphism, alg.e_coords]
     for f in maps:
         with pytest.raises(ValueError, match="mixing TElem tags"):
             f(foreign)
@@ -228,12 +240,15 @@ def test_degenerate_n0():
     assert [len(b) for _, _, b in alg.wedderburn()] == [1]
 
 
-def test_t_module_ops_keys():
+def test_act_takes_every_generator_and_its_pair():
     alg = t_algebra(1, 0)
-    ops = alg.t_module_ops()
-    assert set(ops) == {(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3)}
     e000 = alg.e_basis()[TripleIndex(0, 0, 0)]
-    assert ops[("A", 1)](e000) == 1 * e000
+    assert {(gid.kind, gid.index) for gid in GENERATORS} == {(kind, k) for kind in ("A", "Astar") for k in (1, 2, 3)}
+    for gid in GENERATORS:
+        assert alg.act(gid, e000) == alg.act(tuple(gid), e000) == alg.module_op(*gid)(e000)
+    assert alg.act(("A", 1), e000) == 1 * e000
+    with pytest.raises(ValueError, match="unknown kind"):
+        alg.act(("B", 1), e000)
 
 
 def test_basepoint_must_be_vertex():

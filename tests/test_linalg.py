@@ -71,6 +71,17 @@ def test_mat_kernel_matches_the_triple_loop(fractions):
         Mat([[1, 2, 3]]) @ Mat([[1, 2, 3]])
 
 
+@pytest.mark.parametrize("other", [[[1]], [[1, 2]], [[1], [2]], [[1, 2, 0], [3, 4, 0]]], ids=["1x1", "1x2", "2x1", "2x3"])
+def test_mat_sum_and_difference_refuse_another_shape(other):
+    # zip would truncate to the common block
+    a = Mat([[1, 2], [3, 4]])
+    for combine in (Mat.__add__, Mat.__sub__):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine(a, Mat(other))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            combine(Mat(other), a)
+
+
 def test_mat_copies_and_checks_its_input():
     rows = [[1, 2], [3, 4]]
     a = Mat(rows)
