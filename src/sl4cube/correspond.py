@@ -18,7 +18,7 @@ from .exact import factorial
 from .linalg import Mat, rank, spans_match
 from .polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq
 from .report import Report, above
-from .sl4core import intertwining_failures, unit_failures
+from .sl4core import intertwining_failures, pair_failures, unit_failures
 from .sparse import gram
 from .tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor, group_order
 
@@ -89,11 +89,8 @@ def _form_mismatches(units, image, scale_sq):
     the images of the units {label: {profile: unit}} differs from scale_sq
     times the Gram matrix of the units, label by label."""
     for label, vecs in units.items():
-        got, want = gram(image(u) for u in vecs.values()), gram(vecs.values())
-        for p, got_row, want_row in zip(vecs, got, want):
-            for q, value, w in zip(vecs, got_row, want_row):
-                if value != scale_sq * w:
-                    yield f"{label} pair {tuple(p)},{tuple(q)}"
+        got = gram(image(u) for u in vecs.values())
+        yield from pair_failures(label, vecs, vecs, got, [[scale_sq * w for w in row] for row in gram(vecs.values())])
 
 
 def _poly_units(N, *tags):
@@ -136,12 +133,9 @@ def check_ddag(N, oracle_cap) -> Report:
     )
 
     def cross_form():
-        starred = (lift(e) for e in units[STARRED].values())
-        got = gram(lifted(), starred)
-        for p, row in zip(profiles, got):
-            for q, value in zip(profiles, row):
-                if value != factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)):
-                    yield f"cross pair {tuple(p)},{tuple(q)}"
+        got = gram(lifted(), (lift(e) for e in units[STARRED].values()))
+        want = [[factorial(N) ** 2 * specialfn.calP_sum(N, (p.s, p.t, p.u), (q.s, q.t, q.u)) for q in profiles] for p in profiles]
+        yield from pair_failures("cross", profiles, profiles, got, want)
     rep.check("correspond.ddag.cross_form", "<image(x^p), image(x*^q)> = (N!)^2 * transition coefficient", N, cross_form(), skip=oracle)
 
     def injective_rows():  # of the lifted tensors where the oracle runs, else of the coordinates

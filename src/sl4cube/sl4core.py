@@ -46,6 +46,17 @@ def unit_failures(units, left, right):
             if left(u) != right(u):
                 yield f"{tag} unit {tuple(p)}"
 
+
+def pair_failures(label, rows, cols, got, want):
+    """The witness "<label> pair <p>,<q>" wherever the matrices got and want
+    differ, row by row, with p from rows and q from cols: the one body of the
+    Gram checks.  ValueError on a matrix of another shape than rows x cols."""
+    for p, got_row, want_row in zip(rows, got, want, strict=True):
+        for q, value, w in zip(cols, got_row, want_row, strict=True):
+            if value != w:
+                yield f"{label} pair {tuple(p)},{tuple(q)}"
+
+
 _A = {
     1: Mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
     2: Mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),

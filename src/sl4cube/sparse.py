@@ -193,7 +193,9 @@ def gram(left, right=None):
     the form's basis are multiplied as they are stored, and the weights are
     cleared to integers once (``clear_denominators``), so each cell is an
     integer sum over the product of the denominators.  The right vectors are
-    indexed by key, so a left vector meets only those it shares a key with.
+    indexed by the keys that some left vector holds, so the form is weighed
+    only at keys both sides hold, as in ``inner``, and a left vector meets
+    only the right vectors it shares a key with.
     """
     forms = [v._form() for v in left]
     lvecs = [v for v, _ in forms]
@@ -202,10 +204,12 @@ def gram(left, right=None):
         return []
     for v in lvecs if right is None else lvecs + rvecs:
         lvecs[0]._require_same_space(v)
-    by_key = {}  # key -> [(right vector index, numerator times the weight numerator)]
+    held = set().union(*(v.nums for v in lvecs))
+    by_key = {}  # key both sides hold -> [(right vector index, numerator times the weight numerator)]
     for b, v in enumerate(rvecs):
         for k, x in v.nums.items():
-            by_key.setdefault(k, []).append((b, x))
+            if k in held:
+                by_key.setdefault(k, []).append((b, x))
     weight, wden = forms[0][1], 1
     if weight is not None:
         ws, wden = clear_denominators(weight(k) for k in by_key)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 from .. import polyspace, sl4core, specialfn
 from ..exact import binomial, factorial
-from ..linalg import horner, rank
+from ..linalg import Mat, horner, rank
 from ..polyspace import MONOMIAL, STARRED, PolyVec
 from ..report import Report, above, completes, unless
-from ..sl4core import GENERATORS, GeneratorId
+from ..sl4core import GENERATORS, GeneratorId, intertwining_failures, pair_failures
 from ..sparse import gram
 
 
@@ -47,15 +47,11 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
     count = unless(lambda: len(profiles) == binomial(N + 3, 3), f"{len(profiles)} profiles")
     rep.check("poly.profile_count", "number of degree-N profiles = C(N+3, 3)", N, count)
 
-    def tables_vs_dm():
-        for basis in (MONOMIAL, STARRED):
-            for gid in GENERATORS:
-                terms = _dm_terms(gid, basis)
-                for p in profiles:
-                    e = unit(basis, p)
-                    if act(gid, e) != _apply_dm_factorization(terms, e):
-                        yield f"{gid.kind}^({gid.index}) on {basis} unit {tuple(p)}"
-    rep.check("poly.tables_vs_dm", "generator tables match their derivative/multiplication factorizations", N, tables_vs_dm())
+    dm_terms = functools.cache(_dm_terms)
+    dm = lambda gid, e: _apply_dm_factorization(dm_terms(gid, e.basis), e)
+    units = {basis: {p: unit(basis, p) for p in profiles} for basis in (MONOMIAL, STARRED)}
+    tables_vs_dm = intertwining_failures(units, lambda e: e, act, dm)
+    rep.check("poly.tables_vs_dm", "generator tables match their derivative/multiplication factorizations", N, tables_vs_dm)
 
     v = random_polyvec(rng, N, MONOMIAL)
     sv = random_polyvec(rng, N, STARRED)
@@ -68,22 +64,19 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
                         yield f"[D_{'xyzw'[a]}{star}, M_{'xyzw'[b]}{star}]"
     rep.check("poly.weyl", "[D_a, M_b] = delta_ab I in both variable systems", N, weyl())
 
-    def adjoint_generators():
+    mono = units[MONOMIAL]
+    lower = {p: unit(MONOMIAL, p) for p in polyspace.enumerate_profiles(N - 2)}
+
+    def adjoint_generators():  # <G e_p, e_q> against its transpose <e_p, G e_q>: the form is symmetric
         for gid in GENERATORS:
-            images = {p: act(gid, unit(MONOMIAL, p)) for p in profiles}
-            for p in profiles:
-                for q in profiles:
-                    if herm(images[p], unit(MONOMIAL, q)) != herm(unit(MONOMIAL, p), images[q]):
-                        yield f"{gid.kind}^({gid.index}) at pair {tuple(p)},{tuple(q)}"
+            got = gram((act(gid, e) for e in mono.values()), mono.values())
+            yield from pair_failures(f"{gid.kind}^({gid.index}) at", mono, mono, got, list(zip(*got)))
     rep.check("poly.adjoint_generators", "<G f, g> = <f, G g> for all six generators", N, adjoint_generators())
 
     def adjoint_ladder():
         for i in (1, 2, 3):
-            for p in polyspace.enumerate_profiles(N - 2):
-                for q in profiles:
-                    f, g = unit(MONOMIAL, p), unit(MONOMIAL, q)
-                    if herm(R(i, f), g) != herm(f, L(i, g)):
-                        yield f"R_{i}/L_{i} at {tuple(p)},{tuple(q)}"
+            got = gram((R(i, f) for f in lower.values()), mono.values())
+            yield from pair_failures(f"R_{i}/L_{i}", lower, mono, got, gram(lower.values(), (L(i, g) for g in mono.values())))
     rep.check("poly.adjoint_ladder", "<R_i f, g> = <f, L_i g>", N, adjoint_ladder(), skip=low)
 
     v = random_polyvec(rng, N, MONOMIAL)
@@ -162,12 +155,9 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
                 yield f"index {k} reversed"
     rep.check("poly.tau_conjugation", "swapped generator action = sigma . action . sigma", N, tau_conjugation())
 
-    def starred_norms():
-        # the Hermitian form, on each starred unit converted to the monomial basis once
-        for p, row in zip(profiles, gram(unit(STARRED, p) for p in profiles)):
-            for q, value in zip(profiles, row):
-                if value != (p.norm_sq if p == q else 0):
-                    yield f"pair {tuple(p)},{tuple(q)}"
+    def starred_norms():  # the Hermitian form, on each starred unit converted to the monomial basis once
+        want = Mat.diag([p.norm_sq for p in profiles]).rows
+        yield from pair_failures("starred", profiles, profiles, gram(units[STARRED].values()), want)
     rep.check("poly.starred_norms", "starred monomials are orthogonal with square norms r!s!t!u!", N, starred_norms())
 
     xsN = unit(STARRED, (N, 0, 0, 0))
@@ -240,11 +230,8 @@ def suite_poly(N, rng, basepoint, oracle_n_max) -> Report:
 
     def raised_perp_kernel():
         kb = polyspace.kernel_L_basis(1, N)
-        for p in polyspace.enumerate_profiles(N - 2):
-            rf = R(1, unit(MONOMIAL, p))
-            for key, v in kb.items():
-                if herm(rf, v) != 0:
-                    yield f"raised {tuple(p)} against word {key}"
+        got = gram((R(1, f) for f in lower.values()), kb.values())
+        yield from pair_failures("raised", lower, kb, got, Mat.zeros(len(lower), len(kb)).rows)
     rep.check("poly.raised_perp_kernel", "the raised image of the lower slice is orthogonal to Ker L_i", N, raised_perp_kernel(), skip=low)
 
     def word_basis():  # the word bases certify their rank by raising

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 from .. import cube, polyspace, sl4core, tensorspace
+from ..linalg import Mat
 from ..report import Report, above, unless
 from ..sl4core import GENERATORS
+from ..sparse import gram
 from ..tensorspace import STAR_TILDE, TILDE, FixVec
 
 
@@ -35,11 +37,8 @@ def suite_tensor(N, rng, basepoint, oracle_n_max) -> Report:
     rep.check("tensor.orbit_sums", "orbit sums have support and square norm N! 2^N / (r!s!t!u!)", N, orbit_sums(), skip=budget)
 
     def duality():
-        for p in profiles:
-            bt = FixVec.unit(N, TILDE, p).lift()
-            for q in profiles:
-                if tensorspace.b_vector(N, q).inner(bt) != (1 if p == q else 0):
-                    yield f"pair {tuple(p)},{tuple(q)}"
+        got = gram((FixVec.unit(N, TILDE, p).lift() for p in profiles), (tensorspace.b_vector(N, q) for q in profiles))
+        yield from sl4core.pair_failures("dual", profiles, profiles, got, Mat.identity(len(profiles)).rows)
     rep.check("tensor.duality", "orbit sums and their duals pair to the identity", N, duality(), skip=budget)
 
     def spectral_sums():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -454,3 +455,18 @@ def test_no_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_unit_and_pair_witnesses_are_written_only_in_sl4core():
+    # the per-unit and per-pair loops are sl4core's intertwining_failures,
+    # unit_failures and pair_failures: such a witness written anywhere else
+    # is one of those loops restated
+    src = Path(cli.__file__).parent
+    witness = re.compile(r"unit \{tuple\(\w+\)\}|pair \{tuple\(\w+\)\},\{tuple\(\w+\)\}")
+    found = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if witness.search(line)
+    ]
+    assert [f.split(":")[0] for f in found] == ["sl4core.py"] * 3, found

@@ -321,6 +321,19 @@ def test_wrong_class_sizes_in_the_multinomial_fail_estar_basis(monkeypatch, muta
     assert check.status == "fail" and check.witness.startswith("norm at ")
 
 
+def test_a_zero_e_basis_element_fails_its_norm(monkeypatch):
+    # cube.e_basis has no nonzero test of its own: a zero element's norm is 0
+    real = TAlgebra.e_basis
+
+    def with_a_zero(self):
+        elems = dict(real(self))
+        elems[cube_module.TripleIndex(1, 0, 1)] = self.zero()
+        return elems
+
+    monkeypatch.setattr(TAlgebra, "e_basis", with_a_zero)
+    assert _cube_suite_on(monkeypatch, Cube(2))["cube.e_basis"].witness == "E pair (1, 0, 1),(1, 0, 1)"
+
+
 REAL_CELL_CLASSES = cube_module.cell_classes
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sl4cube.linalg import Mat
 from sl4cube.sl4core import (
     UPSILON,
@@ -11,6 +13,7 @@ from sl4cube.sl4core import (
     elementary_from_generators,
     elementary_targets,
     generator,
+    pair_failures,
     tau,
 )
 
@@ -88,3 +91,38 @@ def test_tau_matches_conjugation_by_upsilon():
         assert tau(m) == UPSILON @ m @ UPSILON
     # integer input whose image is not integral
     assert tau(Mat.diag([1, 0, 0, 0])) == Mat([[Fraction(1, 4)] * 4] * 4)
+
+
+# -- pair_failures, the one body of the Gram checks ------------------------------
+
+ROWS, COLS = [(0, 2), (1, 1)], [(3,), (4,), (5,)]  # 2 x 3: rectangular keys
+WANT = [[1, 0, Fraction(1, 2)], [0, 6, 0]]
+
+
+def test_pair_failures_yields_nothing_on_equal_matrices():
+    assert list(pair_failures("g", ROWS, COLS, [list(r) for r in WANT], WANT)) == []
+    assert list(pair_failures("g", [], COLS, [], [])) == []
+
+
+def test_pair_failures_names_every_differing_entry_row_by_row():
+    got = [[1, 0, 7], [9, 6, 0]]
+    # (0, 2),(5,) comes first row by row; (1, 1),(3,) would come first column by column
+    assert list(pair_failures("g", ROWS, COLS, got, WANT)) == ["g pair (0, 2),(5,)", "g pair (1, 1),(3,)"]
+
+
+@pytest.mark.parametrize(
+    "got",
+    [
+        [[1, 0, Fraction(1, 2)]],  # a row short
+        [[1, 0, Fraction(1, 2)], [0, 6, 0], [0, 0, 0]],  # a row over
+        [[1, 0, Fraction(1, 2)], [0, 6]],  # ragged: the agreeing prefix of a short row
+        [[1, 0, Fraction(1, 2)], [0, 6, 0, 0]],  # ragged: a row too long
+    ],
+    ids=["short", "long", "ragged_short", "ragged_long"],
+)
+def test_pair_failures_refuses_a_matrix_of_another_shape(got):
+    # a shape mismatch raises, from either side, rather than pass on the common block
+    with pytest.raises(ValueError):
+        list(pair_failures("g", ROWS, COLS, got, WANT))
+    with pytest.raises(ValueError):
+        list(pair_failures("g", ROWS, COLS, WANT, got))

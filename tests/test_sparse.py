@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sl4cube import suites
 from sl4cube.cube import TElem, t_algebra
-from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec, _norm_sq, enumerate_profiles
+from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec, Profile, _norm_sq, enumerate_profiles
 from sl4cube.sparse import SparseVec, gram
 from sl4cube.tensorspace import STAR_TILDE, TILDE, FixVec, TripleTensor, fix_weight
 
@@ -364,6 +364,14 @@ def test_inner_and_gram_refuse_another_space():
     # the two bases of P_N are one space: the form converts before it compares tags
     e, f = PolyVec.unit(MONOMIAL, (1, 0, 0, 0)), PolyVec.unit(STARRED, (1, 0, 0, 0))
     assert e.inner(f) == f.inner(e) == gram([e], [f])[0][0] == Fraction(1, 2)
+
+
+def test_gram_weighs_the_form_only_at_keys_both_sides_hold():
+    # as in inner, a key that only one side holds is never weighed: here the
+    # weight r!s!t!u! of a negative exponent would raise
+    e = PolyVec.unit(MONOMIAL, (0, 0, 1, 1))
+    v = PolyVec._of(MONOMIAL, {Profile(0, 0, 1, 1): 1, Profile(-1, 0, 2, 1): 1})
+    assert gram([e], [v]) == gram([v], [e]) == [[e.inner(v)]] == [[1]]
 
 
 FORM_MUTANTS = {

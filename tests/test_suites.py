@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sl4cube import cli, cube, polyspace, sl4core, specialfn, suites
+from sl4cube import cli, cube, polyspace, sl4core, specialfn, suites, tensorspace
 from sl4cube.linalg import Mat
 from sl4cube.polyspace import MONOMIAL, STARRED, PolyVec
 
@@ -226,6 +226,47 @@ def test_swapped_four_term_shift_names_the_generator_in_every_witness(monkeypatc
     assert failed["poly.tables_vs_dm"] == "A^(1) on monomial unit (0, 0, 1, 1)"
     assert failed["poly.adjoint_generators"] == "A^(1) at pair (0, 0, 0, 2),(0, 0, 1, 1)"
     assert failed["poly.ladder_commutes"] == "[R_2, A^(1)]"
+
+
+def _doubled(real):
+    return lambda i, v: 2 * real(i, v)
+
+
+def _raised_kernel_word(real):
+    # the Ker L_1 word (0, 1) picks up R_1 of the lowest unit below the slice
+    def kernel_L_basis(i, N):
+        words = dict(real(i, N))
+        words[(0, 1)] += polyspace.apply_R(1, PolyVec.unit(MONOMIAL, (0, 0, 0, N - 2)))
+        return words
+    return kernel_L_basis
+
+
+def _flipped_hadamard(real):
+    rows = [list(r) for r in real.rows]
+    rows[1][0] *= -1
+    return Mat(rows)
+
+
+def _doubled_orbit_sum(real):
+    return lambda N, p: 2 * real(N, p) if tuple(p) == (0, 0, 1, 1) else real(N, p)
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, mutant, check, witness",
+    [
+        ("poly", polyspace, "apply_L", _doubled, "poly.adjoint_ladder", "R_1/L_1 pair (0, 0, 0, 0),(0, 0, 1, 1)"),
+        ("poly", polyspace, "kernel_L_basis", _raised_kernel_word, "poly.raised_perp_kernel", "raised pair (0, 0, 0, 0),(0, 1)"),
+        ("poly", sl4core, "_H", _flipped_hadamard, "poly.starred_norms", "starred pair (0, 0, 0, 2),(0, 1, 0, 1)"),
+        ("tensor", tensorspace, "b_vector", _doubled_orbit_sum, "tensor.duality", "dual pair (0, 0, 1, 1),(0, 0, 1, 1)"),
+    ],
+    ids=["adjoint_ladder", "raised_perp_kernel", "starred_norms", "duality"],
+)
+def test_a_gram_check_names_the_first_pair_that_fails(monkeypatch, fresh_expansion_caches, suite, module, name, mutant, check, witness):
+    # each of these checks is one pair_failures over Gram matrices: its
+    # witness is "<label> pair <p>,<q>" at the first failing entry, row by row
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    failed = {c.id: c.witness for c in suites.SUITES[suite](2, random.Random(0), 0, 3).failures}
+    assert failed[check] == witness
 
 
 def test_a_word_that_leaves_the_degree_names_the_profile_it_reaches(monkeypatch, fresh_expansion_caches):
